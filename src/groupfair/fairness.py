@@ -328,15 +328,12 @@ def propc_holds(v: Valuation, own: Bundle, k: int, c: int) -> bool:
 
 def is_efc(agent: Agent, alloc: Allocation, c: int) -> bool:
     """Envy-freeness up to ``c`` goods of ``alloc`` for this agent."""
-    bundles = bundles_of(alloc)
-    others = [b for gi, b in enumerate(bundles) if gi != agent.group]
-    return efc_holds(agent.valuation, bundles[agent.group], others, c)
+    return check(agent, alloc, EFc(c))
 
 
 def is_propc(agent: Agent, alloc: Allocation, c: int) -> bool:
     """Proportionality except ``c`` goods of ``alloc`` for this agent."""
-    own = bundles_of(alloc)[agent.group]
-    return propc_holds(agent.valuation, own, alloc.k, c)
+    return check(agent, alloc, PROPc(c))
 
 
 def _local_value_table(v: Valuation, goods: Bundle):
@@ -434,19 +431,27 @@ def mms_share(
 
 def _best_c_threshold(v: Valuation, c: int):
     """Value of the agent's c-th most valuable single good (0 if c > m)."""
+    if isinstance(v, BinaryValuation):
+        return 1 if c <= v.desired.mask.bit_count() else 0
     singles = sorted(v.singleton_values(), reverse=True)
     return singles[c - 1] if c <= len(singles) else 0
 
 
 def check(agent: Agent, alloc: Allocation, criterion: FairnessCriterion) -> bool:
     """Does this agent consider ``alloc`` fair under ``criterion``?"""
+    return _holds(agent, bundles_of(alloc), criterion)
+
+
+def _holds(agent: Agent, bundles: tuple, criterion: FairnessCriterion) -> bool:
+    """:func:`check` against the allocation's per-group ``bundles``."""
     v = agent.valuation
-    k = alloc.k
+    k = len(bundles)
+    own = bundles[agent.group]
     if isinstance(criterion, EFc):
-        return is_efc(agent, alloc, criterion.c)
+        others = [b for gi, b in enumerate(bundles) if gi != agent.group]
+        return efc_holds(v, own, others, criterion.c)
     if isinstance(criterion, PROPc):
-        return is_propc(agent, alloc, criterion.c)
-    own = bundles_of(alloc)[agent.group]
+        return propc_holds(v, own, k, criterion.c)
     own_value = v.value(own)
     if isinstance(criterion, MMS):
         return own_value >= mms_share(v, k)
@@ -567,8 +572,9 @@ def democratic_report(inst: Instance, alloc: Allocation, criterion) -> FairnessR
     """Evaluate :func:`check` for every agent; ``criterion`` may be one
     criterion or a per-group sequence of ``k`` criteria."""
     crits = per_group_criteria(criterion, inst.k)
+    bundles = bundles_of(alloc)
     verdicts = tuple(
-        tuple(check(agent, alloc, crits[gi]) for agent in grp)
+        tuple(_holds(agent, bundles, crits[gi]) for agent in grp)
         for gi, grp in enumerate(inst.groups)
     )
     return FairnessReport(verdicts)

@@ -50,7 +50,6 @@ __all__ = [
     "Agent",
     "Instance",
     "Allocation",
-    "value_of",
     "bundles_of",
     "parse_rational",
     "parse_instance",
@@ -252,11 +251,6 @@ class TabularValuation:
 
 
 Valuation = Union[BinaryValuation, AdditiveValuation, TabularValuation]
-
-
-def value_of(valuation: Valuation, bundle: Bundle):
-    """Value of ``bundle`` under ``valuation`` (int for binary, Fraction else)."""
-    return valuation.value(bundle)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ lexicographically-smallest witness.  :func:`exists_h` is its short-circuit
 decision form.  Binary instances with per-member happiness expressible as an
 own-bundle count threshold take a vectorized path (numpy popcounts over
 chunked index ranges); everything else goes through per-agent value tables.
+numpy is imported by the sweep functions themselves, so importing this
+module (and running any CLI command but ``brute``) never loads it.
 
 The generators build the small adversarial instances used to show that the
 protocol guarantees cannot be improved: cycles of disapproval, all-subsets
@@ -21,8 +23,6 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .budgets import maxh_finite
 from .errors import CapExceededError, FormatError
@@ -127,6 +127,8 @@ def _try_binary_compile(inst: Instance, crits):
     """Desired-mask and threshold arrays for the vectorized path, or None."""
     if not inst.is_binary():
         return None
+    import numpy as np
+
     masks, thresholds = [], []
     for g, grp in enumerate(inst.groups):
         gm, gt = [], []
@@ -299,6 +301,8 @@ def _decode(idx: int, k: int, m: int) -> Allocation:
 def _binary_chunk_scores(lo, hi, k, m, masks, thresholds, scale):
     """Integer scores min_g(happy_g * scale_g) for allocation indices
     [lo, hi); scale_g = lcm(sizes) // n_g keeps everything integral."""
+    import numpy as np
+
     idx = np.arange(lo, hi, dtype=np.uint64)
     group_masks = []
     for g in range(k):
@@ -325,6 +329,8 @@ def _sweep(inst: Instance, crits, cap: int, workers: int, target=None):
     whose score reaches it, returning (score, idx, N, examined) with
     ``idx = None`` if the target is never reached.
     """
+    import numpy as np
+
     total = _space(inst, cap)
     k, m = inst.k, inst.m
     sizes = inst.sizes

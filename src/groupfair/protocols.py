@@ -11,14 +11,30 @@ group takes a good it wants, and is refunded when the opponent does.  The
 ledger invariants (member balance always exactly ``-B(r, s)``; final group
 account equal to the number of happy members) are re-checked on every turn
 and raised as errors if violated, so a successful run certifies itself.
+
+The two-group protocols share one loop, :func:`_weighted_approval`, which
+keeps that ledger in plain ints: every budget, weight and payment is scaled
+by ``2**R``, where ``R`` is the largest ``r`` in the run.  This is exact,
+because ``B(r, s) * 2**r`` and ``C(r, s) * 2**r`` are integers (see
+:func:`~groupfair.budgets.B_closed`) and ``r`` only falls during a run, so
+the checks are int comparisons.  Each ``(r, s)`` is priced once per run,
+and each group's per-good weight totals are updated incrementally: when a
+pick changes a member's state, the member's weight change is added to the
+remaining goods it wants.  The ``Dyadic`` values in the trace come from
+that per-state memo, or are built from the ledger ints, so they equal the
+ones the plain ``Dyadic`` arithmetic would give.  :func:`rwavk` keeps its
+own float loop.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import budgets
 from .budgets import Dyadic, KGroupWeights
@@ -209,6 +225,137 @@ def _desired_masks(inst: Instance):
 # two-group RWAV
 
 
+class _Price(NamedTuple):
+    """What a member in state ``(r, s)`` is worth in one run: ledger values
+    as ints scaled by ``2**R``, and the ``Dyadic`` values its trace shows."""
+
+    budget: int
+    weight: int
+    pay: int
+    balance: Dyadic  # -budget, the member's balance in the trace
+    state: tuple  # (r, s, weight), the member's entry in the trace
+
+
+_BALANCE = operator.attrgetter("balance")
+_STATE = operator.attrgetter("state")
+
+
+def _weighted_approval(inst: Instance, crits, kind: str, next_group, budget,
+                       weight, pay):
+    """The two-group weighted-approval picking loop behind :func:`rwav2` and
+    :func:`cwav2`.
+
+    ``next_group()`` is called once per turn and names the acting group.
+    ``budget(r, s)`` and ``weight(r, s)`` give a member's budget and weight
+    (the table's ``B``/``w`` or ``C``/``w_C``), and ``pay(r, s)`` what a
+    member pays when its own group takes a good it wants; the other group's
+    members are refunded their weight.  Returns the allocation, the trace
+    and each group's starting ``(r, s)`` pairs.
+    """
+    sfuncs = tuple(SFunction(c, 2) for c in crits)
+    desired = _desired_masks(inst)
+    start = [[(mask.bit_count(), sfuncs[g](mask.bit_count())) for mask in grp]
+             for g, grp in enumerate(desired)]
+    R = max((rj for grp in start for rj, _ in grp), default=0)
+
+    def scaled(value: Dyadic) -> int:
+        if value.e > R:
+            raise ProtocolInvariantError(
+                f"{kind}: {value} is not a multiple of 2^-{R}"
+            )
+        return value.n << (R - value.e)
+
+    prices = {}
+
+    def price(rj: int, sj: int) -> _Price:
+        key = (rj, sj)
+        if key not in prices:
+            b, wt = budget(rj, sj), weight(rj, sj)
+            prices[key] = _Price(scaled(b), scaled(wt), scaled(pay(rj, sj)),
+                                 -b, (rj, sj, wt))
+        return prices[key]
+
+    dyadics = {}
+
+    def dyadic(value: int) -> Dyadic:
+        """The trace's ``Dyadic`` for a ledger int."""
+        if value not in dyadics:
+            dyadics[value] = Dyadic(value, R)
+        return dyadics[value]
+
+    m = inst.m
+    state = [[price(rj, sj) for rj, sj in grp] for grp in start]
+    bal = [[-p.budget for p in grp] for grp in state]
+    group_bal = [sum(p.budget for p in grp) for grp in state]
+    # each member's desired goods still on the table; per group, the
+    # members wanting each good and each good's total member weight
+    goods_of = [[[i for i in range(m) if mask >> i & 1] for mask in grp]
+                for grp in desired]
+    wanted_by = [[[] for _ in range(m)] for _ in range(2)]
+    good_weight = [[0] * m for _ in range(2)]
+    for g in range(2):
+        for j, goods in enumerate(goods_of[g]):
+            for i in goods:
+                wanted_by[g][i].append(j)
+                good_weight[g][i] += state[g][j].weight
+
+    remaining = list(range(m))
+    assignment = [None] * m
+    turns = []
+    for turn in range(1, m + 1):
+        g = next_group()
+        weights = good_weight[g]
+        member_states = tuple(map(_STATE, state[g]))
+        good_weights = tuple((i, dyadic(weights[i])) for i in remaining)
+        pick = max(remaining, key=weights.__getitem__)
+        for gg in range(2):
+            for j in wanted_by[gg][pick]:
+                old = state[gg][j]
+                rj, sj, _ = old.state
+                if gg == g:
+                    bal[gg][j] -= old.pay
+                    group_bal[gg] += old.pay
+                    sj = max(0, sj - 1)
+                else:
+                    bal[gg][j] += old.weight
+                    group_bal[gg] -= old.weight
+                new = state[gg][j] = price(rj - 1, sj)
+                if bal[gg][j] != -new.budget:
+                    raise ProtocolInvariantError(
+                        f"agent {gg + 1}.{j + 1} balance {dyadic(bal[gg][j])} != "
+                        f"-{budget.__name__}({rj - 1}, {sj}) after turn {turn}"
+                    )
+                goods = goods_of[gg][j]
+                goods.remove(pick)
+                delta = new.weight - old.weight
+                if delta:
+                    gw = good_weight[gg]
+                    for i in goods:
+                        gw[i] += delta
+        assignment[pick] = g
+        turns.append(
+            TurnRecord(
+                turn=turn,
+                group=g,
+                remaining=tuple(remaining),
+                member_states=member_states,
+                good_weights=good_weights,
+                pick=pick,
+                group_balances=tuple(map(dyadic, group_bal)),
+                agent_balances=tuple(tuple(map(_BALANCE, grp)) for grp in state),
+            )
+        )
+        remaining.remove(pick)
+
+    for g in range(2):
+        happy = sum(1 for p in state[g] if p.state[1] == 0)
+        if group_bal[g] != happy << R:
+            raise ProtocolInvariantError(
+                f"group {g + 1} final balance {dyadic(group_bal[g])} != happy {happy}"
+            )
+    return Allocation(tuple(assignment), 2), ProtocolTrace(kind, tuple(turns)), start
+
+
 def rwav2(inst: Instance, criterion, first_group: int = 0, table=None) -> RunResult:
     """Round-robin with weighted approval voting for two binary groups.
 
@@ -229,106 +376,24 @@ def rwav2(inst: Instance, criterion, first_group: int = 0, table=None) -> RunRes
     if first_group not in (0, 1):
         raise ValueError("first_group must be 0 or 1")
     crits = per_group_criteria(criterion, 2)
-    sfuncs = tuple(SFunction(c, 2) for c in crits)
     tbl = table if table is not None else budgets.DEFAULT_TABLE
-
-    desired = _desired_masks(inst)
-    r = [[mask.bit_count() for mask in grp] for grp in desired]
-    r0 = [list(grp) for grp in r]
-    s = [[sfuncs[g](rj) for rj in grp] for g, grp in enumerate(r)]
-    s0 = [list(grp) for grp in s]
-    bal = [[-tbl.B(r[g][j], s[g][j]) for j in range(len(grp))]
-           for g, grp in enumerate(desired)]
-    group_bal = [
-        sum((tbl.B(r[g][j], s[g][j]) for j in range(len(grp))), Dyadic(0))
-        for g, grp in enumerate(desired)
-    ]
-
-    remaining = list(range(inst.m))
-    assignment = [None] * inst.m
-    turns = []
-    for turn in range(1, inst.m + 1):
-        g = first_group if turn % 2 == 1 else 1 - first_group
-        member_states = tuple(
-            (r[g][j], s[g][j], tbl.w(r[g][j], s[g][j]))
-            for j in range(len(desired[g]))
-        )
-        good_weights = []
-        for good in remaining:
-            bit = 1 << good
-            total = Dyadic(0)
-            for j, mask in enumerate(desired[g]):
-                if mask & bit:
-                    total = total + member_states[j][2]
-            good_weights.append((good, total))
-        pick, best = good_weights[0]
-        for good, weight in good_weights[1:]:
-            if weight > best:
-                pick, best = good, weight
-        bit = 1 << pick
-        for gg in range(2):
-            for j, mask in enumerate(desired[gg]):
-                if not mask & bit:
-                    continue
-                rj, sj = r[gg][j], s[gg][j]
-                if gg == g:
-                    pay = max(tbl.w(rj, sj), tbl.w(rj - 1, sj - 1))
-                    bal[gg][j] = bal[gg][j] - pay
-                    group_bal[gg] = group_bal[gg] + pay
-                    s[gg][j] = max(0, sj - 1)
-                else:
-                    refund = tbl.w(rj, sj)
-                    bal[gg][j] = bal[gg][j] + refund
-                    group_bal[gg] = group_bal[gg] - refund
-                r[gg][j] = rj - 1
-                if bal[gg][j] != -tbl.B(r[gg][j], s[gg][j]):
-                    raise ProtocolInvariantError(
-                        f"agent {gg + 1}.{j + 1} balance {bal[gg][j]} != "
-                        f"-B({r[gg][j]}, {s[gg][j]}) after turn {turn}"
-                    )
-        assignment[pick] = g
-        turns.append(
-            TurnRecord(
-                turn=turn,
-                group=g,
-                remaining=tuple(remaining),
-                member_states=member_states,
-                good_weights=tuple(good_weights),
-                pick=pick,
-                group_balances=tuple(group_bal),
-                agent_balances=tuple(tuple(grp) for grp in bal),
-            )
-        )
-        remaining.remove(pick)
-
-    happy = [sum(1 for sj in grp if sj == 0) for grp in s]
-    for g in range(2):
-        if group_bal[g] != happy[g]:
-            raise ProtocolInvariantError(
-                f"group {g + 1} final balance {group_bal[g]} != happy {happy[g]}"
-            )
-    alloc = Allocation(tuple(assignment), 2)
-    report = democratic_report(inst, alloc, crits)
-    guarantees = []
-    for g in range(2):
-        if g == first_group:
-            bound = min(
-                tbl.B(r0[g][j], s0[g][j]).as_fraction()
-                for j in range(len(desired[g]))
-            )
-        else:
-            bound = min(
-                tbl.B(r0[g][j] - 1, s0[g][j]).as_fraction()
-                for j in range(len(desired[g]))
-            )
-        guarantees.append(bound)
+    order = itertools.cycle((first_group, 1 - first_group))
+    alloc, trace, start = _weighted_approval(
+        inst, crits, "rwav2", order.__next__, tbl.B, tbl.w,
+        lambda r, s: max(tbl.w(r, s), tbl.w(r - 1, s - 1)),
+    )
+    guarantees = tuple(
+        min(tbl.B(r if g == first_group else r - 1, s) for r, s in start[g])
+        .as_fraction()
+        for g in range(2)
+    )
     return RunResult(
         protocol="rwav2",
         allocation=alloc,
-        report=report,
-        guarantees=tuple(guarantees),
+        report=democratic_report(inst, alloc, crits),
+        guarantees=guarantees,
         criteria=crits,
-        trace=ProtocolTrace("rwav2", tuple(turns)),
+        trace=trace,
     )
 
 
@@ -825,99 +890,19 @@ def cwav2(inst: Instance, criterion, seed: int) -> RunResult:
         raise ValueError("cwav2 needs exactly two groups")
     _require_binary(inst, "cwav2")
     crits = per_group_criteria(criterion, 2)
-    sfuncs = tuple(SFunction(c, 2) for c in crits)
     tbl = budgets.DEFAULT_TABLE
     rng = random.Random(seed)
-
-    desired = _desired_masks(inst)
-    r = [[mask.bit_count() for mask in grp] for grp in desired]
-    r0 = [list(grp) for grp in r]
-    s = [[sfuncs[g](rj) for rj in grp] for g, grp in enumerate(r)]
-    s0 = [list(grp) for grp in s]
-    bal = [[-tbl.C(r[g][j], s[g][j]) for j in range(len(grp))]
-           for g, grp in enumerate(desired)]
-    group_bal = [
-        sum((tbl.C(r[g][j], s[g][j]) for j in range(len(grp))), Dyadic(0))
-        for g, grp in enumerate(desired)
-    ]
-
-    remaining = list(range(inst.m))
-    assignment = [None] * inst.m
-    turns = []
-    for turn in range(1, inst.m + 1):
-        g = rng.randrange(2)
-        member_states = tuple(
-            (r[g][j], s[g][j], tbl.w_C(r[g][j], s[g][j]))
-            for j in range(len(desired[g]))
-        )
-        good_weights = []
-        for good in remaining:
-            bit = 1 << good
-            total = Dyadic(0)
-            for j, mask in enumerate(desired[g]):
-                if mask & bit:
-                    total = total + member_states[j][2]
-            good_weights.append((good, total))
-        pick, best = good_weights[0]
-        for good, weight in good_weights[1:]:
-            if weight > best:
-                pick, best = good, weight
-        bit = 1 << pick
-        for gg in range(2):
-            for j, mask in enumerate(desired[gg]):
-                if not mask & bit:
-                    continue
-                rj, sj = r[gg][j], s[gg][j]
-                delta = tbl.w_C(rj, sj)
-                if gg == g:
-                    bal[gg][j] = bal[gg][j] - delta
-                    group_bal[gg] = group_bal[gg] + delta
-                    s[gg][j] = max(0, sj - 1)
-                else:
-                    bal[gg][j] = bal[gg][j] + delta
-                    group_bal[gg] = group_bal[gg] - delta
-                r[gg][j] = rj - 1
-                if bal[gg][j] != -tbl.C(r[gg][j], s[gg][j]):
-                    raise ProtocolInvariantError(
-                        f"agent {gg + 1}.{j + 1} balance {bal[gg][j]} != "
-                        f"-C({r[gg][j]}, {s[gg][j]}) after turn {turn}"
-                    )
-        assignment[pick] = g
-        turns.append(
-            TurnRecord(
-                turn=turn,
-                group=g,
-                remaining=tuple(remaining),
-                member_states=member_states,
-                good_weights=tuple(good_weights),
-                pick=pick,
-                group_balances=tuple(group_bal),
-                agent_balances=tuple(tuple(grp) for grp in bal),
-            )
-        )
-        remaining.remove(pick)
-
-    happy = [sum(1 for sj in grp if sj == 0) for grp in s]
-    for g in range(2):
-        if group_bal[g] != happy[g]:
-            raise ProtocolInvariantError(
-                f"group {g + 1} final balance {group_bal[g]} != happy {happy[g]}"
-            )
-    alloc = Allocation(tuple(assignment), 2)
-    report = democratic_report(inst, alloc, crits)
-    expected = tuple(
-        min(
-            tbl.C(r0[g][j], s0[g][j]).as_fraction()
-            for j in range(len(desired[g]))
-        )
-        for g in range(2)
+    alloc, trace, start = _weighted_approval(
+        inst, crits, "cwav2", lambda: rng.randrange(2), tbl.C, tbl.w_C, tbl.w_C
     )
     return RunResult(
         protocol="cwav2",
         allocation=alloc,
-        report=report,
+        report=democratic_report(inst, alloc, crits),
         guarantees=(Fraction(0), Fraction(0)),
         criteria=crits,
-        trace=ProtocolTrace("cwav2", tuple(turns)),
-        expected_guarantees=expected,
+        trace=trace,
+        expected_guarantees=tuple(
+            min(tbl.C(r, s) for r, s in start[g]).as_fraction() for g in range(2)
+        ),
     )

@@ -430,3 +430,38 @@ def test_script_byte_determinism(b1_path):
     second = subprocess.run(cmd, capture_output=True)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+
+NO_NUMPY = """
+import sys
+from groupfair.cli import main
+
+path, alloc = sys.argv[1:]
+for argv in (
+    ["run", "--protocol", "rwav2", "--instance", path, "--criterion", "ef-1"],
+    ["run", "--protocol", "cwav2", "--instance", path, "--criterion", "ef-1",
+     "--seed", "1"],
+    ["check", "--instance", path, "--allocation", alloc, "--criterion", "mms"],
+    ["gen", "--spec", "all-subsets:r=2,s=1,k=2,m=2"],
+    ["table", "--which", "w", "--rmax", "5", "--smax", "3"],
+):
+    assert main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+"""
+
+
+def test_only_brute_loads_numpy(b1_path, tmp_path):
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text('{"bundles": [["w", "x", "y"], ["v", "z"]]}')
+    result = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, b1_path, str(alloc)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
