@@ -417,9 +417,7 @@ def _cmd_brute(args) -> int:
     doc["criteria"] = [c.name for c in crits]
     if args.h is not None:
         target = parse_rational(args.h)
-        res = oracles.exists_h(
-            inst, crits, target, cap=args.cap, workers=args.workers
-        )
+        res = oracles.exists_h(inst, crits, target, cap=args.cap)
         doc["h"] = rational_doc(target)
         doc["found"] = res.found
         doc["witness"] = (
@@ -514,7 +512,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     brute.add_argument("--cap", type=int, default=oracles.DEFAULT_CAP,
                        help="allocation-space cap (default 2^24)")
-    brute.add_argument("--workers", type=int, default=1)
+    brute.add_argument("--workers", type=int, default=1,
+                       help="threads that score chunks (max-h mode only)")
     brute.add_argument("--out")
     brute.set_defaults(handler=_cmd_brute)
 

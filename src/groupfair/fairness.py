@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import ceil, floor, lcm
 from typing import Optional, Sequence, Union
 
 from .errors import CapExceededError, FormatError
@@ -452,21 +452,30 @@ def _holds(agent: Agent, bundles: tuple, criterion: FairnessCriterion) -> bool:
         return efc_holds(v, own, others, criterion.c)
     if isinstance(criterion, PROPc):
         return propc_holds(v, own, k, criterion.c)
+    bar, strict = _own_bar(v, criterion, k)
     own_value = v.value(own)
+    return own_value > bar if strict else own_value >= bar
+
+
+def _own_bar(v: Valuation, criterion: FairnessCriterion, k: int):
+    """``(bar, strict)`` for an own-value criterion with ``k`` groups: the
+    agent is happy when ``v(own) >= bar``, or ``v(own) > bar`` when
+    ``strict``.  Every criterion but EFc and PROPc is of this kind."""
     if isinstance(criterion, MMS):
-        return own_value >= mms_share(v, k)
+        return mms_share(v, k), False
     if isinstance(criterion, OneOutOfCMMS):
         if criterion.c < k:
             raise ValueError(
                 f"1-out-of-{criterion.c}-mms needs c >= k (k={k})"
             )
-        return own_value >= mms_share(v, criterion.c)
+        return mms_share(v, criterion.c), False
     if isinstance(criterion, FractionMMS):
-        return own_value >= criterion.q * mms_share(v, k)
+        return criterion.q * mms_share(v, k), False
     if isinstance(criterion, OneOfBestC):
-        return own_value >= _best_c_threshold(v, criterion.c)
+        return _best_c_threshold(v, criterion.c), False
     if isinstance(criterion, PositiveMMS):
-        return mms_share(v, k) == 0 or own_value > 0
+        # a zero share is met by any bundle: values are never negative
+        return 0, mms_share(v, k) > 0
     raise TypeError(f"unknown criterion {criterion!r}")
 
 
@@ -474,12 +483,28 @@ def _holds(agent: Agent, bundles: tuple, criterion: FairnessCriterion) -> bool:
 # binary-agent thresholds
 
 
+@lru_cache(maxsize=4096)
+def _binary_threshold(criterion: FairnessCriterion, r: int, k: int):
+    """Own-count threshold t: a binary agent desiring ``r`` goods is happy
+    under ``criterion`` iff it receives at least ``t`` of them.  ``None``
+    when happiness is not a pure own-count property (EF-c with 3+ groups)."""
+    if isinstance(criterion, EFc):
+        return max(0, (r - criterion.c + 1) // 2) if k == 2 else None
+    if isinstance(criterion, PROPc):
+        return max(0, -((criterion.c - r) // k))
+    bar, strict = _own_bar(BinaryValuation(Bundle.full(r)), criterion, k)
+    return floor(bar) + 1 if strict else ceil(bar)
+
+
 def s_threshold(criterion: FairnessCriterion, r: int, k: int = 2) -> int:
     """How many of its ``r`` desired goods a binary agent needs.
 
     A binary agent with ``r`` desired goods satisfies ``criterion`` exactly
-    when its group holds ``s_threshold(criterion, r, k)`` of them.  EFc,
-    PROPc and MMS have this characterization only for two groups.
+    when its group holds ``s_threshold(criterion, r, k)`` of them.  PROPc
+    and MMS have such an own-count threshold for every ``k`` and EFc for
+    ``k = 2``, but this map, which drives the two-group picking protocols,
+    accepts EFc, PROPc and MMS only for ``k = 2`` and never accepts
+    fraction-mms.
 
     >>> s_threshold(EFc(1), 7)
     3
@@ -492,22 +517,11 @@ def s_threshold(criterion: FairnessCriterion, r: int, k: int = 2) -> int:
         raise ValueError("r must be >= 0")
     if k < 2:
         raise ValueError("k must be >= 2")
-    if isinstance(criterion, (EFc, PROPc)):
-        if k != 2:
-            raise ValueError(f"{criterion.name} has a threshold only for k=2")
-        return max(0, (r - criterion.c + 1) // 2)
-    if isinstance(criterion, MMS):
-        if k != 2:
-            raise ValueError("mms has a threshold only for k=2")
-        return r // 2
-    if isinstance(criterion, OneOutOfCMMS):
-        return r // criterion.c
-    if isinstance(criterion, OneOfBestC):
-        return 1 if r >= criterion.c else 0
-    if isinstance(criterion, PositiveMMS):
-        return 1 if r >= 2 else 0
-    raise ValueError(f"{criterion.name if hasattr(criterion, 'name') else criterion!r} "
-                     "has no binary-agent threshold")
+    if isinstance(criterion, FractionMMS):
+        raise ValueError(f"{criterion.name} has no binary-agent threshold")
+    if k != 2 and isinstance(criterion, (EFc, PROPc, MMS)):
+        raise ValueError(f"{criterion.name} has a threshold only for k=2")
+    return _binary_threshold(criterion, r, k)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,15 @@
 the best achievable democratic fraction (the largest ``h`` such that some
 allocation leaves at least ``h`` of every group happy), together with the
 lexicographically-smallest witness.  :func:`exists_h` is its short-circuit
-decision form.  Binary instances with per-member happiness expressible as an
-own-bundle count threshold take a vectorized path (numpy popcounts over
-chunked index ranges); everything else goes through per-agent value tables.
+decision form.
+
+Both sweep the index space in numpy chunks with one decode: each index
+becomes one own-bundle mask per group.  One of two scoring rules then
+counts each group's happy members.  When every member is binary and its
+criterion is an own-count threshold, the binary rule compares popcounts
+against the thresholds.  Otherwise the table rule gathers from per-group
+count tables over own-bundle masks, plus exact rank tables for EF-c
+members.  What each criterion means comes from :mod:`groupfair.fairness`.
 numpy is imported by the sweep functions themselves, so importing this
 module (and running any CLI command but ``brute``) never loads it.
 
@@ -20,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,14 +35,9 @@ from .budgets import maxh_finite
 from .errors import CapExceededError, FormatError
 from .fairness import (
     EFc,
-    FractionMMS,
-    MMS,
-    OneOfBestC,
-    OneOutOfCMMS,
-    PositiveMMS,
     PROPc,
-    _best_c_threshold,
-    mms_share,
+    _binary_threshold,
+    _own_bar,
     per_group_criteria,
 )
 from .model import (
@@ -97,51 +99,32 @@ class ExistsResult:
 # happiness compilation
 
 
-def _binary_threshold(criterion, r: int, k: int):
-    """Own-count threshold t: a binary agent desiring ``r`` goods is happy
-    under ``criterion`` iff it receives at least ``t`` of them.  ``None``
-    when happiness is not a pure own-count property (EF-c with 3+ groups)."""
-    if isinstance(criterion, EFc):
-        if k != 2:
-            return None
-        return max(0, (r - criterion.c + 1) // 2)
-    if isinstance(criterion, PROPc):
-        return max(0, -((criterion.c - r) // k))
-    if isinstance(criterion, MMS):
-        return r // k
-    if isinstance(criterion, OneOutOfCMMS):
-        if criterion.c < k:
-            raise ValueError("1-out-of-c MMS needs c >= number of groups")
-        return r // criterion.c
-    if isinstance(criterion, FractionMMS):
-        q = criterion.q
-        return -((-q.numerator * (r // k)) // q.denominator)
-    if isinstance(criterion, OneOfBestC):
-        return 1 if r >= criterion.c else 0
-    if isinstance(criterion, PositiveMMS):
-        return 1 if r >= k else 0
-    raise TypeError(f"unknown criterion {criterion!r}")
-
-
-def _try_binary_compile(inst: Instance, crits):
-    """Desired-mask and threshold arrays for the vectorized path, or None."""
+def _binary_rule(inst: Instance, crits):
+    """The binary scoring rule: ``happy(g, masks)`` counts the members of
+    group ``g`` whose own bundle holds their own-count threshold of desired
+    goods, one entry per distinct desired set.  None unless every member
+    is binary and every criterion has such a threshold."""
     if not inst.is_binary():
         return None
     import numpy as np
 
-    masks, thresholds = [], []
+    rows = []
     for g, grp in enumerate(inst.groups):
-        gm, gt = [], []
-        for agent in grp:
-            mask = agent.valuation.desired.mask
+        row = []
+        for mask, count in Counter(a.valuation.desired.mask for a in grp).items():
             t = _binary_threshold(crits[g], mask.bit_count(), inst.k)
             if t is None:
                 return None
-            gm.append(mask)
-            gt.append(t)
-        masks.append(np.array(gm, dtype=np.uint64))
-        thresholds.append(np.array(gt, dtype=np.uint64))
-    return masks, thresholds
+            row.append((np.uint64(mask), t, count))
+        rows.append(row)
+
+    def happy(g, masks):
+        return sum(
+            count * (np.bitwise_count(masks[g] & desired) >= t)
+            for desired, t, count in rows[g]
+        )
+
+    return happy
 
 
 def _value_table(valuation, m: int):
@@ -208,74 +191,60 @@ def _prop_benchmark_table(values, m: int, c: int):
     return out
 
 
-class _GenericChecker:
-    """Per-agent verdict machinery for the table-driven enumeration path."""
+def _table_rule(inst: Instance, crits):
+    """The table scoring rule: ``happy(g, masks)`` from lookup tables over
+    own-bundle masks, for any valuation and criterion.
 
-    def __init__(self, inst: Instance, crits):
-        m = inst.m
-        k = inst.k
-        if m > 16:
-            raise CapExceededError(
-                f"generic oracle path supports at most 16 goods, got {m}"
-            )
-        # happy[g][j] is either ("own", table) -- verdict from own mask only
-        # -- or ("efc", values, drop) -- compare own value against the
-        # other bundles' post-removal values.
-        self.happy = []
-        for g, grp in enumerate(inst.groups):
-            crit = crits[g]
-            row = []
-            for agent in grp:
-                v = agent.valuation
-                values = _value_table(v, m)
-                if isinstance(crit, EFc):
-                    row.append(("efc", values, _drop_table(values, m, crit.c)))
-                    continue
-                if isinstance(crit, PROPc):
-                    bench = _prop_benchmark_table(values, m, crit.c)
-                    table = [k * values[x] >= bench[x] for x in range(1 << m)]
-                elif isinstance(crit, MMS):
-                    share = mms_share(v, k)
-                    table = [values[x] >= share for x in range(1 << m)]
-                elif isinstance(crit, OneOutOfCMMS):
-                    if crit.c < k:
-                        raise ValueError(
-                            "1-out-of-c MMS needs c >= number of groups"
-                        )
-                    share = mms_share(v, crit.c)
-                    table = [values[x] >= share for x in range(1 << m)]
-                elif isinstance(crit, FractionMMS):
-                    share = crit.q * mms_share(v, k)
-                    table = [values[x] >= share for x in range(1 << m)]
-                elif isinstance(crit, OneOfBestC):
-                    t = _best_c_threshold(v, crit.c)
-                    table = [values[x] >= t for x in range(1 << m)]
-                elif isinstance(crit, PositiveMMS):
-                    if mms_share(v, k) == 0:
-                        table = [True] * (1 << m)
-                    else:
-                        table = [values[x] > 0 for x in range(1 << m)]
-                else:
-                    raise TypeError(f"unknown criterion {crit!r}")
-                row.append(("own", table))
-            self.happy.append(row)
+    Each group has one count table: for every mask, how many members whose
+    verdict depends on their own bundle alone are happy holding it.  Each
+    EF-c member (one entry per distinct valuation, with its multiplicity)
+    has its value table and :func:`_drop_table` as ranks over their union,
+    so envy is an exact int comparison against every other group's bundle.
+    """
+    import numpy as np
 
-    def group_happy(self, g: int, bundle_masks) -> int:
-        own = bundle_masks[g]
-        count = 0
-        for kind, *tabs in self.happy[g]:
-            if kind == "own":
-                count += tabs[0][own]
+    m, k = inst.m, inst.k
+    if m > 16:
+        raise CapExceededError(
+            f"generic oracle path supports at most 16 goods, got {m}"
+        )
+    own, envy = [], []
+    for g, grp in enumerate(inst.groups):
+        crit = crits[g]
+        counts = np.zeros(1 << m, dtype=np.int64)
+        pairs = []
+        for v, count in Counter(a.valuation for a in grp).items():
+            values = _value_table(v, m)
+            if isinstance(crit, EFc):
+                drop = _drop_table(values, m, crit.c)
+                rank = {x: i for i, x in enumerate(sorted({*values, *drop}))}
+                pairs.append(
+                    (count, np.array([rank[x] for x in values]),
+                     np.array([rank[x] for x in drop]))
+                )
+                continue
+            if isinstance(crit, PROPc):
+                bench = _prop_benchmark_table(values, m, crit.c)
+                ok = [k * x >= b for x, b in zip(values, bench)]
             else:
-                values, drop = tabs
-                mine = values[own]
-                ok = True
-                for h, mask in enumerate(bundle_masks):
-                    if h != g and mine < drop[mask]:
-                        ok = False
-                        break
-                count += ok
-        return count
+                bar, strict = _own_bar(v, crit, k)
+                ok = [x > bar if strict else x >= bar for x in values]
+            counts += count * np.array(ok, dtype=np.int64)
+        own.append(counts)
+        envy.append(pairs)
+
+    def happy(g, masks):
+        total = own[g][masks[g]]
+        for count, value_rank, drop_rank in envy[g]:
+            mine = value_rank[masks[g]]
+            ok = np.ones(len(mine), dtype=bool)
+            for h in range(k):
+                if h != g:
+                    ok &= mine >= drop_rank[masks[h]]
+            total = total + count * ok
+        return total
+
+    return happy
 
 
 # ---------------------------------------------------------------------------
@@ -298,103 +267,50 @@ def _decode(idx: int, k: int, m: int) -> Allocation:
     return Allocation(tuple(digits), k)
 
 
-def _binary_chunk_scores(lo, hi, k, m, masks, thresholds, scale):
-    """Integer scores min_g(happy_g * scale_g) for allocation indices
-    [lo, hi); scale_g = lcm(sizes) // n_g keeps everything integral."""
+def _digit_masks(k: int, first: int, d: int):
+    """Row ``g``, column ``j``: the mask of goods ``first .. first+d-1``
+    whose digit in the ``d``-digit base-``k`` numeral ``j`` (most
+    significant first) is ``g``."""
     import numpy as np
 
-    idx = np.arange(lo, hi, dtype=np.uint64)
-    group_masks = []
-    for g in range(k):
-        mg = np.zeros(len(idx), dtype=np.uint64)
-        for i in range(m):
-            digit = (idx // np.uint64(k ** (m - 1 - i))) % np.uint64(k)
-            mg |= (digit == np.uint64(g)).astype(np.uint64) << np.uint64(i)
-        group_masks.append(mg)
-    score = None
-    for g in range(k):
-        happy = np.zeros(len(idx), dtype=np.int64)
-        for dj, tj in zip(masks[g], thresholds[g]):
-            happy += np.bitwise_count(group_masks[g] & dj) >= tj
-        part = happy * scale[g]
-        score = part if score is None else np.minimum(score, part)
-    return score
+    j = np.arange(k**d, dtype=np.int64)
+    out = np.zeros((k, k**d), dtype=np.uint64)
+    for t in range(d):
+        out[(j // k ** (d - 1 - t)) % k, j] |= np.uint64(1 << (first + t))
+    return out
 
 
-def _sweep(inst: Instance, crits, cap: int, workers: int, target=None):
-    """Shared enumeration core.
+def _group_masks(lo: int, hi: int, k: int, m: int):
+    """Own-bundle masks of allocation indices [lo, hi): row ``g`` holds
+    group ``g``'s.  Good 0 is the most significant base-``k`` digit; each
+    index is split into its high and low ``m // 2`` digits, which are
+    looked up in two small tables."""
+    import numpy as np
 
-    Without ``target``: returns (best_score, best_idx, N, total).  With
-    ``target`` (an integer score): additionally stops at the first index
-    whose score reaches it, returning (score, idx, N, examined) with
-    ``idx = None`` if the target is never reached.
-    """
+    a = m // 2
+    high, low = np.divmod(np.arange(lo, hi, dtype=np.int64), k**a)
+    return _digit_masks(k, 0, m - a)[:, high] | _digit_masks(k, m - a, a)[:, low]
+
+
+def _chunk_scorer(inst: Instance, crits, cap: int):
+    """``(N, bounds, chunk_scores)`` for both sweeps: ``chunk_scores(lo,
+    hi)`` decodes allocation indices [lo, hi) to group masks, counts each
+    group's happy members with the binary or the table rule, and returns
+    the integer scores min_g(happy_g * N / n_g), N = lcm(sizes)."""
     import numpy as np
 
     total = _space(inst, cap)
     k, m = inst.k, inst.m
-    sizes = inst.sizes
-    N = math.lcm(*sizes)
-    scale = np.array([N // n for n in sizes], dtype=np.int64)
+    N = math.lcm(*inst.sizes)
+    scale = [N // n for n in inst.sizes]
+    happy = _binary_rule(inst, crits) or _table_rule(inst, crits)
 
-    compiled = _try_binary_compile(inst, crits)
-    if compiled is not None:
-        masks, thresholds = compiled
-
-        def chunk_scores(lo, hi):
-            return _binary_chunk_scores(lo, hi, k, m, masks, thresholds, scale)
-
-    else:
-        checker = _GenericChecker(inst, crits)
-
-        def chunk_scores(lo, hi):
-            out = np.empty(hi - lo, dtype=np.int64)
-            bundle_masks = [0] * k
-            for pos, digits in enumerate(
-                itertools.islice(
-                    itertools.product(range(k), repeat=m), lo, hi
-                )
-            ):
-                for g in range(k):
-                    bundle_masks[g] = 0
-                for i, d in enumerate(digits):
-                    bundle_masks[d] |= 1 << i
-                out[pos] = min(
-                    checker.group_happy(g, bundle_masks) * int(scale[g])
-                    for g in range(k)
-                )
-            return out
+    def chunk_scores(lo, hi):
+        masks = _group_masks(lo, hi, k, m)
+        return np.min([happy(g, masks) * scale[g] for g in range(k)], axis=0)
 
     bounds = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-
-    def reduce_chunk(scores, lo):
-        pos = int(np.argmax(scores))
-        return int(scores[pos]), lo + pos
-
-    best_score, best_idx = -1, 0
-    if target is None:
-        if workers > 1 and len(bounds) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = pool.map(
-                    lambda b: reduce_chunk(chunk_scores(*b), b[0]), bounds
-                )
-                for val, idx in results:
-                    if val > best_score:
-                        best_score, best_idx = val, idx
-        else:
-            for lo, hi in bounds:
-                val, idx = reduce_chunk(chunk_scores(lo, hi), lo)
-                if val > best_score:
-                    best_score, best_idx = val, idx
-        return best_score, best_idx, N, total
-
-    for lo, hi in bounds:
-        scores = chunk_scores(lo, hi)
-        hits = scores >= target
-        if hits.any():
-            pos = int(np.argmax(hits))
-            return int(scores[pos]), lo + pos, N, lo + pos + 1
-    return -1, None, N, total
+    return N, bounds, chunk_scores
 
 
 def max_h(
@@ -404,36 +320,47 @@ def max_h(
 
     Ties are broken toward the lexicographically smallest assignment vector
     (good 0 most significant), so the witness is reproducible and
-    independent of ``workers``.  Raises :class:`CapExceededError` when the
-    space exceeds ``cap``.
+    independent of ``workers``, the number of threads that score chunks.
+    Raises :class:`CapExceededError` when the space exceeds ``cap``.
     """
     crits = per_group_criteria(criterion, inst.k)
-    best_score, best_idx, N, total = _sweep(inst, crits, cap, workers)
+    N, bounds, chunk_scores = _chunk_scorer(inst, crits, cap)
+
+    def best_in(bound):
+        scores = chunk_scores(*bound)
+        pos = int(scores.argmax())
+        return int(scores[pos]), bound[0] + pos
+
+    if workers > 1 and len(bounds) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(best_in, bounds))
+    else:
+        results = map(best_in, bounds)
+    # max keeps the first of equal scores: the smallest index
+    best_score, best_idx = max(results, key=lambda result: result[0])
     return OracleResult(
         best_h=Fraction(best_score, N),
         witness=_decode(best_idx, inst.k, inst.m),
-        allocations_examined=total,
+        allocations_examined=inst.k**inst.m,
     )
 
 
-def exists_h(
-    inst: Instance, criterion, h, cap: int = DEFAULT_CAP, workers: int = 1
-) -> ExistsResult:
+def exists_h(inst: Instance, criterion, h, cap: int = DEFAULT_CAP) -> ExistsResult:
     """Is some allocation ``h``-democratic fair?  Short-circuits at the
     first witness in enumeration order."""
     target = Fraction(h)
     if not 0 <= target <= 1:
         raise ValueError("h must be a rational in [0, 1]")
     crits = per_group_criteria(criterion, inst.k)
-    total = _space(inst, cap)
-    sizes = inst.sizes
-    N = math.lcm(*sizes)
+    N, bounds, chunk_scores = _chunk_scorer(inst, crits, cap)
     # integer score threshold: score/N >= p/q  <=>  score*q >= p*N
     needed = -((-target.numerator * N) // target.denominator)
-    score, idx, N, examined = _sweep(inst, crits, cap, workers, target=needed)
-    if idx is None:
-        return ExistsResult(False, None, examined)
-    return ExistsResult(True, _decode(idx, inst.k, inst.m), examined)
+    for lo, hi in bounds:
+        hits = chunk_scores(lo, hi) >= needed
+        if hits.any():
+            idx = lo + int(hits.argmax())
+            return ExistsResult(True, _decode(idx, inst.k, inst.m), idx + 1)
+    return ExistsResult(False, None, inst.k**inst.m)
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,7 @@ def test_threshold_characterizes_check_two_groups(criterion):
 
 @pytest.mark.parametrize(
     "criterion",
-    [OneOutOfCMMS(3), OneOutOfCMMS(4), OneOfBestC(2)],
+    [OneOutOfCMMS(3), OneOutOfCMMS(4), OneOfBestC(2), PositiveMMS()],
     ids=lambda c: c.name,
 )
 def test_threshold_characterizes_check_three_groups(criterion):
@@ -312,6 +312,8 @@ def test_s_function():
         SFunction(FractionMMS(Fraction(1, 2)))
     with pytest.raises(ValueError):
         SFunction(EFc(1), k=3)
+    with pytest.raises(ValueError, match=r"1-out-of-1-mms needs c >= k \(k=2\)"):
+        SFunction(OneOutOfCMMS(1))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from groupfair.budgets import maxh_finite
 from groupfair.errors import CapExceededError, FormatError
@@ -144,6 +145,72 @@ def test_max_h_cap():
     inst = generate(ThreeGoodCycle(2))
     with pytest.raises(CapExceededError):
         max_h(inst, PositiveMMS(), cap=7)
+
+
+@st.composite
+def _sweep_cases(draw):
+    """An instance with k in {2, 3}, m <= 4 and binary, additive
+    (fractional values) or tabular (unit-demand) members -- or binary
+    members only, so that EF-c with k = 3 scores binary agents by table --
+    and one criterion or one per group."""
+    k = draw(st.integers(2, 3))
+    m = draw(st.integers(1, 4))
+    kinds = ("binary",) if draw(st.booleans()) else ("binary", "additive", "tabular")
+    groups = []
+    for _ in range(k):
+        members = []
+        for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+            if kind == "binary":
+                desired = draw(st.integers(0, (1 << m) - 1))
+                members.append(BinaryValuation(Bundle(desired, m)))
+                continue
+            values = draw(st.lists(
+                st.fractions(0, 3, max_denominator=4), min_size=m, max_size=m
+            ))
+            if kind == "additive":
+                members.append(addval(values))
+            else:
+                table = [
+                    max((values[i] for i in range(m) if mask >> i & 1), default=0)
+                    for mask in range(1 << m)
+                ]
+                members.append(TabularValuation(tuple(table), m))
+        groups.append(members)
+    inst = Instance.from_valuations(tuple(f"g{i}" for i in range(m)), groups)
+    criteria = st.sampled_from([
+        EFc(0), EFc(1), EFc(2), PROPc(0), PROPc(1), PROPc(2), MMS(),
+        OneOutOfCMMS(k), OneOutOfCMMS(k + 1), FractionMMS(Fraction(1, 2)),
+        FractionMMS(Fraction(2, 3)), OneOfBestC(1), OneOfBestC(2),
+        OneOfBestC(3), PositiveMMS(),
+    ])
+    criterion = draw(st.one_of(criteria, st.tuples(*[criteria] * k)))
+    return inst, criterion, draw(st.fractions(0, 1, max_denominator=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sweep_cases())
+@example((generate(Circle(3)), EFc(1), Fraction(2, 5)))
+@example((generate(Circle(3)), (EFc(1), MMS(), OneOfBestC(2)), Fraction(3, 5)))
+def test_sweeps_match_reference_enumeration(case):
+    inst, criterion, h = case
+    total = inst.k**inst.m
+    expected_h, expected_assign = _reference_max_h(inst, criterion)
+    result = max_h(inst, criterion)
+    assert result.best_h == expected_h
+    assert result.witness.assignment == expected_assign
+    assert result.allocations_examined == total
+
+    assigns = list(itertools.product(range(inst.k), repeat=inst.m))
+    first = next(
+        (pos for pos, assign in enumerate(assigns)
+         if democratic_report(inst, Allocation(assign, inst.k), criterion).h >= h),
+        None,
+    )
+    hit = exists_h(inst, criterion, h)
+    assert hit.found == (first is not None)
+    assert hit.allocations_examined == (total if first is None else first + 1)
+    if first is not None:
+        assert hit.witness.assignment == assigns[first]
 
 
 # ---------------------------------------------------------------------------
