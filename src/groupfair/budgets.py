@@ -16,8 +16,8 @@ Contents:
   backed by a shared default table.
 * :func:`maxh`, :func:`maxh_finite` -- exact upper bounds on the achievable
   happy fraction for agents who want ``r`` random goods and need ``s``.
-* :class:`KGroupWeights` -- the real-valued weight family used by the
-  ``k``-group picking protocol.
+* :class:`KGroupWeights` -- the real-valued weight family of the
+  ``k``-group picking protocol, as floats for display.
 """
 
 from __future__ import annotations
@@ -369,7 +369,10 @@ class KGroupWeights:
 
     Values are floats (irrational for k >= 3); ``w(r, 1)`` equals
     ``B(r, 1) - B(r-1, 1)`` up to rounding, and for k == 2 the family
-    reduces to ``B(r, 1) = 1 - 2**-r``, ``w(r, 1) = 2**-r``.
+    reduces to ``B(r, 1) = 1 - 2**-r``, ``w(r, 1) = 2**-r``.  These floats
+    serve only ``table --which Bk`` and the guarantees
+    :func:`~groupfair.protocols.rwavk` reports; its picks and ledger use
+    the same family in exact integers (see :mod:`groupfair.protocols`).
 
     >>> kw = KGroupWeights(2)
     >>> kw.w(3, 1) == 0.125

@@ -680,7 +680,16 @@ def binarize_instance(inst: Instance, c: int) -> Instance:
     for grp in inst.groups:
         members = []
         for agent in grp:
-            vals = agent.valuation.singleton_values()
+            v = agent.valuation
+            if isinstance(v, BinaryValuation):
+                rest = v.desired.mask
+                for _ in range(min(c, rest.bit_count())):
+                    rest &= rest - 1  # drop the lowest desired good
+                if rest:
+                    v = BinaryValuation(Bundle(v.desired.mask ^ rest, inst.m))
+                members.append(v)
+                continue
+            vals = v.singleton_values()
             ranked = sorted(range(inst.m), key=lambda i: (-vals[i], i))
             top = [i for i in ranked[:c] if vals[i] > 0]
             members.append(BinaryValuation(Bundle.from_indices(top, inst.m)))

@@ -12,18 +12,23 @@ ledger invariants (member balance always exactly ``-B(r, s)``; final group
 account equal to the number of happy members) are re-checked on every turn
 and raised as errors if violated, so a successful run certifies itself.
 
-The two-group protocols share one loop, :func:`_weighted_approval`, which
-keeps that ledger in plain ints: every budget, weight and payment is scaled
-by ``2**R``, where ``R`` is the largest ``r`` in the run.  This is exact,
-because ``B(r, s) * 2**r`` and ``C(r, s) * 2**r`` are integers (see
-:func:`~groupfair.budgets.B_closed`) and ``r`` only falls during a run, so
-the checks are int comparisons.  Each ``(r, s)`` is priced once per run,
-and each group's per-good weight totals are updated incrementally: when a
-pick changes a member's state, the member's weight change is added to the
-remaining goods it wants.  The ``Dyadic`` values in the trace come from
-that per-state memo, or are built from the ledger ints, so they equal the
-ones the plain ``Dyadic`` arithmetic would give.  :func:`rwavk` keeps its
-own float loop.
+The three share one loop, :func:`_weighted_approval`, whose ledger is plain
+ints.  Let ``L = 2**(1/d)``, ``d = 1`` for the two-group tables and ``k - 1``
+for the ``k``-group weights, and ``P = ceil(R/d)`` for the largest ``r`` in
+the run, ``R``.  A price ``x`` is kept as ``K(2**P * x)``, where ``K(sum a_t
+L**t) = sum a_t floor(L**t * 2**Q)`` over ``Z[L]``, ``L**d = 2``.  ``K`` is
+linear, so sums and ledger checks are int operations.  A nonzero ``z`` in
+``Z[L]`` with ``|z|_1 <= H`` has ``|z| >= (2H)**-(d-1)`` (its norm is a
+nonzero integer and each conjugate is below ``2H``) and ``K`` is off by
+less than ``H``, so ``Q >= d * ceil(log2(2H))`` keeps every equality and
+order of good weights: ties go to the lowest good index exactly.  ``Q`` is
+64 bits more, so a trace float ``K / 2**(P+Q)`` is the correctly rounded
+exact value unless that lies within a relative ``2**-64`` of a point halfway
+between two floats.  For ``d = 1``, ``Q = 0``: the two-group budgets scaled
+by ``2**R``, integers by :func:`~groupfair.budgets.B_closed`, with
+``Dyadic`` trace values.  Each ``(r, s)`` is priced once per run, and each
+group's per-good weight totals are updated incrementally from the weight
+changes of the members a pick touches.
 """
 
 from __future__ import annotations
@@ -222,17 +227,17 @@ def _desired_masks(inst: Instance):
 
 
 # ---------------------------------------------------------------------------
-# two-group RWAV
+# the weighted-approval picking loop
 
 
 class _Price(NamedTuple):
-    """What a member in state ``(r, s)`` is worth in one run: ledger values
-    as ints scaled by ``2**R``, and the ``Dyadic`` values its trace shows."""
+    """What a member in state ``(r, s)`` is worth in one run: ledger ints,
+    and the numbers its trace shows."""
 
     budget: int
     weight: int
     pay: int
-    balance: Dyadic  # -budget, the member's balance in the trace
+    balance: object  # -budget, the member's balance in the trace
     state: tuple  # (r, s, weight), the member's entry in the trace
 
 
@@ -240,60 +245,99 @@ _BALANCE = operator.attrgetter("balance")
 _STATE = operator.attrgetter("state")
 
 
-def _weighted_approval(inst: Instance, crits, kind: str, next_group, budget,
-                       weight, pay):
-    """The two-group weighted-approval picking loop behind :func:`rwav2` and
-    :func:`cwav2`.
+def _root_floor(n: int, d: int) -> int:
+    """``floor(n ** (1/d))`` for ``n >= 1``, by Newton's method on ints."""
+    x = 1 << -(-n.bit_length() // d)  # not below the root
+    while True:
+        y = ((d - 1) * x + n // x ** (d - 1)) // d
+        if y >= x:
+            return x
+        x = y
+
+
+def _table_price(budget, weight, pay):
+    """A two-group table's ``Dyadic`` values as ledger ints: ``n / 2**e``
+    is ``n * lpow(e)``, since ``L = 2``."""
+
+    def price(r: int, s: int, lpow):
+        return tuple(v.n * lpow(v.e) for v in (budget(r, s), weight(r, s), pay(r, s)))
+
+    return price
+
+
+def _kgroup_price(r: int, s: int, lpow):
+    """The ``k``-group family as ledger ints: ``B_k(r, 1) = 1 - L^-r``,
+    ``w_k(r, 1) = L^-(r-1) - L^-r`` and the pay ``1 - B_k(r, 1) = L^-r``;
+    a member needing nothing has budget 1, weight 0 and pay 0."""
+    if s == 0:
+        return lpow(0), 0, 0
+    return lpow(0) - lpow(r), (lpow(r - 1) - lpow(r) if r else 0), lpow(r)
+
+
+def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
+                       budget_name: str, d: int = 1, number=Dyadic):
+    """The weighted-approval picking loop behind :func:`rwav2`,
+    :func:`cwav2` and :func:`rwavk`.
 
     ``next_group()`` is called once per turn and names the acting group.
-    ``budget(r, s)`` and ``weight(r, s)`` give a member's budget and weight
-    (the table's ``B``/``w`` or ``C``/``w_C``), and ``pay(r, s)`` what a
-    member pays when its own group takes a good it wants; the other group's
-    members are refunded their weight.  Returns the allocation, the trace
-    and each group's starting ``(r, s)`` pairs.
+    ``price(r, s, lpow)`` gives a member's budget, weight and pay in state
+    ``(r, s)`` as ledger ints, where ``lpow(j)`` is the ledger int of
+    ``L**-j`` and ``L = 2**(1/d)``.  A member pays its pay when its own
+    group takes a good it wants and is refunded its weight when another
+    group does.  ``number(n, e)`` turns a ledger int into the trace's
+    number ``n / 2**e``.  Returns the allocation, the trace and each
+    group's starting ``(r, s)`` pairs.
     """
-    sfuncs = tuple(SFunction(c, 2) for c in crits)
+    k = inst.k
+    sfuncs = tuple(SFunction(c, k) for c in crits)
     desired = _desired_masks(inst)
     start = [[(mask.bit_count(), sfuncs[g](mask.bit_count())) for mask in grp]
              for g, grp in enumerate(desired)]
     R = max((rj for grp in start for rj, _ in grp), default=0)
+    P = -(-R // d)
+    # every k-group weight has |2**P * w|_1 <= 2**(P+1) and a good weight
+    # sums at most n of them, so H bounds |z|_1 for two goods' difference
+    H = sum(map(len, desired)) << (P + 2)
+    Q = d * (H.bit_length() + 1) + 64 if d > 1 else 0
+    shift = P + Q
+    roots = [_root_floor(1 << (t + d * Q), d) for t in range(d)]
 
-    def scaled(value: Dyadic) -> int:
-        if value.e > R:
+    def lpow(j: int) -> int:
+        if j > d * P:
             raise ProtocolInvariantError(
-                f"{kind}: {value} is not a multiple of 2^-{R}"
+                f"{kind}: L^-{j} is finer than the ledger unit L^-{d * P}"
             )
-        return value.n << (R - value.e)
+        q, t = divmod(d * P - j, d)
+        return roots[t] << q
 
     prices = {}
 
-    def price(rj: int, sj: int) -> _Price:
+    def state_price(rj: int, sj: int) -> _Price:
         key = (rj, sj)
         if key not in prices:
-            b, wt = budget(rj, sj), weight(rj, sj)
-            prices[key] = _Price(scaled(b), scaled(wt), scaled(pay(rj, sj)),
-                                 -b, (rj, sj, wt))
+            b, wt, p = price(rj, sj, lpow)
+            prices[key] = _Price(b, wt, p, traced(-b), (rj, sj, traced(wt)))
         return prices[key]
 
-    dyadics = {}
+    numbers = {}
 
-    def dyadic(value: int) -> Dyadic:
-        """The trace's ``Dyadic`` for a ledger int."""
-        if value not in dyadics:
-            dyadics[value] = Dyadic(value, R)
-        return dyadics[value]
+    def traced(value: int):
+        """The trace's number for a ledger int."""
+        if value not in numbers:
+            numbers[value] = number(value, shift)
+        return numbers[value]
 
     m = inst.m
-    state = [[price(rj, sj) for rj, sj in grp] for grp in start]
+    state = [[state_price(rj, sj) for rj, sj in grp] for grp in start]
     bal = [[-p.budget for p in grp] for grp in state]
     group_bal = [sum(p.budget for p in grp) for grp in state]
     # each member's desired goods still on the table; per group, the
     # members wanting each good and each good's total member weight
     goods_of = [[[i for i in range(m) if mask >> i & 1] for mask in grp]
                 for grp in desired]
-    wanted_by = [[[] for _ in range(m)] for _ in range(2)]
-    good_weight = [[0] * m for _ in range(2)]
-    for g in range(2):
+    wanted_by = [[[] for _ in range(m)] for _ in range(k)]
+    good_weight = [[0] * m for _ in range(k)]
+    for g in range(k):
         for j, goods in enumerate(goods_of[g]):
             for i in goods:
                 wanted_by[g][i].append(j)
@@ -306,9 +350,9 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, budget,
         g = next_group()
         weights = good_weight[g]
         member_states = tuple(map(_STATE, state[g]))
-        good_weights = tuple((i, dyadic(weights[i])) for i in remaining)
+        good_weights = tuple((i, traced(weights[i])) for i in remaining)
         pick = max(remaining, key=weights.__getitem__)
-        for gg in range(2):
+        for gg in range(k):
             for j in wanted_by[gg][pick]:
                 old = state[gg][j]
                 rj, sj, _ = old.state
@@ -319,11 +363,11 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, budget,
                 else:
                     bal[gg][j] += old.weight
                     group_bal[gg] -= old.weight
-                new = state[gg][j] = price(rj - 1, sj)
+                new = state[gg][j] = state_price(rj - 1, sj)
                 if bal[gg][j] != -new.budget:
                     raise ProtocolInvariantError(
-                        f"agent {gg + 1}.{j + 1} balance {dyadic(bal[gg][j])} != "
-                        f"-{budget.__name__}({rj - 1}, {sj}) after turn {turn}"
+                        f"agent {gg + 1}.{j + 1} balance {traced(bal[gg][j])} != "
+                        f"-{budget_name}({rj - 1}, {sj}) after turn {turn}"
                     )
                 goods = goods_of[gg][j]
                 goods.remove(pick)
@@ -341,19 +385,23 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, budget,
                 member_states=member_states,
                 good_weights=good_weights,
                 pick=pick,
-                group_balances=tuple(map(dyadic, group_bal)),
+                group_balances=tuple(map(traced, group_bal)),
                 agent_balances=tuple(tuple(map(_BALANCE, grp)) for grp in state),
             )
         )
         remaining.remove(pick)
 
-    for g in range(2):
+    for g in range(k):
         happy = sum(1 for p in state[g] if p.state[1] == 0)
-        if group_bal[g] != happy << R:
+        if group_bal[g] != happy << shift:
             raise ProtocolInvariantError(
-                f"group {g + 1} final balance {dyadic(group_bal[g])} != happy {happy}"
+                f"group {g + 1} final balance {traced(group_bal[g])} != happy {happy}"
             )
-    return Allocation(tuple(assignment), 2), ProtocolTrace(kind, tuple(turns)), start
+    return Allocation(tuple(assignment), k), ProtocolTrace(kind, tuple(turns)), start
+
+
+# ---------------------------------------------------------------------------
+# two-group RWAV
 
 
 def rwav2(inst: Instance, criterion, first_group: int = 0, table=None) -> RunResult:
@@ -379,8 +427,9 @@ def rwav2(inst: Instance, criterion, first_group: int = 0, table=None) -> RunRes
     tbl = table if table is not None else budgets.DEFAULT_TABLE
     order = itertools.cycle((first_group, 1 - first_group))
     alloc, trace, start = _weighted_approval(
-        inst, crits, "rwav2", order.__next__, tbl.B, tbl.w,
-        lambda r, s: max(tbl.w(r, s), tbl.w(r - 1, s - 1)),
+        inst, crits, "rwav2", order.__next__,
+        _table_price(tbl.B, tbl.w, lambda r, s: max(tbl.w(r, s), tbl.w(r - 1, s - 1))),
+        "B",
     )
     guarantees = tuple(
         min(tbl.B(r if g == first_group else r - 1, s) for r, s in start[g])
@@ -467,15 +516,8 @@ def identical_local_search(inst: Instance) -> RunResult:
     full_masks = _desired_masks(inst)
     if sorted(full_masks[0]) != sorted(full_masks[1]):
         raise ValueError("groups are not identical (desired-set multisets differ)")
-
-    def reduce(mask: int):
-        if mask.bit_count() < 2:
-            return None
-        low = mask & -mask
-        second = (mask ^ low) & -(mask ^ low)
-        return low | second
-
-    pairs = [[reduce(mask) for mask in grp] for grp in full_masks]
+    pairs = [[mask if mask.bit_count() == 2 else None for mask in grp]
+             for grp in _desired_masks(binarize_instance(inst, 2))]
     own = [0, (1 << inst.m) - 1]  # current bundle masks
 
     def util(g: int, j: int) -> int:
@@ -663,8 +705,9 @@ def rwavk(inst: Instance, c: int) -> RunResult:
     Every agent is truncated to its ``c`` lowest-index desired goods and
     needs one of them (members wanting fewer than ``c`` are satisfied from
     the start).  Groups pick cyclically; member weights are the geometric
-    family ``w_k(r, 1)``.  Group ``i`` (1-based) is guaranteed a happy
-    fraction of ``B_k(c - i + 1, 1)``.
+    family ``w_k(r, 1)``, kept exactly (ties to the lowest good index).
+    Group ``i`` (1-based) is guaranteed a happy fraction of
+    ``B_k(c - i + 1, 1)``.
     """
     k = inst.k
     if k < 2:
@@ -677,100 +720,18 @@ def rwavk(inst: Instance, c: int) -> RunResult:
         )
     kw = KGroupWeights(k)
     criterion = OneOfBestC(c)
-
-    def truncate(mask: int) -> int:
-        out = 0
-        taken = 0
-        while mask and taken < c:
-            low = mask & -mask
-            out |= low
-            mask ^= low
-            taken += 1
-        return out
-
-    desired = [[truncate(mask) for mask in grp] for grp in _desired_masks(inst)]
-    r = [[mask.bit_count() for mask in grp] for grp in desired]
-    s = [[1 if rj >= c else 0 for rj in grp] for grp in r]
-    bal = [[-kw.B(r[g][j], s[g][j]) for j in range(len(grp))]
-           for g, grp in enumerate(desired)]
-    group_bal = [
-        sum(kw.B(r[g][j], s[g][j]) for j in range(len(grp)))
-        for g, grp in enumerate(desired)
-    ]
-
-    remaining = list(range(inst.m))
-    assignment = [None] * inst.m
-    turns = []
-    for turn in range(1, inst.m + 1):
-        g = (turn - 1) % k
-        member_states = tuple(
-            (r[g][j], s[g][j], kw.w(r[g][j], 1) if s[g][j] == 1 else 0.0)
-            for j in range(len(desired[g]))
-        )
-        good_weights = []
-        for good in remaining:
-            bit = 1 << good
-            total = 0.0
-            for j, mask in enumerate(desired[g]):
-                if mask & bit:
-                    total += member_states[j][2]
-            good_weights.append((good, total))
-        pick, best = good_weights[0]
-        for good, weight in good_weights[1:]:
-            if weight > best:
-                pick, best = good, weight
-        bit = 1 << pick
-        for gg in range(k):
-            for j, mask in enumerate(desired[gg]):
-                if not mask & bit:
-                    continue
-                rj, sj = r[gg][j], s[gg][j]
-                if gg == g:
-                    pay = 1.0 - kw.B(rj, sj)
-                    bal[gg][j] -= pay
-                    group_bal[gg] += pay
-                    s[gg][j] = 0
-                else:
-                    refund = kw.w(rj, 1) if sj == 1 else 0.0
-                    bal[gg][j] += refund
-                    group_bal[gg] -= refund
-                r[gg][j] = rj - 1
-                if abs(bal[gg][j] + kw.B(r[gg][j], s[gg][j])) > 1e-9:
-                    raise ProtocolInvariantError(
-                        f"agent {gg + 1}.{j + 1} balance {bal[gg][j]} != "
-                        f"-B_k({r[gg][j]}, {s[gg][j]}) after turn {turn}"
-                    )
-        assignment[pick] = g
-        turns.append(
-            TurnRecord(
-                turn=turn,
-                group=g,
-                remaining=tuple(remaining),
-                member_states=member_states,
-                good_weights=tuple(good_weights),
-                pick=pick,
-                group_balances=tuple(group_bal),
-                agent_balances=tuple(tuple(grp) for grp in bal),
-            )
-        )
-        remaining.remove(pick)
-
-    happy = [sum(1 for sj in grp if sj == 0) for grp in s]
-    for g in range(k):
-        if abs(group_bal[g] - happy[g]) > 1e-9:
-            raise ProtocolInvariantError(
-                f"group {g + 1} final balance {group_bal[g]} != happy {happy[g]}"
-            )
-    alloc = Allocation(tuple(assignment), k)
-    report = democratic_report(inst, alloc, criterion)
-    guarantees = tuple(max(0.0, kw.B(c - g, 1)) for g in range(k))
+    alloc, trace, _ = _weighted_approval(
+        binarize_instance(inst, c), (criterion,) * k, "rwavk",
+        itertools.cycle(range(k)).__next__, _kgroup_price, "B_k", d=k - 1,
+        number=lambda n, e: n / (1 << e),
+    )
     return RunResult(
         protocol="rwavk",
         allocation=alloc,
-        report=report,
-        guarantees=guarantees,
+        report=democratic_report(inst, alloc, criterion),
+        guarantees=tuple(max(0.0, kw.B(c - g, 1)) for g in range(k)),
         criteria=(criterion,) * k,
-        trace=ProtocolTrace("rwavk", tuple(turns)),
+        trace=trace,
     )
 
 
@@ -803,47 +764,42 @@ def best_k_protocol(inst: Instance) -> RunResult:
     base = None
     base_goods: tuple = ()
     base_groups: tuple = ()
-    while True:
-        if len(active) >= 3 and remaining_mask:
-            found = None
-            for g in active:
-                grp = [mask & remaining_mask for mask in masks[g]]
-                n = len(grp)
-                for good in range(inst.m):
-                    bit = 1 << good
-                    if not remaining_mask & bit:
-                        continue
-                    desiring = sum(1 for mask in grp if mask & bit)
-                    if 3 * desiring >= n:
-                        found = (g, good, desiring, n)
-                        break
-                if found:
-                    break
-            if found:
-                g, good, desiring, n = found
-                assignment[good] = g
-                remaining_mask &= ~(1 << good)
-                active.remove(g)
-                steps.append(UnanimousStep(g, good, desiring, n))
-                continue
-        break
+    while len(active) >= 3:
+        # the first group, then good, that a third of the group wants
+        step = next(
+            (
+                UnanimousStep(g, good, desiring, len(masks[g]))
+                for g in active
+                for good in range(inst.m)
+                if remaining_mask >> good & 1
+                and 3 * (desiring := sum(mask >> good & 1 for mask in masks[g]))
+                >= len(masks[g])
+            ),
+            None,
+        )
+        if step is None:
+            break
+        assignment[step.good] = step.group
+        remaining_mask &= ~(1 << step.good)
+        active.remove(step.group)
+        steps.append(step)
 
     goods_left = [i for i in range(inst.m) if remaining_mask >> i & 1]
     sub = None
     if goods_left:
-        sub_goods = [inst.goods[i] for i in goods_left]
-        local = {orig: i for i, orig in enumerate(goods_left)}
-        sub_groups = []
-        for g in active:
-            members = []
-            for mask in masks[g]:
-                keep = mask & remaining_mask
-                bits = [local[i] for i in goods_left if keep >> i & 1]
-                members.append(
-                    BinaryValuation(Bundle.from_indices(bits, len(goods_left)))
-                )
-            sub_groups.append(members)
-        sub = Instance.from_valuations(sub_goods, sub_groups)
+        sub = Instance.from_valuations(
+            [inst.goods[i] for i in goods_left],
+            [
+                [
+                    BinaryValuation(Bundle.from_indices(
+                        (j for j, i in enumerate(goods_left) if mask >> i & 1),
+                        len(goods_left),
+                    ))
+                    for mask in masks[g]
+                ]
+                for g in active
+            ],
+        )
         if len(active) == 2:
             base = rwav2_enhanced(sub, c=2)
         else:
@@ -852,13 +808,7 @@ def best_k_protocol(inst: Instance) -> RunResult:
             assignment[goods_left[local_good]] = active[owner]
         base_goods = tuple(goods_left)
         base_groups = tuple(active)
-    else:
-        # all goods were handed out as unanimous picks; idle groups get nothing
-        pass
 
-    for i, owner in enumerate(assignment):
-        if owner is None:
-            assignment[i] = active[0] if active else 0
     alloc = Allocation(tuple(assignment), k)
     report = democratic_report(inst, alloc, criterion)
     bound = Fraction(1, 3)
@@ -893,7 +843,8 @@ def cwav2(inst: Instance, criterion, seed: int) -> RunResult:
     tbl = budgets.DEFAULT_TABLE
     rng = random.Random(seed)
     alloc, trace, start = _weighted_approval(
-        inst, crits, "cwav2", lambda: rng.randrange(2), tbl.C, tbl.w_C, tbl.w_C
+        inst, crits, "cwav2", lambda: rng.randrange(2),
+        _table_price(tbl.C, tbl.w_C, tbl.w_C), "C",
     )
     return RunResult(
         protocol="cwav2",

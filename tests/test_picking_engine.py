@@ -1,13 +1,15 @@
-"""The integer-ledger picking engine against the plain ``Dyadic`` loop.
+"""The integer-ledger picking engine against the plain reference loops.
 
-``rwav2`` and ``cwav2`` run on one engine that keeps the payment ledger in
-scaled ints.  These tests hold it to the loop it replaced (kept in
-``picking_reference.py``): same allocation, guarantees, report and trace,
+``rwav2``, ``cwav2`` and ``rwavk`` run on one engine that keeps the payment
+ledger in scaled ints.  These tests hold it to the loops in
+``picking_reference.py`` (``Dyadic`` for two groups, exact ``Q(L)``
+vectors for ``k`` groups): same allocation, guarantees, report and trace,
 field by field and type by type, the same ``CapExceededError`` under a
 small budget table, and a ledger check that still fires.
 """
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,10 +25,11 @@ from groupfair.fairness import (
     PositiveMMS,
     PROPc,
 )
-from groupfair.model import BinaryValuation, Bundle, Instance
-from groupfair.protocols import ProtocolInvariantError, cwav2, rwav2
+from groupfair import protocols
+from groupfair.model import BinaryValuation, Bundle, Instance, binarize_instance
+from groupfair.protocols import ProtocolInvariantError, cwav2, rwav2, rwavk
 
-from picking_reference import reference_cwav2, reference_rwav2
+from picking_reference import reference_cwav2, reference_rwav2, reference_rwavk
 
 CRITERIA = (
     EFc(0), EFc(1), EFc(2), PROPc(1), MMS(), OneOutOfCMMS(2),
@@ -36,7 +39,7 @@ CRITERIA = (
 
 
 @st.composite
-def binary_instances(draw, m_max=7, n_max=5):
+def binary_instances(draw, k=2, m_max=7, n_max=5):
     m = draw(st.integers(1, m_max))
     groups = [
         [
@@ -45,7 +48,7 @@ def binary_instances(draw, m_max=7, n_max=5):
                 st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=n_max)
             )
         ]
-        for _ in range(2)
+        for _ in range(k)
     ]
     return Instance.from_valuations(tuple(f"g{i}" for i in range(m)), groups)
 
@@ -159,3 +162,90 @@ def test_cwav2_ledger_check_catches_a_wrong_weight(mixed_two_group, monkeypatch)
         "agent 1.9 balance -17/16 != -C(1, 0) after turn 1",
     )
     assert new == outcome(reference_cwav2, mixed_two_group, OneOfBestC(2), 3)
+
+
+# ---------------------------------------------------------------------------
+# k-group RWAV on the same engine, against the exact reference
+
+rwavk_runs = st.integers(2, 5).flatmap(
+    lambda k: st.tuples(binary_instances(k=k, n_max=4), st.integers(1, k + 2))
+)
+
+
+@pytest.mark.filterwarnings("ignore:rwavk with c=")
+@settings(max_examples=150, deadline=None)
+@given(rwavk_runs)
+def test_rwavk_matches_exact_reference(run):
+    inst, c = run
+    assert_same_run(rwavk(inst, c), reference_rwavk(inst, c))
+
+
+def off_by_one(field, state):
+    """``_kgroup_price`` with one ledger int of ``state`` one unit too large;
+    ``field`` is 0 (budget), 1 (weight) or 2 (pay)."""
+    exact = protocols._kgroup_price
+
+    def price(r, s, lpow):
+        values = list(exact(r, s, lpow))
+        if state in ((r, s), None) and values[field]:
+            values[field] += 1
+        return tuple(values)
+
+    return price
+
+
+@pytest.mark.filterwarnings("ignore:rwavk with c=")
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "field, state, agent, after",
+    [
+        (0, (1, 1), "2.1", "(1, 1)"),  # 2.1's budget after its refund
+        (1, (2, 1), "2.1", "(1, 1)"),  # 2.1's refund
+        (2, (2, 1), "1.1", "(1, 0)"),  # 1.1's payment
+    ],
+    ids=["budget", "weight", "pay"],
+)
+def test_rwavk_ledger_check_catches_a_wrong_price(k, field, state, agent, after,
+                                                  monkeypatch):
+    # Groups 1 and 2 have one member each wanting {a, b}; group 1 takes a
+    # on turn 1, so member 1.1 pays and member 2.1 is refunded.
+    groups = [[BinaryValuation(Bundle(0b11, 2))] for _ in range(2)]
+    groups += [[BinaryValuation(Bundle(0b10, 2))] for _ in range(k - 2)]
+    inst = Instance.from_valuations(("a", "b"), groups)
+    monkeypatch.setattr(protocols, "_kgroup_price", off_by_one(field, state))
+    message = (rf"^agent {re.escape(agent)} balance \S+ != "
+               rf"-B_k{re.escape(after)} after turn 1$")
+    with pytest.raises(ProtocolInvariantError, match=message):
+        rwavk(inst, c=2)
+
+
+@pytest.mark.filterwarnings("ignore:rwavk with c=")
+@settings(max_examples=60, deadline=None)
+@given(rwavk_runs)
+def test_rwavk_ledger_check_fires_at_the_first_wrong_payment(run):
+    # With every nonzero pay one unit too large, the run must stop at the
+    # first member that pays one: the lowest-index member of the acting
+    # group that still needs a good and wants the pick.
+    inst, c = run
+    ref = reference_rwavk(inst, c)
+    masks = protocols._desired_masks(binarize_instance(inst, c))
+    first = next(
+        (
+            (t.turn, t.group, j, r)
+            for t in ref.trace.turns
+            for j, (r, s, _) in enumerate(t.member_states)
+            if s == 1 and masks[t.group][j] >> t.pick & 1
+        ),
+        None,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocols, "_kgroup_price", off_by_one(2, None))
+        new = outcome(rwavk, inst, c)
+    if first is None:
+        assert_same_run(new, ref)
+    else:
+        turn, g, j, r = first
+        assert new[0] is ProtocolInvariantError
+        assert new[1].startswith(f"agent {g + 1}.{j + 1} balance ")
+        assert new[1].endswith(f" != -B_k({r - 1}, 0) after turn {turn}")
+

@@ -400,6 +400,43 @@ def test_rwavk_respects_guarantees_random():
             )
 
 
+def test_rwavk_exact_tie_goes_to_lowest_index():
+    # After groups 1 and 2 take b and d, group 3 weighs a and c alike:
+    # each is wanted by three members at w_3(2, 1) and one at w_3(1, 1),
+    # only in a different member order.  Summed in floats, a came out one
+    # unit in the last place below the exact value and c one above, so c
+    # was taken.
+    goods = ("a", "b", "c", "d", "e", "f")
+    inst = Instance.from_valuations(
+        goods,
+        (
+            [binval("bd", goods), binval("bcdf", goods)],
+            [binval("bde", goods), binval("bde", goods), binval("ef", goods)],
+            [binval("abcef", goods), binval("abde", goods),
+             binval("abcd", goods), binval("acd", goods), binval("bcd", goods)],
+        ),
+    )
+    result = rwavk(inst, c=3)
+    turn = result.trace.turns[2]
+    assert (turn.group, turn.remaining) == (2, (0, 2, 4, 5))
+    weights = dict(turn.good_weights)
+    assert weights[0] == weights[2] == max(weights.values())
+    assert turn.pick == 0
+    assert _labels(inst, result) == ({"b", "c"}, {"d", "e"}, {"a", "f"})
+
+
+def test_rwavk_guarantees_hold_exactly():
+    # h >= 1 - 2**(-(c-g)/(k-1)) is (1 - h)**(k-1) <= 2**-(c-g), in Fractions
+    rng = random.Random(4242)
+    for _ in range(200):
+        k = rng.randint(2, 5)
+        inst = random_binary_instance(rng, k, m_max=7, n_max=5)
+        c = rng.randint(k, k + 2)
+        result = rwavk(inst, c)
+        for g, h in enumerate(result.report.fractions):
+            assert (1 - h) ** (k - 1) <= Fraction(2) ** (g - c)
+
+
 # ---------------------------------------------------------------------------
 # best-of-k protocol
 
