@@ -238,17 +238,13 @@ def _grid(title: str, rmax: int, smax: int, cell) -> str:
 
 
 def _render_table(which: str, rmax: int, smax: int, k: int) -> str:
-    table = BudgetTable(rmax) if rmax > 64 else budgets.DEFAULT_TABLE
-    if which == "B":
-        return (
-            _grid(f"B(r,s) for r = 0..{rmax}, s = 0..{smax}", rmax, smax, table.B)
-            + "\n"
-            + _grid(f"w(r,s) for r = 0..{rmax}, s = 0..{smax}", rmax, smax, table.w)
+    if which in ("B", "w", "C"):
+        table = BudgetTable(rmax) if rmax > 64 else budgets.DEFAULT_TABLE
+        return "\n".join(
+            _grid(f"{name}(r,s) for r = 0..{rmax}, s = 0..{smax}", rmax, smax,
+                  getattr(table, name))
+            for name in (("B", "w") if which == "B" else (which,))
         )
-    if which == "w":
-        return _grid(f"w(r,s) for r = 0..{rmax}, s = 0..{smax}", rmax, smax, table.w)
-    if which == "C":
-        return _grid(f"C(r,s) for r = 0..{rmax}, s = 0..{smax}", rmax, smax, table.C)
     if which == "Bk":
         kw = KGroupWeights(k)
         lines = [f"B_k(r,1) and w_k(r,1) for k = {k}", ""]

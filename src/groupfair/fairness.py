@@ -15,6 +15,11 @@ This module provides:
   drives the picking protocols;
 * :func:`democratic_report`, which evaluates every agent and reports the
   per-group happy fractions and their minimum ``h``.
+
+Every verdict compares ints in the agent's own scale (see
+:mod:`groupfair.model`): EF-c and PROP-c through one removal helper, and
+every other criterion against one threshold, the least own-bundle int value
+that makes the agent happy.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, lcm
+from math import ceil
 from typing import Optional, Sequence, Union
 
 from .errors import CapExceededError, FormatError
@@ -35,9 +40,9 @@ from .model import (
     BinaryValuation,
     Bundle,
     Instance,
-    TabularValuation,
     Valuation,
     bundles_of,
+    int_table,
     parse_rational,
     rational_doc,
 )
@@ -249,56 +254,24 @@ def per_group_criteria(criterion, k: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# removal helpers
+# removal helper
 
 
-def _top_values(values, c: int):
-    return sorted(values, reverse=True)[:c]
+def _min_after_removal(v: Valuation, mask: int, pool: int, c: int) -> int:
+    """min over C subset of ``pool``, |C| <= c, of ``v.int_value(mask - C)``.
 
-
-def _min_value_after_removal(v: Valuation, bundle: Bundle, c: int):
-    """min over C subset of bundle, |C| <= c, of v(bundle minus C)."""
-    if c >= len(bundle):
-        return 0
+    Values are monotone, so removing as many goods as allowed is best."""
     if isinstance(v, BinaryValuation):
-        return max(0, v.value(bundle) - c)
+        return v.int_value(mask) - min(c, v.int_value(mask & pool))
+    removable = list(Bundle(mask & pool, v.m))
+    take = min(c, len(removable))
     if isinstance(v, AdditiveValuation):
-        inside = [v.values[i] for i in bundle]
-        return v.value(bundle) - sum(_top_values(inside, c))
-    # monotone tabular: removing a full c goods is always at least as good
-    best = None
-    for combo in itertools.combinations(list(bundle), c):
-        removed = 0
-        for i in combo:
-            removed |= 1 << i
-        val = v.table[bundle.mask & ~removed]
-        if best is None or val < best:
-            best = val
-    return best
-
-
-def _min_rest_after_unowned_removal(v: Valuation, own: Bundle, c: int):
-    """min over C disjoint from own, |C| <= c, of v(all goods minus C)."""
-    m = v.m
-    full = Bundle.full(m)
-    pool = full - own
-    if isinstance(v, BinaryValuation):
-        r = len(v.desired)
-        removable = min(c, len(v.desired & pool))
-        return r - removable
-    if isinstance(v, AdditiveValuation):
-        outside = [v.values[i] for i in pool]
-        return v.value(full) - sum(_top_values(outside, c))
-    take = min(c, len(pool))
-    best = None
-    for combo in itertools.combinations(list(pool), take):
-        removed = 0
-        for i in combo:
-            removed |= 1 << i
-        val = v.table[full.mask & ~removed]
-        if best is None or val < best:
-            best = val
-    return best
+        top = sorted((v.ints[i] for i in removable), reverse=True)[:take]
+        return v.int_value(mask) - sum(top)
+    return min(
+        v.ints[mask & ~sum(1 << i for i in combo)]
+        for combo in itertools.combinations(removable, take)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +283,8 @@ def efc_holds(v: Valuation, own: Bundle, others: Sequence[Bundle], c: int) -> bo
     ``others`` is another group's bundle."""
     if c < 0:
         raise ValueError("EFc needs c >= 0")
-    own_value = v.value(own)
-    for bundle in others:
-        if own_value < _min_value_after_removal(v, bundle, c):
-            return False
-    return True
+    own_value = v.int_value(own.mask)
+    return all(own_value >= _min_after_removal(v, b.mask, b.mask, c) for b in others)
 
 
 def propc_holds(v: Valuation, own: Bundle, k: int, c: int) -> bool:
@@ -322,8 +292,8 @@ def propc_holds(v: Valuation, own: Bundle, k: int, c: int) -> bool:
     group holds ``own`` (the benchmark is always all goods)."""
     if c < 0:
         raise ValueError("PROPc needs c >= 0")
-    rest = _min_rest_after_unowned_removal(v, own, c)
-    return v.value(own) * k >= rest
+    full = (1 << v.m) - 1
+    return v.int_value(own.mask) * k >= _min_after_removal(v, full, full ^ own.mask, c)
 
 
 def is_efc(agent: Agent, alloc: Allocation, c: int) -> bool:
@@ -336,52 +306,27 @@ def is_propc(agent: Agent, alloc: Allocation, c: int) -> bool:
     return check(agent, alloc, PROPc(c))
 
 
-def _local_value_table(v: Valuation, goods: Bundle):
-    """Value table over subsets of ``goods``, relabelled to bits 0..r-1,
-    scaled to integers.  Returns (table, scale)."""
-    positions = list(goods)
-    r = len(positions)
-    if isinstance(v, AdditiveValuation):
-        vals = [v.values[i] for i in positions]
-        scale = lcm(*(x.denominator for x in vals)) if vals else 1
-        ints = [int(x * scale) for x in vals]
-        table = [0] * (1 << r)
-        for mask in range(1, 1 << r):
-            low = mask & -mask
-            table[mask] = table[mask ^ low] + ints[low.bit_length() - 1]
-        return table, scale
-    # tabular
-    scale = lcm(*(x.denominator for x in v.table))
-    table = [0] * (1 << r)
-    for mask in range(1 << r):
-        gmask = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            gmask |= 1 << positions[low.bit_length() - 1]
-            rest ^= low
-        table[mask] = int(v.table[gmask] * scale)
-    return table, scale
-
-
 @lru_cache(maxsize=65536)
-def _mms_cached(v: Valuation, c: int, goods: Bundle, cap: int):
+def _mms_cached(v: Valuation, c: int, goods: Bundle, cap: int) -> int:
+    """The maximin share of ``v`` over ``goods`` with ``c >= 2`` parts, in
+    ``v``'s int scale."""
     pc = len(goods)
     if c > pc:
-        return Fraction(0)
+        return 0
     if pc > cap:
         raise CapExceededError(
             f"maximin share over {pc} goods exceeds the cap of {cap}"
         )
-    vals, scale = _local_value_table(v, goods)
+    vals = int_table(v, goods.mask)
     size = len(vals)
     # dp[mask] = best min-part value partitioning mask into p parts so far.
     # The part containing the lowest set bit is chosen first (canonical
-    # anchoring), which enumerates every partition exactly once.
+    # anchoring), which enumerates every partition exactly once.  The last
+    # round reads only the full mask, so it computes only that entry.
     dp = vals
-    for _ in range(2, c + 1):
+    for p in range(2, c + 1):
         new = [0] * size
-        for mask in range(1, size):
+        for mask in range(1, size) if p < c else (size - 1,):
             low = mask & -mask
             rest = mask ^ low
             best = 0
@@ -399,7 +344,7 @@ def _mms_cached(v: Valuation, c: int, goods: Bundle, cap: int):
                 sub = (sub - 1) & rest
             new[mask] = best
         dp = new
-    return Fraction(dp[size - 1], scale)
+    return dp[size - 1]
 
 
 def mms_share(
@@ -409,8 +354,8 @@ def mms_share(
 
     The best, over all partitions of ``goods`` into ``c`` parts, of the
     worst part's value.  Binary valuations short-circuit to ``r // c``;
-    additive/tabular ones run an exact partition search (memoized), refusing
-    more than ``cap`` goods.
+    additive/tabular ones run an exact partition search over the int form
+    (memoized), refusing more than ``cap`` goods.
 
     >>> mms_share(AdditiveValuation((2, 1, 1)), 2)
     Fraction(2, 1)
@@ -426,15 +371,7 @@ def mms_share(
         return len(valuation.desired & goods) // c
     if c == 1:
         return valuation.value(goods)
-    return _mms_cached(valuation, c, goods, cap)
-
-
-def _best_c_threshold(v: Valuation, c: int):
-    """Value of the agent's c-th most valuable single good (0 if c > m)."""
-    if isinstance(v, BinaryValuation):
-        return 1 if c <= v.desired.mask.bit_count() else 0
-    singles = sorted(v.singleton_values(), reverse=True)
-    return singles[c - 1] if c <= len(singles) else 0
+    return Fraction(_mms_cached(valuation, c, goods, cap), valuation.scale)
 
 
 def check(agent: Agent, alloc: Allocation, criterion: FairnessCriterion) -> bool:
@@ -452,31 +389,30 @@ def _holds(agent: Agent, bundles: tuple, criterion: FairnessCriterion) -> bool:
         return efc_holds(v, own, others, criterion.c)
     if isinstance(criterion, PROPc):
         return propc_holds(v, own, k, criterion.c)
-    bar, strict = _own_bar(v, criterion, k)
-    own_value = v.value(own)
-    return own_value > bar if strict else own_value >= bar
+    return v.int_value(own.mask) >= _own_bar(v, criterion, k)
 
 
-def _own_bar(v: Valuation, criterion: FairnessCriterion, k: int):
-    """``(bar, strict)`` for an own-value criterion with ``k`` groups: the
-    agent is happy when ``v(own) >= bar``, or ``v(own) > bar`` when
-    ``strict``.  Every criterion but EFc and PROPc is of this kind."""
-    if isinstance(criterion, MMS):
-        return mms_share(v, k), False
-    if isinstance(criterion, OneOutOfCMMS):
-        if criterion.c < k:
-            raise ValueError(
-                f"1-out-of-{criterion.c}-mms needs c >= k (k={k})"
-            )
-        return mms_share(v, criterion.c), False
-    if isinstance(criterion, FractionMMS):
-        return criterion.q * mms_share(v, k), False
+def _own_bar(v: Valuation, criterion: FairnessCriterion, k: int) -> int:
+    """The least ``v.int_value(own)`` that makes the agent happy under an
+    own-value criterion with ``k`` groups.  Every criterion but EFc and
+    PROPc is of this kind."""
     if isinstance(criterion, OneOfBestC):
-        return _best_c_threshold(v, criterion.c), False
+        if isinstance(v, BinaryValuation):
+            return int(criterion.c <= len(v.desired))
+        singles = sorted((v.int_value(1 << i) for i in range(v.m)), reverse=True)
+        return singles[criterion.c - 1] if criterion.c <= v.m else 0
+    if not isinstance(criterion, (MMS, OneOutOfCMMS, FractionMMS, PositiveMMS)):
+        raise TypeError(f"unknown criterion {criterion!r}")
+    parts = criterion.c if isinstance(criterion, OneOutOfCMMS) else k
+    if parts < k:
+        raise ValueError(f"1-out-of-{parts}-mms needs c >= k (k={k})")
+    share = int(mms_share(v, parts) * v.scale)
+    if isinstance(criterion, FractionMMS):
+        return ceil(criterion.q * share)
     if isinstance(criterion, PositiveMMS):
-        # a zero share is met by any bundle: values are never negative
-        return 0, mms_share(v, k) > 0
-    raise TypeError(f"unknown criterion {criterion!r}")
+        # a zero share is met by any bundle, a positive one by any positive value
+        return min(share, 1)
+    return share
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +428,7 @@ def _binary_threshold(criterion: FairnessCriterion, r: int, k: int):
         return max(0, (r - criterion.c + 1) // 2) if k == 2 else None
     if isinstance(criterion, PROPc):
         return max(0, -((criterion.c - r) // k))
-    bar, strict = _own_bar(BinaryValuation(Bundle.full(r)), criterion, k)
-    return floor(bar) + 1 if strict else ceil(bar)
+    return _own_bar(BinaryValuation(Bundle.full(r)), criterion, k)
 
 
 def s_threshold(criterion: FairnessCriterion, r: int, k: int = 2) -> int:

@@ -9,6 +9,12 @@ to exactly one group.  Three valuation families are supported:
 * additive: one nonnegative value per good, a bundle is worth the sum;
 * tabular: an explicit monotone table over all ``2**m`` bundles.
 
+Each valuation carries one exact int form, built once: ``scale`` (1 for
+binary, else the lcm of the value denominators), ``int_value(mask)`` (a
+bundle's value times ``scale``) and :func:`int_table`.  The library computes
+on these ints; ``Fraction`` appears only where a value leaves it (``value``,
+:func:`groupfair.fairness.mms_share`).
+
 The JSON instance document looks like::
 
     {
@@ -34,8 +40,10 @@ semantics, so ``0.51`` means 51/100 exactly).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import FormatError
@@ -51,6 +59,7 @@ __all__ = [
     "Instance",
     "Allocation",
     "bundles_of",
+    "int_table",
     "parse_rational",
     "parse_instance",
     "serialize_instance",
@@ -164,19 +173,25 @@ class Bundle:
 class BinaryValuation:
     """The agent wants ``desired``; a bundle is worth the overlap size.
 
+    Its int form is the desired mask itself, at scale 1.
+
     >>> v = BinaryValuation(Bundle.from_indices([0, 2], 3))
-    >>> v.value(Bundle.from_indices([2], 3))
-    1
+    >>> v.value(Bundle.from_indices([2], 3)), v.scale, v.int_value(0b111)
+    (1, 1, 2)
     """
 
     desired: Bundle
+    scale = 1
 
     @property
     def m(self) -> int:
         return self.desired.m
 
+    def int_value(self, mask: int) -> int:
+        return (self.desired.mask & mask).bit_count()
+
     def value(self, bundle: Bundle) -> int:
-        return (self.desired.mask & bundle.mask).bit_count()
+        return self.int_value(bundle.mask)
 
     def singleton_values(self) -> tuple:
         return tuple(
@@ -186,22 +201,43 @@ class BinaryValuation:
 
 @dataclass(frozen=True)
 class AdditiveValuation:
-    """One nonnegative value per good; bundles are worth the sum."""
+    """One nonnegative value per good; bundles are worth the sum.
+
+    The int form scales every value by ``scale``, the lcm of their
+    denominators, so ``ints[i] == values[i] * scale``.
+
+    >>> v = AdditiveValuation((1, "1/2", "1/3"))
+    >>> v.scale, v.ints, v.int_value(0b110)
+    (6, (6, 3, 2), 5)
+    >>> v.value(Bundle(0b110, 3))
+    Fraction(5, 6)
+    """
 
     values: tuple
+    scale: int = field(init=False, repr=False, compare=False)
+    ints: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = tuple(Fraction(v) for v in self.values)
         if any(v < 0 for v in vals):
             raise ValueError("additive values must be nonnegative")
         object.__setattr__(self, "values", vals)
+        _set_int_form(self, vals)
 
     @property
     def m(self) -> int:
         return len(self.values)
 
+    def int_value(self, mask: int) -> int:
+        ints, total = self.ints, 0
+        while mask:
+            low = mask & -mask
+            total += ints[low.bit_length() - 1]
+            mask ^= low
+        return total
+
     def value(self, bundle: Bundle) -> Fraction:
-        return sum((self.values[i] for i in bundle), Fraction(0))
+        return Fraction(self.int_value(bundle.mask), self.scale)
 
     def singleton_values(self) -> tuple:
         return self.values
@@ -213,11 +249,18 @@ class TabularValuation:
 
     Must have ``2**m`` entries, value 0 on the empty bundle, and be monotone
     (adding a good never lowers the value).  Capped at
-    ``MAX_TABULAR_GOODS`` goods.
+    ``MAX_TABULAR_GOODS`` goods.  The int form is the table scaled by
+    ``scale``, the lcm of its denominators.
+
+    >>> v = TabularValuation((0, "1/2", "3/4", 1), 2)
+    >>> v.scale, v.ints, v.int_value(0b10)
+    (4, (0, 2, 3, 4), 3)
     """
 
     table: tuple
     m: int
+    scale: int = field(init=False, repr=False, compare=False)
+    ints: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m > MAX_TABULAR_GOODS:
@@ -232,25 +275,63 @@ class TabularValuation:
             )
         if table[0] != 0:
             raise ValueError("tabular valuation must give the empty bundle 0")
+        object.__setattr__(self, "table", table)
+        _set_int_form(self, table)
+        ints = self.ints
         for mask in range(1, 1 << self.m):
             rest = mask
             while rest:
                 low = rest & -rest
-                if table[mask] < table[mask ^ low]:
+                if ints[mask] < ints[mask ^ low]:
                     raise ValueError(
                         f"tabular valuation not monotone at mask {mask:#x}"
                     )
                 rest ^= low
-        object.__setattr__(self, "table", table)
+
+    def int_value(self, mask: int) -> int:
+        return self.ints[mask]
 
     def value(self, bundle: Bundle) -> Fraction:
-        return self.table[bundle.mask]
+        return Fraction(self.ints[bundle.mask], self.scale)
 
     def singleton_values(self) -> tuple:
         return tuple(self.table[1 << i] for i in range(self.m))
 
 
+def _set_int_form(v, fractions: tuple):
+    """Give ``v`` its ``scale``, the lcm of the denominators, and ``ints``."""
+    scale = lcm(*(x.denominator for x in fractions))
+    object.__setattr__(v, "scale", scale)
+    ints = tuple(x.numerator * (scale // x.denominator) for x in fractions)
+    object.__setattr__(v, "ints", ints)
+
+
 Valuation = Union[BinaryValuation, AdditiveValuation, TabularValuation]
+
+
+def int_table(v: Valuation, goods_mask: int) -> list:
+    """``v.int_value`` of every subset of ``goods_mask``, relabelled so the
+    goods of ``goods_mask`` become bits ``0 .. r-1`` in index order.
+
+    >>> int_table(AdditiveValuation((1, "1/2", 2)), 0b101)
+    [0, 2, 4, 6]
+    >>> int_table(BinaryValuation(Bundle(0b011, 3)), 0b111)
+    [0, 1, 1, 2, 0, 1, 1, 2]
+    """
+    positions = list(Bundle(goods_mask, v.m))
+    size = 1 << len(positions)
+    if isinstance(v, TabularValuation):
+        outer = [0] * size  # each subset as a mask over all goods
+        for mask in range(1, size):
+            low = mask & -mask
+            outer[mask] = outer[mask ^ low] | 1 << positions[low.bit_length() - 1]
+        return [v.ints[mask] for mask in outer]
+    singles = [v.int_value(1 << i) for i in positions]
+    table = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] + singles[low.bit_length() - 1]
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +493,12 @@ def bundles_of(allocation: Allocation) -> tuple:
 # rationals in JSON
 
 
+#: Largest decimal exponent magnitude accepted in a rational string, so
+#: ``"1e999999"`` cannot ask for an integer of any size.
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
 def parse_rational(x) -> Fraction:
     """Read a JSON-borne rational: int, decimal/`p/q` string, or float.
 
@@ -430,6 +517,12 @@ def parse_rational(x) -> Fraction:
         except ValueError:
             raise FormatError(f"not a finite number: {x!r}") from None
     if isinstance(x, str):
+        exponent = _EXPONENT.search(x)
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        # the bound has 4 digits: a longer run is rejected, never converted
+        if len(digits) > 4 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise FormatError(
+                f"decimal exponent in {x!r} exceeds {MAX_DECIMAL_EXPONENT}")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
@@ -447,6 +540,15 @@ def rational_doc(f: Fraction):
 
 # ---------------------------------------------------------------------------
 # instance JSON
+
+
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
 
 
 def _parse_subset_key(key: str, inst_goods: Sequence[str]) -> int:
@@ -543,10 +645,7 @@ def parse_instance(text: str) -> Instance:
     >>> inst.sizes
     (2, 1)
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise FormatError("instance document must be a JSON object")
     goods = doc.get("goods")
@@ -633,10 +732,7 @@ def parse_allocation(text: str, inst: Instance) -> Allocation:
 
     The bundles must partition the instance's goods, one per group.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict) or "bundles" not in doc:
         raise FormatError("allocation document needs a 'bundles' list")
     bundles = doc["bundles"]
@@ -689,7 +785,7 @@ def binarize_instance(inst: Instance, c: int) -> Instance:
                     v = BinaryValuation(Bundle(v.desired.mask ^ rest, inst.m))
                 members.append(v)
                 continue
-            vals = v.singleton_values()
+            vals = [v.int_value(1 << i) for i in range(inst.m)]
             ranked = sorted(range(inst.m), key=lambda i: (-vals[i], i))
             top = [i for i in ranked[:c] if vals[i] > 0]
             members.append(BinaryValuation(Bundle.from_indices(top, inst.m)))

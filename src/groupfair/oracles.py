@@ -12,7 +12,9 @@ counts each group's happy members.  When every member is binary and its
 criterion is an own-count threshold, the binary rule compares popcounts
 against the thresholds.  Otherwise the table rule gathers from per-group
 count tables over own-bundle masks, plus exact rank tables for EF-c
-members.  What each criterion means comes from :mod:`groupfair.fairness`.
+members, all compiled from each valuation's
+:func:`groupfair.model.int_table`.  What each criterion means comes from
+:mod:`groupfair.fairness`.
 numpy is imported by the sweep functions themselves, so importing this
 module (and running any CLI command but ``brute``) never loads it.
 
@@ -46,6 +48,7 @@ from .model import (
     BinaryValuation,
     Bundle,
     Instance,
+    int_table,
 )
 
 __all__ = [
@@ -127,20 +130,6 @@ def _binary_rule(inst: Instance, crits):
     return happy
 
 
-def _value_table(valuation, m: int):
-    """Values of every subset of the full good set, indexed by bitmask."""
-    if isinstance(valuation, BinaryValuation):
-        desired = valuation.desired.mask
-        return [(mask & desired).bit_count() for mask in range(1 << m)]
-    if isinstance(valuation, AdditiveValuation):
-        table = [Fraction(0)] * (1 << m)
-        for mask in range(1, 1 << m):
-            low = mask & -mask
-            table[mask] = table[mask ^ low] + valuation.values[low.bit_length() - 1]
-        return table
-    return [valuation.value(Bundle(mask, m)) for mask in range(1 << m)]
-
-
 def _drop_table(values, m: int, c: int):
     """``out[mask]`` = min value of ``mask`` after deleting min(c, |mask|)
     goods (the envious agent's most favourable removal)."""
@@ -148,15 +137,12 @@ def _drop_table(values, m: int, c: int):
     for _ in range(c):
         nxt = list(cur)
         for mask in range(1, 1 << m):
-            best = nxt[mask]
             rest = mask
             while rest:
                 low = rest & -rest
                 rest ^= low
-                cand = cur[mask ^ low]
-                if cand < best:
-                    best = cand
-            nxt[mask] = best
+                if cur[mask ^ low] < nxt[mask]:
+                    nxt[mask] = cur[mask ^ low]
         cur = nxt
     return cur
 
@@ -167,27 +153,10 @@ def _prop_benchmark_table(values, m: int, c: int):
     i.e. the cheapest superset of ``own`` of size ``m - c``)."""
     keep = m - c
     out = list(values)
-    if keep <= 0:
-        return out
-    by_pop = sorted(range(1 << m), key=lambda mask: -mask.bit_count())
-    full = (1 << m) - 1
-    g = list(values)
-    for mask in by_pop:
-        pop = mask.bit_count()
-        if pop >= keep:
-            g[mask] = values[mask]
-            continue
-        best = None
-        rest = full ^ mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            cand = g[mask | low]
-            if best is None or cand < best:
-                best = cand
-        g[mask] = best
-    for mask in range(1 << m):
-        out[mask] = values[mask] if mask.bit_count() > keep else g[mask]
+    # larger masks first, so each smaller one reads finished supersets
+    for mask in sorted(range(1 << m), key=lambda mask: -mask.bit_count()):
+        if mask.bit_count() < keep:
+            out[mask] = min(out[mask | 1 << i] for i in range(m) if not mask >> i & 1)
     return out
 
 
@@ -214,7 +183,7 @@ def _table_rule(inst: Instance, crits):
         counts = np.zeros(1 << m, dtype=np.int64)
         pairs = []
         for v, count in Counter(a.valuation for a in grp).items():
-            values = _value_table(v, m)
+            values = int_table(v, (1 << m) - 1)
             if isinstance(crit, EFc):
                 drop = _drop_table(values, m, crit.c)
                 rank = {x: i for i, x in enumerate(sorted({*values, *drop}))}
@@ -227,8 +196,8 @@ def _table_rule(inst: Instance, crits):
                 bench = _prop_benchmark_table(values, m, crit.c)
                 ok = [k * x >= b for x, b in zip(values, bench)]
             else:
-                bar, strict = _own_bar(v, crit, k)
-                ok = [x > bar if strict else x >= bar for x in values]
+                bar = _own_bar(v, crit, k)
+                ok = [x >= bar for x in values]
             counts += count * np.array(ok, dtype=np.int64)
         own.append(counts)
         envy.append(pairs)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from groupfair import cli
 from groupfair.cli import main
 from groupfair.model import serialize_instance
 
@@ -225,6 +226,32 @@ def test_check_reports_verdicts(b1_path, tmp_path, capsys):
     assert code == 2 and "unassigned" in err
 
 
+def test_deeply_nested_json_exits_2(b1_path, tmp_path, capsys):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (
+        ("run", "--protocol", "rwav2", "--instance", str(nested), *B1_ARGS),
+        ("check", "--instance", b1_path, "--allocation", str(nested),
+         "--criterion", "mms"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "nested too deeply" in err
+        assert "Traceback" not in err
+
+
+def test_huge_decimal_exponent_exits_2(tmp_path, capsys):
+    inst = tmp_path / "exp.json"
+    inst.write_text(json.dumps({
+        "goods": ["a", "b"],
+        "groups": [[{"type": "additive", "values": ["1e1001", 1]}],
+                   [{"type": "binary", "desired": ["a"]}]],
+    }))
+    code, _, err = run_cli(
+        capsys, "run", "--protocol", "line2", "--instance", str(inst)
+    )
+    assert code == 2 and "exponent" in err
+
+
 # ---------------------------------------------------------------------------
 # brute
 
@@ -341,6 +368,19 @@ def test_table_validation(capsys):
     assert code == 2 and "--k" in err
 
 
+def test_table_builds_budget_table_only_for_its_grids(monkeypatch, capsys):
+    def refuse(rmax):
+        raise AssertionError(f"BudgetTable({rmax}) built but never read")
+
+    monkeypatch.setattr(cli, "BudgetTable", refuse)
+    code, out, _ = run_cli(capsys, "table", "--which", "Bk", "--rmax", "100")
+    assert code == 0 and len(out.splitlines()) == 104
+    code, out, _ = run_cli(
+        capsys, "table", "--which", "maxh", "--rmax", "100", "--k", "3"
+    )
+    assert code == 0 and len(out.splitlines()) == 104
+
+
 def test_table_beyond_default_cap(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--which", "B", "--rmax", "70", "--smax", "1"
@@ -438,6 +478,7 @@ def test_script_byte_determinism(b1_path):
 
 NO_NUMPY = """
 import sys
+from groupfair import cli
 from groupfair.cli import main
 
 path, alloc = sys.argv[1:]

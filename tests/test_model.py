@@ -156,6 +156,14 @@ def test_parse_rational():
             parse_rational(bad)
 
 
+def test_parse_rational_bounds_decimal_exponents():
+    # only just above the bound: a larger exponent would build a huge int
+    for bad in ("1e1001", "-2.5E+1001", "1e-1001", "3e0_001_001"):
+        with pytest.raises(FormatError, match="exponent"):
+            parse_rational(bad)
+    assert parse_rational("25e-2") == Fraction(1, 4)
+
+
 def test_rational_doc():
     assert rational_doc(Fraction(3, 4)) == "3/4"
     assert rational_doc(Fraction(8, 4)) == 2
