@@ -10,8 +10,9 @@ arithmetic exact with a small :class:`Dyadic` number type instead of floats.
 Contents:
 
 * :class:`Dyadic` -- exact ``n / 2**e`` rationals.
-* :class:`BudgetTable` -- dense memo of ``B``, ``w``, ``C`` (the coin-flip
-  variant) up to a configurable ``r_max``.
+* :class:`BudgetTable` -- memo of ``B``, ``w``, ``C`` (the coin-flip
+  variant) up to a configurable ``r_max``, built column by column as
+  lookups reach it.
 * :func:`B`, :func:`w`, :func:`C`, :func:`B_closed` -- module-level accessors
   backed by a shared default table.
 * :func:`maxh`, :func:`maxh_finite` -- exact upper bounds on the achievable
@@ -23,6 +24,7 @@ Contents:
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from functools import total_ordering
 
@@ -184,7 +186,8 @@ _ONE = Dyadic(1)
 
 
 class BudgetTable:
-    """Dense memo of the budget functions ``B``, ``w``, ``C``, ``w_C``.
+    """Memo of the budget functions ``B``, ``w``, ``C``, ``w_C``, filled by
+    column on demand.
 
     ``B(r, s)`` is defined by::
 
@@ -198,32 +201,48 @@ class BudgetTable:
     for the coin-flip protocol, where turn order is random) and ``w_C`` is
     its marginal.  All values are exact :class:`Dyadic` numbers.
 
-    The memo covers ``-2 <= r, s <= r_max`` eagerly; arguments that fall
-    under a base-case rule are answered without a lookup, anything else
-    beyond ``r_max`` raises :class:`~groupfair.errors.CapExceededError`.
+    Column ``s`` of ``B`` and ``C`` reads only columns ``s`` and ``s - 1``,
+    so the memo holds the columns ``0 .. s`` built so far, each over
+    ``-2 <= r <= r_max``; a lookup in a later column builds the missing
+    ones first.  Arguments that fall under a base-case rule are answered
+    without a lookup, anything else beyond ``r_max`` raises
+    :class:`~groupfair.errors.CapExceededError`.  Lookups from several
+    threads are safe: a column is published whole, under a lock, once.
+
+    >>> table = BudgetTable(8)
+    >>> table.columns, str(table.B(5, 2)), table.columns
+    (1, '25/32', 3)
     """
 
     def __init__(self, r_max: int = 64):
         if r_max < 1:
             raise ValueError("r_max must be >= 1")
         self.r_max = r_max
-        n = r_max + 3  # indices -2 .. r_max
-        self._B = [[_ONE] * n for _ in range(n)]
-        self._C = [[_ONE] * n for _ in range(n)]
-        for r in range(-2, r_max + 1):
-            for s in range(1, r_max + 1):
-                if r < s:
-                    self._B[r + 2][s + 2] = _ZERO
-                    self._C[r + 2][s + 2] = _ZERO
-                    continue
-                avg = (self._B[r + 1][s + 2] + self._B[r + 1][s + 1]).halved()
-                drop = self._B[r][s + 1]
-                self._B[r + 2][s + 2] = min(avg, drop)
-                self._C[r + 2][s + 2] = (
-                    self._C[r + 1][s + 2] + self._C[r + 1][s + 1]
-                ).halved()
+        ones = [_ONE] * (r_max + 3)  # indices r = -2 .. r_max
+        self._columns = [(ones, ones)]  # (B, C) column per s = 0, 1, ...
+        self._lock = threading.Lock()
 
-    def _lookup(self, grid, r: int, s: int) -> Dyadic:
+    @property
+    def columns(self) -> int:
+        """How many columns ``s = 0, 1, ...`` the memo has built."""
+        return len(self._columns)
+
+    def _grow(self, s: int):
+        """Build and publish every missing column up to ``s``."""
+        with self._lock:
+            columns = self._columns
+            while len(columns) <= s:
+                s_new = len(columns)
+                prev_b, prev_c = columns[-1]
+                n = len(prev_b)
+                col_b, col_c = [_ZERO] * n, [_ZERO] * n
+                for i in range(s_new + 2, n):  # r = s_new .. r_max
+                    avg = (col_b[i - 1] + prev_b[i - 1]).halved()
+                    col_b[i] = min(avg, prev_b[i - 2])
+                    col_c[i] = (col_c[i - 1] + prev_c[i - 1]).halved()
+                columns.append((col_b, col_c))
+
+    def _lookup(self, which: int, r: int, s: int) -> Dyadic:
         if s <= 0:
             return _ONE
         if r < s:
@@ -232,26 +251,29 @@ class BudgetTable:
             raise CapExceededError(
                 f"budget table capped at r_max={self.r_max}, got (r={r}, s={s})"
             )
-        return grid[r + 2][s + 2]
+        if s >= len(self._columns):
+            self._grow(s)
+        return self._columns[s][which][r + 2]
 
     def B(self, r: int, s: int) -> Dyadic:
         """Budget value ``B(r, s)``."""
-        return self._lookup(self._B, r, s)
+        return self._lookup(0, r, s)
 
     def w(self, r: int, s: int) -> Dyadic:
         """Marginal weight ``w(r, s) = B(r, s) - B(r-1, s)``."""
-        return self._lookup(self._B, r, s) - self._lookup(self._B, r - 1, s)
+        return self._lookup(0, r, s) - self._lookup(0, r - 1, s)
 
     def C(self, r: int, s: int) -> Dyadic:
         """Coin-flip budget ``C(r, s)``."""
-        return self._lookup(self._C, r, s)
+        return self._lookup(1, r, s)
 
     def w_C(self, r: int, s: int) -> Dyadic:
         """Marginal coin-flip weight ``C(r, s) - C(r-1, s)``."""
-        return self._lookup(self._C, r, s) - self._lookup(self._C, r - 1, s)
+        return self._lookup(1, r, s) - self._lookup(1, r - 1, s)
 
 
-#: Shared table backing the module-level accessors (and the protocols).
+#: Shared table backing the module-level accessors (and the protocols); it
+#: starts empty and builds a column the first time a lookup needs it.
 DEFAULT_TABLE = BudgetTable()
 _DEFAULT = DEFAULT_TABLE
 

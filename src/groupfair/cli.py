@@ -5,8 +5,8 @@ Machine output is deterministic JSON (same argv + files + seed produce
 byte-identical bytes); ``--trace`` renders the step-by-step audit trail of
 a protocol run in a stable plain-text layout.
 
-Exit codes: 0 success, 2 validation/usage error, 3 enumeration or table
-cap exceeded.
+Exit codes: 0 success, 2 validation/usage error, 3 enumeration, table or
+member cap exceeded.
 """
 
 from __future__ import annotations
@@ -41,6 +41,14 @@ _FIXED_CRITERION = {
     "local-search": "1-of-best-2 (built in)",
     "best-k": "1-of-best-k (built in)",
 }
+
+
+#: Most cells ``(rmax + 1) * (smax + 1)`` a ``table`` grid may have.
+MAX_TABLE_CELLS = 20_000
+#: Largest ``--rmax`` for ``--which Bk`` and ``maxh``, whose cells cost more
+#: as ``r`` grows (``maxh`` sums ``r`` big-int terms; the float ``Bk``
+#: overflows past ``r = 1023`` at ``k = 2``).
+MAX_TABLE_RMAX = 300
 
 
 class _CliError(Exception):
@@ -239,7 +247,7 @@ def _grid(title: str, rmax: int, smax: int, cell) -> str:
 
 def _render_table(which: str, rmax: int, smax: int, k: int) -> str:
     if which in ("B", "w", "C"):
-        table = BudgetTable(rmax) if rmax > 64 else budgets.DEFAULT_TABLE
+        table = BudgetTable(max(rmax, 1))  # row r = 0 reads base cases only
         return "\n".join(
             _grid(f"{name}(r,s) for r = 0..{rmax}, s = 0..{smax}", rmax, smax,
                   getattr(table, name))
@@ -434,6 +442,16 @@ def _cmd_table(args) -> int:
         raise _CliError("--rmax and --smax must be nonnegative")
     if args.k < 2:
         raise _CliError("--k must be at least 2")
+    cells = (args.rmax + 1) * (args.smax + 1)
+    if args.which != "Bk" and cells > MAX_TABLE_CELLS:
+        raise CapExceededError(
+            f"table of {cells} cells exceeds the cap of {MAX_TABLE_CELLS}"
+        )
+    if args.which in ("Bk", "maxh") and args.rmax > MAX_TABLE_RMAX:
+        raise CapExceededError(
+            f"--rmax {args.rmax} exceeds the cap of {MAX_TABLE_RMAX}"
+            f" for --which {args.which}"
+        )
     _emit(_render_table(args.which, args.rmax, args.smax, args.k), args.out)
     return 0
 

@@ -31,10 +31,11 @@ The JSON instance document looks like::
       "order": ["z", "y", "x", "w", "v"]
     }
 
-``count`` repeats an agent entry; ``order`` (optional) fixes the traversal
-order used by the line protocols.  Rational numbers may be written as ints,
-decimal strings, ``"p/q"`` strings, or JSON floats (read with decimal
-semantics, so ``0.51`` means 51/100 exactly).
+``count`` repeats an agent entry (at most ``MAX_MEMBERS`` members in all);
+``order`` (optional) fixes the traversal order used by the line protocols.
+Rational numbers may be written as ints, decimal strings, ``"p/q"``
+strings, or JSON floats (read with decimal semantics, so ``0.51`` means
+51/100 exactly).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import FormatError
+from .errors import CapExceededError, FormatError
 
 __all__ = [
     "GoodId",
@@ -73,6 +74,10 @@ __all__ = [
 GoodId = int
 
 MAX_TABULAR_GOODS = 16
+
+#: Most members one instance may hold, over all its groups: the bound for
+#: ``count`` in an instance document and for the all-subsets generator.
+MAX_MEMBERS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +198,6 @@ class BinaryValuation:
     def value(self, bundle: Bundle) -> int:
         return self.int_value(bundle.mask)
 
-    def singleton_values(self) -> tuple:
-        return tuple(
-            1 if i in self.desired else 0 for i in range(self.m)
-        )
-
 
 @dataclass(frozen=True)
 class AdditiveValuation:
@@ -238,9 +238,6 @@ class AdditiveValuation:
 
     def value(self, bundle: Bundle) -> Fraction:
         return Fraction(self.int_value(bundle.mask), self.scale)
-
-    def singleton_values(self) -> tuple:
-        return self.values
 
 
 @dataclass(frozen=True)
@@ -293,9 +290,6 @@ class TabularValuation:
 
     def value(self, bundle: Bundle) -> Fraction:
         return Fraction(self.ints[bundle.mask], self.scale)
-
-    def singleton_values(self) -> tuple:
-        return tuple(self.table[1 << i] for i in range(self.m))
 
 
 def _set_int_form(v, fractions: tuple):
@@ -551,7 +545,27 @@ def _load_json(text: str):
         raise FormatError("invalid JSON: nested too deeply") from None
 
 
-def _parse_subset_key(key: str, inst_goods: Sequence[str]) -> int:
+def _good_finder(goods: list):
+    """``find(label)``: the first index of ``label`` in ``goods``, or None.
+
+    String labels go through one dict built here.  Any other label (an int,
+    None, an unhashable list) scans ``goods`` with ``==``, so an unhashable
+    one is reported as an unknown good instead of raising ``TypeError``.
+    """
+    first: dict = {}
+    for i, good in enumerate(goods):
+        if isinstance(good, str):
+            first.setdefault(good, i)
+
+    def find(label):
+        if isinstance(label, str):
+            return first.get(label)
+        return goods.index(label) if label in goods else None
+
+    return find
+
+
+def _parse_subset_key(key: str, inst_goods: Sequence[str], find) -> int:
     """A tabular key is a comma-joined label list ('' = empty bundle).
 
     For single-character labels plain concatenation ('vw') is accepted too.
@@ -559,22 +573,23 @@ def _parse_subset_key(key: str, inst_goods: Sequence[str]) -> int:
     if key == "":
         return 0
     parts = key.split(",") if "," in key else [key]
-    if len(parts) == 1 and parts[0] not in inst_goods:
+    if len(parts) == 1 and find(parts[0]) is None:
         if all(len(g) == 1 for g in inst_goods):
             parts = list(key)
     mask = 0
     for part in parts:
         part = part.strip()
-        if part not in inst_goods:
+        index = find(part)
+        if index is None:
             raise FormatError(f"unknown good {part!r} in bundle key {key!r}")
-        bit = 1 << inst_goods.index(part)
+        bit = 1 << index
         if mask & bit:
             raise FormatError(f"good {part!r} repeated in bundle key {key!r}")
         mask |= bit
     return mask
 
 
-def _parse_valuation(doc, goods: Sequence[str]) -> Valuation:
+def _parse_valuation(doc, goods: Sequence[str], find) -> Valuation:
     if not isinstance(doc, dict):
         raise FormatError(f"agent entry must be an object, got {doc!r}")
     kind = doc.get("type")
@@ -585,18 +600,20 @@ def _parse_valuation(doc, goods: Sequence[str]) -> Valuation:
             raise FormatError("binary agent needs a 'desired' list")
         mask = 0
         for label in desired:
-            if label not in goods:
+            index = find(label)
+            if index is None:
                 raise FormatError(f"unknown good label {label!r}")
-            mask |= 1 << goods.index(label)
+            mask |= 1 << index
         return BinaryValuation(Bundle(mask, m))
     if kind == "additive":
         values = doc.get("values")
         if isinstance(values, dict):
             vec = [Fraction(0)] * m
             for label, v in values.items():
-                if label not in goods:
+                index = find(label)
+                if index is None:
                     raise FormatError(f"unknown good label {label!r}")
-                vec[goods.index(label)] = parse_rational(v)
+                vec[index] = parse_rational(v)
         elif isinstance(values, list):
             if len(values) != m:
                 raise FormatError(
@@ -619,7 +636,7 @@ def _parse_valuation(doc, goods: Sequence[str]) -> Valuation:
             )
         table = [None] * (1 << m)
         for key, v in values.items():
-            mask = _parse_subset_key(key, goods)
+            mask = _parse_subset_key(key, goods, find)
             if table[mask] is not None:
                 raise FormatError(f"bundle key {key!r} listed twice")
             table[mask] = parse_rational(v)
@@ -655,7 +672,9 @@ def parse_instance(text: str) -> Instance:
     if not isinstance(groups_doc, list) or not groups_doc:
         raise FormatError("instance needs a non-empty 'groups' list")
     goods = list(goods)
+    find = _good_finder(goods)
     groups = []
+    total = 0
     for grp in groups_doc:
         if not isinstance(grp, list) or not grp:
             raise FormatError("each group must be a non-empty list of agents")
@@ -666,7 +685,12 @@ def parse_instance(text: str) -> Instance:
             count = entry.get("count", 1)
             if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                 raise FormatError(f"bad agent count {count!r}")
-            valuation = _parse_valuation(entry, goods)
+            total += count
+            if total > MAX_MEMBERS:
+                raise CapExceededError(
+                    f"instance has more than {MAX_MEMBERS} members"
+                )
+            valuation = _parse_valuation(entry, goods, find)
             members.extend([valuation] * count)
         groups.append(members)
     order = None
@@ -676,7 +700,7 @@ def parse_instance(text: str) -> Instance:
             goods
         ):
             raise FormatError("'order' must be a permutation of the goods")
-        order = tuple(goods.index(label) for label in order_labels)
+        order = tuple(find(label) for label in order_labels)
     try:
         return Instance.from_valuations(goods, groups, order)
     except ValueError as exc:

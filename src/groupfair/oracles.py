@@ -15,8 +15,9 @@ count tables over own-bundle masks, plus exact rank tables for EF-c
 members, all compiled from each valuation's
 :func:`groupfair.model.int_table`.  What each criterion means comes from
 :mod:`groupfair.fairness`.
-numpy is imported by the sweep functions themselves, so importing this
-module (and running any CLI command but ``brute``) never loads it.
+numpy is imported by the sweep functions themselves, and the thread pool
+by :func:`max_h` only when ``workers > 1``, so importing this module (and
+running any CLI command but ``brute``) loads neither.
 
 The generators build the small adversarial instances used to show that the
 protocol guarantees cannot be improved: cycles of disapproval, all-subsets
@@ -29,7 +30,6 @@ import itertools
 import math
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +48,7 @@ from .model import (
     BinaryValuation,
     Bundle,
     Instance,
+    MAX_MEMBERS,
     int_table,
 )
 
@@ -301,6 +302,8 @@ def max_h(
         return int(scores[pos]), bound[0] + pos
 
     if workers > 1 and len(bounds) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(best_in, bounds))
     else:
@@ -466,7 +469,7 @@ def generate(spec) -> Instance:
         return Instance.from_valuations(goods, [list(members)] * spec.k)
     if isinstance(spec, AllSubsets):
         n_goods = spec.k * spec.m
-        if math.comb(n_goods, spec.r) * spec.k > 1_000_000:
+        if math.comb(n_goods, spec.r) * spec.k > MAX_MEMBERS:
             raise CapExceededError(
                 f"all-subsets instance would have {math.comb(n_goods, spec.r)}"
                 f" members per group"

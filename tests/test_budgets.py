@@ -2,10 +2,14 @@
 
 The recurrence-driven tables are checked against the independent closed
 form (binomial sums), frozen spot values, and the printed three-decimal
-grid of the reference table.
+grid of the reference table.  The column-on-demand memo is checked against
+the eager build in ``table_reference.py``, from one thread and from four.
 """
 
+import functools
 import math
+import sys
+import threading
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
@@ -25,6 +29,8 @@ from groupfair.budgets import (
     w_C,
 )
 from groupfair.errors import CapExceededError
+
+from table_reference import EagerBudgetTable
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +145,68 @@ def test_cap():
     assert table.B(10, 5) == B(10, 5)
     with pytest.raises(CapExceededError):
         table.B(11, 3)
+
+
+# ---------------------------------------------------------------------------
+# column-on-demand memo against the eager build
+
+eager_table = functools.lru_cache(maxsize=None)(EagerBudgetTable)
+
+
+def lookup(table, name, r, s):
+    """The repr of ``table.name(r, s)``, or the error it raises."""
+    try:
+        return repr(getattr(table, name)(r, s))
+    except CapExceededError as exc:
+        return ("CapExceededError", str(exc))
+
+
+@given(
+    st.integers(1, 80),
+    st.lists(
+        st.tuples(st.sampled_from(["B", "w", "C", "w_C"]),
+                  st.integers(-3, 84), st.integers(-3, 84)),
+        max_size=30,
+    ),
+)
+def test_lazy_table_matches_eager_build(r_max, queries):
+    table, eager = BudgetTable(r_max), eager_table(r_max)
+    assert table.columns == 1
+    for name, r, s in queries:
+        assert lookup(table, name, r, s) == lookup(eager, name, r, s)
+    # a lookup builds columns only up to its own s, and only when it gets
+    # past the base cases and the cap
+    needed = [s for _, r, s in queries if 1 <= s <= r <= r_max]
+    assert table.columns == 1 + max(needed, default=0)
+
+
+def test_lazy_table_threads_agree():
+    r_max = 60
+    table, eager = BudgetTable(r_max), eager_table(r_max)
+    cells = [(name, r, s) for s in range(r_max + 1) for r in range(r_max + 1)
+             for name in ("B", "w", "C", "w_C")]
+    expected = [lookup(eager, *cell) for cell in cells]
+    results = [None] * 4
+
+    def read(i):
+        # two readers start from the last column, two from the first
+        order = cells[::-1] if i % 2 else cells
+        got = {cell: lookup(table, *cell) for cell in order}
+        results[i] = [got[cell] for cell in cells]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 4
+    assert table.columns == r_max + 1  # no column appended twice
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ entry in ``pyproject.toml``, puts it first on ``PATH`` with this checkout's
 ``src`` first on ``PYTHONPATH``, and runs it by name.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -18,8 +19,11 @@ from pathlib import Path
 import pytest
 
 from groupfair import cli
-from groupfair.cli import main
-from groupfair.model import serialize_instance
+from groupfair.budgets import BudgetTable
+from groupfair.cli import MAX_TABLE_CELLS, MAX_TABLE_RMAX, main
+from groupfair.model import MAX_MEMBERS
+
+from table_reference import EagerBudgetTable
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).resolve().parents[1]
@@ -226,6 +230,18 @@ def test_check_reports_verdicts(b1_path, tmp_path, capsys):
     assert code == 2 and "unassigned" in err
 
 
+def test_member_count_cap_exits_3(tmp_path, capsys):
+    path = tmp_path / "crowd.json"
+    path.write_text(json.dumps({"goods": ["v", "w"], "groups": [
+        [{"type": "binary", "desired": ["v"], "count": MAX_MEMBERS + 1}],
+        [{"type": "magic"}],  # stops a parser without the cap early
+    ]}))
+    code, out, err = run_cli(capsys, "run", "--protocol", "line2",
+                             "--instance", str(path))
+    assert code == 3 and out == ""
+    assert f"more than {MAX_MEMBERS} members" in err
+
+
 def test_deeply_nested_json_exits_2(b1_path, tmp_path, capsys):
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 100_000 + "]" * 100_000)
@@ -381,6 +397,52 @@ def test_table_builds_budget_table_only_for_its_grids(monkeypatch, capsys):
     assert code == 0 and len(out.splitlines()) == 104
 
 
+def test_table_size_caps(monkeypatch, capsys):
+    def refuse(rmax):
+        raise AssertionError(f"BudgetTable({rmax}) built for a capped table")
+
+    monkeypatch.setattr(cli, "BudgetTable", refuse)
+    for which, rmax in (("B", MAX_TABLE_CELLS), ("maxh", MAX_TABLE_CELLS),
+                        ("C", 10**9)):
+        code, out, err = run_cli(capsys, "table", "--which", which,
+                                 "--rmax", str(rmax), "--smax", "0")
+        assert code == 3 and out == ""
+        assert f"cap of {MAX_TABLE_CELLS}" in err
+    for which in ("Bk", "maxh"):
+        code, out, err = run_cli(capsys, "table", "--which", which,
+                                 "--rmax", str(MAX_TABLE_RMAX + 1), "--smax", "1")
+        assert code == 3 and out == ""
+        assert f"cap of {MAX_TABLE_RMAX}" in err
+
+
+def test_table_matches_eager_build(monkeypatch, capsys):
+    argv = ("table", "--which", "B", "--rmax", "90", "--smax", "40")
+    code, lazy, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(cli, "BudgetTable", EagerBudgetTable)
+    assert run_cli(capsys, *argv)[:2] == (0, lazy)
+
+
+def test_table_builds_only_the_printed_columns(monkeypatch, capsys):
+    built = []
+
+    class Recording(BudgetTable):
+        def __init__(self, r_max):
+            super().__init__(r_max)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "BudgetTable", Recording)
+    code, out, _ = run_cli(
+        capsys, "table", "--which", "B", "--rmax", "1200", "--smax", "3"
+    )
+    assert code == 0
+    # sha256 of this table as printed by the eager build it replaced
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fa65326349421d00226c2d87e96559964f48e99fedee3e0bd504295ec66046d1"
+    )
+    assert [table.columns for table in built] == [4]
+
+
 def test_table_beyond_default_cap(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--which", "B", "--rmax", "70", "--smax", "1"
@@ -506,3 +568,33 @@ def test_only_brute_loads_numpy(b1_path, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+COLD_PATH = """
+import sys
+from groupfair import budgets
+from groupfair.cli import main
+
+path, alloc = sys.argv[1:]
+for argv in (
+    ["--help"],
+    ["check", "--instance", path, "--allocation", alloc, "--criterion", "ef-1"],
+    ["gen", "--spec", "all-subsets:r=2,s=1,k=2,m=2"],
+):
+    assert main(argv) == 0, argv
+print("concurrent.futures" in sys.modules, budgets.DEFAULT_TABLE.columns)
+"""
+
+
+def test_cold_path_builds_no_table_and_no_thread_pool(b1_path, tmp_path):
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text('{"bundles": [["w", "x", "y"], ["v", "z"]]}')
+    result = subprocess.run(
+        [sys.executable, "-c", COLD_PATH, b1_path, str(alloc)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert result.returncode == 0, result.stderr
+    # the column s = 0 of all ones is there from the start
+    assert result.stdout.splitlines()[-1] == "False 1"

@@ -4,10 +4,11 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from groupfair.errors import FormatError
+from groupfair.errors import CapExceededError, FormatError
 from groupfair.model import (
+    MAX_MEMBERS,
     AdditiveValuation,
     Allocation,
     BinaryValuation,
@@ -25,6 +26,7 @@ from groupfair.model import (
 )
 
 from conftest import addval, binval
+from parse_reference import reference_parse_instance
 
 
 # ---------------------------------------------------------------------------
@@ -65,13 +67,13 @@ def test_binary_valuation():
     v = BinaryValuation(Bundle.from_indices([0, 2], 3))
     assert v.value(Bundle.from_indices([0, 1, 2], 3)) == 2
     assert v.value(Bundle.empty(3)) == 0
-    assert v.singleton_values() == (1, 0, 1)
+    assert [v.int_value(1 << i) for i in range(3)] == [1, 0, 1]
 
 
 def test_additive_valuation():
     v = AdditiveValuation((1, Fraction(1, 2), 2))
     assert v.value(Bundle.full(3)) == Fraction(7, 2)
-    assert v.singleton_values() == (1, Fraction(1, 2), 2)
+    assert [v.int_value(1 << i) for i in range(3)] == [2, 1, 4]  # scale 2
     with pytest.raises(ValueError):
         AdditiveValuation((1, -1))
 
@@ -80,7 +82,7 @@ def test_tabular_valuation():
     # unit-demand on two goods
     v = TabularValuation((0, 1, 1, 1), 2)
     assert v.value(Bundle.full(2)) == 1
-    assert v.singleton_values() == (1, 1)
+    assert [v.int_value(1 << i) for i in range(2)] == [1, 1]
     with pytest.raises(ValueError):
         TabularValuation((0, 1, 1), 2)  # wrong size
     with pytest.raises(ValueError):
@@ -252,6 +254,106 @@ def test_tabular_keys_accept_both_spellings():
     assert inst == other
 
 
+def test_member_count_cap():
+    # the malformed last entry stops a parser without the cap before it
+    # builds a million agents
+    agent, bad = {"type": "binary", "desired": ["v"]}, {"type": "magic"}
+    one_entry = {"goods": ["v"], "groups": [
+        [{**agent, "count": MAX_MEMBERS + 1}], [bad],
+    ]}
+    two_groups = {"goods": ["v"], "groups": [
+        [{**agent, "count": MAX_MEMBERS}], [agent, bad],
+    ]}
+    for doc in (one_entry, two_groups):
+        with pytest.raises(CapExceededError, match=f"more than {MAX_MEMBERS}"):
+            parse_instance(json.dumps(doc))
+
+
+# labels of every kind a document can hold: duplicates, unknown, empty,
+# comma-joined, non-str, and unhashable
+_LABELS = st.sampled_from(["a", "b", "c", "ab", "z", "", "a,b", 1, None, ["a"]])
+_GOODS = st.one_of(
+    st.lists(st.sampled_from(["a", "b", "c", "dd"]), min_size=1, max_size=4,
+             unique=True),
+    st.lists(st.one_of(st.sampled_from("abcd"), _LABELS), min_size=1, max_size=4),
+)
+_KEYS = st.sampled_from(["", "a", "b", "c", "ab", "ba", "z", "a,b", "b, a",
+                         "a,a", "a,,b", "1", "null"])
+_VALUES = st.sampled_from([0, 1, 2, "1/2", 0.5] * 3 + [-1, "x", None])
+
+
+@st.composite
+def _agent_docs(draw, goods):
+    m = len(goods)
+    labels = st.one_of(st.sampled_from(goods), st.sampled_from(goods), _LABELS)
+    kind = draw(st.sampled_from(["binary"] * 3 + ["additive-map", "additive-list",
+                                 "tabular-full"] * 2 + ["tabular", "other"]))
+    if kind == "binary":
+        doc = {"type": "binary", "desired": draw(st.lists(labels, max_size=4))}
+    elif kind == "additive-map":
+        names = [g for g in goods if isinstance(g, str)] or [""]
+        keys = st.one_of(st.sampled_from(names), _KEYS)
+        doc = {"type": "additive",
+               "values": draw(st.dictionaries(keys, _VALUES, max_size=4))}
+    elif kind == "additive-list":
+        doc = {"type": "additive",
+               "values": [draw(_VALUES) for _ in range(
+                   draw(st.sampled_from([m, m, m, m - 1, m + 1])))]}
+    elif kind == "tabular":
+        doc = {"type": "tabular",
+               "values": draw(st.dictionaries(_KEYS, _VALUES, max_size=6))}
+    elif kind == "tabular-full":
+        # every subset but a dropped few, comma-joined or concatenated,
+        # worth its size; with duplicate goods the first missing mask shows
+        # which index a label got
+        join = draw(st.sampled_from([",", ""]))
+        dropped = draw(st.sets(st.integers(0, (1 << m) - 1), max_size=2))
+        values = {}
+        for mask in set(range(1 << m)) - dropped:
+            key = join.join(str(goods[i]) for i in range(m) if mask >> i & 1)
+            values[key] = mask.bit_count()
+        doc = {"type": "tabular", "values": values}
+    else:
+        doc = draw(st.sampled_from([{"type": "magic"}, {}, {"type": "binary"}]))
+    count = draw(st.sampled_from([None] * 9 + [2, 3, 0, "2", True]))
+    if count is not None:
+        doc["count"] = count
+    return doc
+
+
+@st.composite
+def _instance_docs(draw):
+    goods = draw(_GOODS)
+    groups = draw(st.lists(st.lists(_agent_docs(goods), min_size=1, max_size=3),
+                           min_size=1, max_size=3))
+    doc = {"goods": goods, "groups": groups}
+    order = draw(st.sampled_from(["none", "permutation", "list"]))
+    if order == "permutation":
+        doc["order"] = draw(st.permutations(goods))
+    elif order == "list":
+        doc["order"] = draw(st.lists(_LABELS, max_size=4))
+    return json.dumps(doc)
+
+
+def _parse_outcome(parse, text):
+    try:
+        inst = parse(text)
+    except Exception as exc:  # the reference may fail in any way
+        return type(exc).__name__, str(exc)
+    return inst, repr(inst)
+
+
+@given(_instance_docs())
+@example(  # the first of two equal labels owns the key: mask 0x2 is missing
+    '{"goods": ["a", "a"], "groups": [[{"type": "tabular",'
+    ' "values": {"": 0, "a": 1}}]]}'
+)
+def test_parse_instance_matches_scanning_reference(text):
+    assert _parse_outcome(parse_instance, text) == _parse_outcome(
+        reference_parse_instance, text
+    )
+
+
 @st.composite
 def _random_instances(draw):
     m = draw(st.integers(1, 4))
@@ -286,7 +388,9 @@ def _random_instances(draw):
 
 @given(_random_instances())
 def test_instance_json_round_trip(inst):
-    assert parse_instance(serialize_instance(inst)) == inst
+    text = serialize_instance(inst)
+    assert parse_instance(text) == inst
+    assert repr(reference_parse_instance(text)) == repr(inst)
 
 
 # ---------------------------------------------------------------------------
