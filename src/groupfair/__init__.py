@@ -16,7 +16,6 @@ from .budgets import (
     B_closed,
     BudgetTable,
     C,
-    Dyadic,
     KGroupWeights,
     maxh,
     maxh_finite,

@@ -5,11 +5,11 @@ function* ``B(r, s)``: the guaranteed probability-mass of success for a
 member who still wants ``r`` of the remaining goods and needs ``s`` more of
 them.  ``B`` satisfies a min-of-two-recurrences rule and always produces
 dyadic rationals (denominator a power of two), so this module keeps the
-arithmetic exact with a small :class:`Dyadic` number type instead of floats.
+arithmetic exact: the tables hold ints scaled by a power of two, and every
+value leaves as a :class:`~fractions.Fraction`.
 
 Contents:
 
-* :class:`Dyadic` -- exact ``n / 2**e`` rationals.
 * :class:`BudgetTable` -- memo of ``B``, ``w``, ``C`` (the coin-flip
   variant) up to a configurable ``r_max``, built column by column as
   lookups reach it.
@@ -26,13 +26,11 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from functools import total_ordering
 
 from .errors import CapExceededError
 
 __all__ = [
     "DEFAULT_TABLE",
-    "Dyadic",
     "BudgetTable",
     "B",
     "B_closed",
@@ -45,144 +43,8 @@ __all__ = [
 ]
 
 
-@total_ordering
-class Dyadic:
-    """An exact dyadic rational ``n / 2**e``.
-
-    Canonical form: ``n`` is odd or zero, and ``e >= 0`` (``e == 0`` when
-    ``n == 0``).  Supports addition, subtraction, multiplication, exact
-    halving and comparisons -- everything the budget recurrences need.
-    General division is deliberately absent.
-
-    >>> Dyadic(6, 3)            # 6/8 normalises to 3/4
-    Dyadic(3, 2)
-    >>> str(Dyadic(3, 2) + Dyadic(1, 2))
-    '1'
-    >>> Dyadic(1, 1) * Dyadic(3, 1)
-    Dyadic(3, 2)
-    >>> Dyadic(5, 0) == 5
-    True
-    """
-
-    __slots__ = ("n", "e")
-
-    def __init__(self, n: int = 0, e: int = 0):
-        if not isinstance(n, int) or not isinstance(e, int):
-            raise TypeError("Dyadic parts must be ints")
-        if e < 0:  # n / 2**e with negative e is n * 2**-e
-            n <<= -e
-            e = 0
-        while n and n % 2 == 0 and e > 0:
-            n //= 2
-            e -= 1
-        if n == 0:
-            e = 0
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "e", e)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dyadic is immutable")
-
-    # -- conversions ------------------------------------------------------
-
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "Dyadic":
-        """Convert an exactly-dyadic Fraction; ValueError otherwise."""
-        den = f.denominator
-        e = den.bit_length() - 1
-        if den != 1 << e:
-            raise ValueError(f"{f} is not dyadic (denominator {den})")
-        return cls(f.numerator, e)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.n, 1 << self.e)
-
-    def __float__(self) -> float:
-        return float(self.as_fraction())
-
-    # -- arithmetic -------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, Dyadic):
-            return other
-        if isinstance(other, int):
-            return Dyadic(other, 0)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        e = max(self.e, other.e)
-        return Dyadic((self.n << (e - self.e)) + (other.n << (e - other.e)), e)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __neg__(self):
-        return Dyadic(-self.n, self.e)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Dyadic(self.n * other.n, self.e + other.e)
-
-    __rmul__ = __mul__
-
-    def halved(self) -> "Dyadic":
-        """Exact division by two."""
-        return Dyadic(self.n, self.e + 1)
-
-    # -- comparisons ------------------------------------------------------
-
-    def _key_against(self, other: "Dyadic"):
-        # self - other has the sign of n1*2**e2 - n2*2**e1
-        return (self.n << other.e) - (other.n << self.e)
-
-    def __eq__(self, other):
-        if isinstance(other, Fraction):
-            return self.as_fraction() == other
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.n == other.n and self.e == other.e
-
-    def __lt__(self, other):
-        if isinstance(other, Fraction):
-            return self.as_fraction() < other
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._key_against(other) < 0
-
-    def __hash__(self):
-        return hash(self.as_fraction())
-
-    def __bool__(self):
-        return self.n != 0
-
-    def __repr__(self):
-        return f"Dyadic({self.n}, {self.e})"
-
-    def __str__(self):
-        return str(self.as_fraction())
-
-
-_ZERO = Dyadic(0)
-_ONE = Dyadic(1)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class BudgetTable:
@@ -199,13 +61,20 @@ class BudgetTable:
     and ``w(r, s) = B(r, s) - B(r-1, s)`` is the marginal weight of one more
     wanted good.  ``C`` replaces the min with its first branch (the variant
     for the coin-flip protocol, where turn order is random) and ``w_C`` is
-    its marginal.  All values are exact :class:`Dyadic` numbers.
+    its marginal.  All values are exact ``Fraction`` numbers.
 
     Column ``s`` of ``B`` and ``C`` reads only columns ``s`` and ``s - 1``,
     so the memo holds the columns ``0 .. s`` built so far, each over
     ``-2 <= r <= r_max``; a lookup in a later column builds the missing
-    ones first.  Arguments that fall under a base-case rule are answered
-    without a lookup, anything else beyond ``r_max`` raises
+    ones first.  A column holds the ints ``V(r, s) = B(r, s) * 2**(r + 2)``
+    at index ``r + 2``, so column 0 is ``1 << i`` and the recurrences are
+    int sums::
+
+        V_B(r, s) = min(V_B(r-1, s) + V_B(r-1, s-1), 4 * V_B(r-2, s-1))
+        V_C(r, s) = V_C(r-1, s) + V_C(r-1, s-1)
+
+    Arguments that fall under a base-case rule are answered without a
+    lookup, anything else beyond ``r_max`` raises
     :class:`~groupfair.errors.CapExceededError`.  Lookups from several
     threads are safe: a column is published whole, under a lock, once.
 
@@ -218,7 +87,7 @@ class BudgetTable:
         if r_max < 1:
             raise ValueError("r_max must be >= 1")
         self.r_max = r_max
-        ones = [_ONE] * (r_max + 3)  # indices r = -2 .. r_max
+        ones = [1 << i for i in range(r_max + 3)]  # indices r = -2 .. r_max
         self._columns = [(ones, ones)]  # (B, C) column per s = 0, 1, ...
         self._lock = threading.Lock()
 
@@ -235,14 +104,13 @@ class BudgetTable:
                 s_new = len(columns)
                 prev_b, prev_c = columns[-1]
                 n = len(prev_b)
-                col_b, col_c = [_ZERO] * n, [_ZERO] * n
+                col_b, col_c = [0] * n, [0] * n
                 for i in range(s_new + 2, n):  # r = s_new .. r_max
-                    avg = (col_b[i - 1] + prev_b[i - 1]).halved()
-                    col_b[i] = min(avg, prev_b[i - 2])
-                    col_c[i] = (col_c[i - 1] + prev_c[i - 1]).halved()
+                    col_b[i] = min(col_b[i - 1] + prev_b[i - 1], 4 * prev_b[i - 2])
+                    col_c[i] = col_c[i - 1] + prev_c[i - 1]
                 columns.append((col_b, col_c))
 
-    def _lookup(self, which: int, r: int, s: int) -> Dyadic:
+    def _lookup(self, which: int, r: int, s: int) -> Fraction:
         if s <= 0:
             return _ONE
         if r < s:
@@ -253,21 +121,21 @@ class BudgetTable:
             )
         if s >= len(self._columns):
             self._grow(s)
-        return self._columns[s][which][r + 2]
+        return Fraction(self._columns[s][which][r + 2], 1 << (r + 2))
 
-    def B(self, r: int, s: int) -> Dyadic:
+    def B(self, r: int, s: int) -> Fraction:
         """Budget value ``B(r, s)``."""
         return self._lookup(0, r, s)
 
-    def w(self, r: int, s: int) -> Dyadic:
+    def w(self, r: int, s: int) -> Fraction:
         """Marginal weight ``w(r, s) = B(r, s) - B(r-1, s)``."""
         return self._lookup(0, r, s) - self._lookup(0, r - 1, s)
 
-    def C(self, r: int, s: int) -> Dyadic:
+    def C(self, r: int, s: int) -> Fraction:
         """Coin-flip budget ``C(r, s)``."""
         return self._lookup(1, r, s)
 
-    def w_C(self, r: int, s: int) -> Dyadic:
+    def w_C(self, r: int, s: int) -> Fraction:
         """Marginal coin-flip weight ``C(r, s) - C(r-1, s)``."""
         return self._lookup(1, r, s) - self._lookup(1, r - 1, s)
 
@@ -275,42 +143,41 @@ class BudgetTable:
 #: Shared table backing the module-level accessors (and the protocols); it
 #: starts empty and builds a column the first time a lookup needs it.
 DEFAULT_TABLE = BudgetTable()
-_DEFAULT = DEFAULT_TABLE
 
 
-def B(r: int, s: int) -> Dyadic:
+def B(r: int, s: int) -> Fraction:
     """``B(r, s)`` from the shared default table (r_max=64).
 
     >>> str(B(2, 1)), str(B(4, 2))
     ('3/4', '5/8')
     """
-    return _DEFAULT.B(r, s)
+    return DEFAULT_TABLE.B(r, s)
 
 
-def w(r: int, s: int) -> Dyadic:
+def w(r: int, s: int) -> Fraction:
     """``w(r, s) = B(r, s) - B(r-1, s)`` from the shared default table.
 
     >>> str(w(1, 1)), str(w(3, 2))
     ('1/2', '3/8')
     """
-    return _DEFAULT.w(r, s)
+    return DEFAULT_TABLE.w(r, s)
 
 
-def C(r: int, s: int) -> Dyadic:
+def C(r: int, s: int) -> Fraction:
     """``C(r, s)`` from the shared default table.
 
     >>> str(C(2, 1)), str(C(3, 2))
     ('3/4', '1/2')
     """
-    return _DEFAULT.C(r, s)
+    return DEFAULT_TABLE.C(r, s)
 
 
-def w_C(r: int, s: int) -> Dyadic:
+def w_C(r: int, s: int) -> Fraction:
     """``w_C(r, s) = C(r, s) - C(r-1, s)`` from the shared default table."""
-    return _DEFAULT.w_C(r, s)
+    return DEFAULT_TABLE.w_C(r, s)
 
 
-def B_closed(r: int, s: int) -> Dyadic:
+def B_closed(r: int, s: int) -> Fraction:
     """Closed form of ``B``: ``2**-r * sum(comb(r, i) for i in s..r-s+1)``.
 
     Agrees with the recurrence everywhere on ``0 <= s <= r`` (the sum is
@@ -324,7 +191,7 @@ def B_closed(r: int, s: int) -> Dyadic:
     if r < 0 or s < 0:
         raise ValueError("B_closed needs r >= 0 and s >= 0")
     total = sum(math.comb(r, i) for i in range(max(0, s), r - s + 2))
-    return Dyadic(total, r)
+    return Fraction(total, 1 << r)
 
 
 def maxh(r: int, s: int, k: int = 2) -> Fraction:

@@ -19,11 +19,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import budgets, oracles, protocols
-from .budgets import BudgetTable, Dyadic, KGroupWeights
+from .budgets import BudgetTable, KGroupWeights
 from .errors import CapExceededError, FormatError
 from .fairness import OneOfBestC, democratic_report, parse_criteria, parse_criterion
 from .model import (
     Instance,
+    allocation_doc,
     binarize_instance,
     bundles_of,
     parse_allocation,
@@ -66,8 +67,6 @@ def _fmt_weight(x) -> str:
 
 def _fmt_cell(x) -> str:
     """Three-decimal table cell (half-up), integers printed bare."""
-    if isinstance(x, Dyadic):
-        x = x.as_fraction()
     f = Fraction(x) if isinstance(x, (int, Fraction)) else None
     if f is not None:
         if f.denominator == 1:
@@ -90,8 +89,6 @@ def _bundle_text(inst: Instance, bundle) -> str:
 def _guarantee_doc(x):
     if isinstance(x, float):
         return x
-    if isinstance(x, Dyadic):
-        x = x.as_fraction()
     return rational_doc(Fraction(x))
 
 
@@ -297,10 +294,6 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _alloc_doc(inst: Instance, alloc) -> dict:
-    return {"bundles": [inst.labels(b) for b in bundles_of(alloc)]}
-
-
 def _cmd_run(args) -> int:
     inst = parse_instance(_read(args.instance))
     name = args.protocol
@@ -377,7 +370,7 @@ def _cmd_run(args) -> int:
         doc["first_group"] = args.first_group or 1
     if name == "cwav2":
         doc["seed"] = args.seed
-    doc["allocation"] = _alloc_doc(inst, result.allocation)
+    doc["allocation"] = allocation_doc(result.allocation, inst)
     doc.update(result.report.to_doc())
     doc["guarantees"] = [_guarantee_doc(x) for x in result.guarantees]
     if result.expected_guarantees is not None:
@@ -401,7 +394,7 @@ def _cmd_check(args) -> int:
     report = democratic_report(inst, alloc, crits)
     doc = {
         "criteria": [c.name for c in crits],
-        "allocation": _alloc_doc(inst, alloc),
+        "allocation": allocation_doc(alloc, inst),
     }
     doc.update(report.to_doc())
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
@@ -425,13 +418,13 @@ def _cmd_brute(args) -> int:
         doc["h"] = rational_doc(target)
         doc["found"] = res.found
         doc["witness"] = (
-            _alloc_doc(inst, res.witness) if res.witness is not None else None
+            allocation_doc(res.witness, inst) if res.witness is not None else None
         )
         doc["allocations_examined"] = res.allocations_examined
     else:
         res = oracles.max_h(inst, crits, cap=args.cap, workers=args.workers)
         doc["best_h"] = rational_doc(res.best_h)
-        doc["witness"] = _alloc_doc(inst, res.witness)
+        doc["witness"] = allocation_doc(res.witness, inst)
         doc["allocations_examined"] = res.allocations_examined
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0

@@ -65,6 +65,7 @@ __all__ = [
     "parse_instance",
     "serialize_instance",
     "parse_allocation",
+    "allocation_doc",
     "serialize_allocation",
     "binarize_instance",
 ]
@@ -76,7 +77,9 @@ GoodId = int
 MAX_TABULAR_GOODS = 16
 
 #: Most members one instance may hold, over all its groups: the bound for
-#: ``count`` in an instance document and for the all-subsets generator.
+#: ``count`` in an instance document and for the all-subsets generator.  The
+#: circle generator applies it to desired entries (``k`` groups of
+#: ``2k - 1`` members wanting ``k`` goods each), which caps it at k = 79.
 MAX_MEMBERS = 1_000_000
 
 
@@ -565,6 +568,12 @@ def _good_finder(goods: list):
     return find
 
 
+def _bad_label(labels) -> FormatError:
+    """The error for the first label in ``labels`` that is not a string."""
+    label = next(x for x in labels if not isinstance(x, str))
+    return FormatError(f"bad good label {label!r}")
+
+
 def _parse_subset_key(key: str, inst_goods: Sequence[str], find) -> int:
     """A tabular key is a comma-joined label list ('' = empty bundle).
 
@@ -574,7 +583,11 @@ def _parse_subset_key(key: str, inst_goods: Sequence[str], find) -> int:
         return 0
     parts = key.split(",") if "," in key else [key]
     if len(parts) == 1 and find(parts[0]) is None:
-        if all(len(g) == 1 for g in inst_goods):
+        try:
+            one_char = all(len(g) == 1 for g in inst_goods)
+        except TypeError:  # a good with no length, such as a number
+            raise _bad_label(inst_goods) from None
+        if one_char:
             parts = list(key)
     mask = 0
     for part in parts:
@@ -696,9 +709,13 @@ def parse_instance(text: str) -> Instance:
     order = None
     if "order" in doc:
         order_labels = doc["order"]
-        if not isinstance(order_labels, list) or sorted(order_labels) != sorted(
-            goods
-        ):
+        if not isinstance(order_labels, list):
+            raise FormatError("'order' must be a permutation of the goods")
+        try:
+            permutation = sorted(order_labels) == sorted(goods)
+        except TypeError:  # labels of types that do not compare
+            raise _bad_label(goods + order_labels) from None
+        if not permutation:
             raise FormatError("'order' must be a permutation of the goods")
         order = tuple(find(label) for label in order_labels)
     try:
@@ -777,9 +794,13 @@ def parse_allocation(text: str, inst: Instance) -> Allocation:
     return Allocation(tuple(assignment), inst.k)
 
 
+def allocation_doc(alloc: Allocation, inst: Instance) -> dict:
+    """The allocation document ``{"bundles": [[labels...], ...]}``."""
+    return {"bundles": [inst.labels(b) for b in bundles_of(alloc)]}
+
+
 def serialize_allocation(alloc: Allocation, inst: Instance) -> str:
-    doc = {"bundles": [inst.labels(b) for b in bundles_of(alloc)]}
-    return json.dumps(doc, indent=2)
+    return json.dumps(allocation_doc(alloc, inst), indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -482,6 +482,11 @@ def generate(spec) -> Instance:
         return Instance.from_valuations(goods, [list(members)] * spec.k)
     if isinstance(spec, Circle):
         n = 2 * spec.k - 1
+        if spec.k * n * spec.k > MAX_MEMBERS:
+            raise CapExceededError(
+                f"circle instance would have {spec.k * n * spec.k} desired"
+                f" entries, which exceeds the cap of {MAX_MEMBERS}"
+            )
         goods = tuple(f"g{i + 1}" for i in range(n))
         members = [
             BinaryValuation(

@@ -26,7 +26,7 @@ order of good weights: ties go to the lowest good index exactly.  ``Q`` is
 exact value unless that lies within a relative ``2**-64`` of a point halfway
 between two floats.  For ``d = 1``, ``Q = 0``: the two-group budgets scaled
 by ``2**R``, integers by :func:`~groupfair.budgets.B_closed`, with
-``Dyadic`` trace values.  Each ``(r, s)`` is priced once per run, and each
+``Fraction`` trace values.  Each ``(r, s)`` is priced once per run, and each
 group's per-good weight totals are updated incrementally from the weight
 changes of the members a pick touches.
 """
@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import budgets
-from .budgets import Dyadic, KGroupWeights
+from .budgets import KGroupWeights
 from .fairness import (
     EFc,
     FairnessReport,
@@ -256,11 +256,14 @@ def _root_floor(n: int, d: int) -> int:
 
 
 def _table_price(budget, weight, pay):
-    """A two-group table's ``Dyadic`` values as ledger ints: ``n / 2**e``
-    is ``n * lpow(e)``, since ``L = 2``."""
+    """A two-group table's values as ledger ints: ``n / 2**e`` is
+    ``n * lpow(e)``, since ``L = 2``."""
 
     def price(r: int, s: int, lpow):
-        return tuple(v.n * lpow(v.e) for v in (budget(r, s), weight(r, s), pay(r, s)))
+        return tuple(
+            v.numerator * lpow(v.denominator.bit_length() - 1)
+            for v in (budget(r, s), weight(r, s), pay(r, s))
+        )
 
     return price
 
@@ -275,7 +278,7 @@ def _kgroup_price(r: int, s: int, lpow):
 
 
 def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
-                       budget_name: str, d: int = 1, number=Dyadic):
+                       budget_name: str, d: int = 1, number=Fraction):
     """The weighted-approval picking loop behind :func:`rwav2`,
     :func:`cwav2` and :func:`rwavk`.
 
@@ -284,9 +287,10 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
     ``(r, s)`` as ledger ints, where ``lpow(j)`` is the ledger int of
     ``L**-j`` and ``L = 2**(1/d)``.  A member pays its pay when its own
     group takes a good it wants and is refunded its weight when another
-    group does.  ``number(n, e)`` turns a ledger int into the trace's
-    number ``n / 2**e``.  Returns the allocation, the trace and each
-    group's starting ``(r, s)`` pairs.
+    group does.  ``number(n, unit)`` turns a ledger int ``n`` into the
+    trace's number ``n / unit``, where ``unit`` is the ledger int of 1.
+    Returns the allocation, the trace and each group's starting ``(r, s)``
+    pairs.
     """
     k = inst.k
     sfuncs = tuple(SFunction(c, k) for c in crits)
@@ -324,7 +328,7 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
     def traced(value: int):
         """The trace's number for a ledger int."""
         if value not in numbers:
-            numbers[value] = number(value, shift)
+            numbers[value] = number(value, 1 << shift)
         return numbers[value]
 
     m = inst.m
@@ -433,7 +437,6 @@ def rwav2(inst: Instance, criterion, first_group: int = 0, table=None) -> RunRes
     )
     guarantees = tuple(
         min(tbl.B(r if g == first_group else r - 1, s) for r, s in start[g])
-        .as_fraction()
         for g in range(2)
     )
     return RunResult(
@@ -579,74 +582,18 @@ def identical_local_search(inst: Instance) -> RunResult:
 # line protocols
 
 
-def line2(inst: Instance) -> RunResult:
-    """Cut-and-choose along the good order: half of each group gets EF1.
+def _line(inst: Instance, kind: str, criterion, label: str, holds) -> RunResult:
+    """The block-claiming loop behind :func:`line2` and :func:`linek`.
 
-    A left block grows one good at a time (in the instance's ``order``).
-    After every step each agent is asked whether the left block versus its
-    complement would be EF1 for them; as soon as half of some group says
-    yes (group 1 wins ties), that group takes the left block and the other
-    group takes the rest.
-    """
-    if inst.k != 2:
-        raise ValueError("line2 needs exactly two groups")
-    criterion = EFc(1)
-    order = list(inst.order)
-    left: list = []
-    records = []
-    while True:
-        left_bundle = Bundle.from_indices(left, inst.m)
-        right_bundle = left_bundle.complement()
-        right = [g for g in order if g not in left]
-        counts = []
-        claimed = None
-        for g, grp in enumerate(inst.groups):
-            yes = sum(
-                1
-                for agent in grp
-                if efc_holds(agent.valuation, left_bundle, (right_bundle,), 1)
-            )
-            counts.append((g, yes, len(grp)))
-            if 2 * yes >= len(grp):
-                claimed = g
-                break
-        records.append(
-            PrefixRecord(tuple(left), tuple(right), tuple(counts), claimed)
-        )
-        if claimed is not None:
-            other = 1 - claimed
-            bundles = [None, None]
-            bundles[claimed] = left_bundle
-            bundles[other] = right_bundle
-            alloc = Allocation.from_bundles(bundles)
-            report = democratic_report(inst, alloc, (criterion, criterion))
-            bound = Fraction(1, 2)
-            return RunResult(
-                protocol="line2",
-                allocation=alloc,
-                report=report,
-                guarantees=(bound, bound),
-                criteria=(criterion, criterion),
-                trace=LineTrace("line2", "EF1", tuple(records), other),
-            )
-        if not right:
-            raise ProtocolInvariantError("line2 exhausted goods without a claim")
-        left.append(right[0])
-
-
-def linek(inst: Instance) -> RunResult:
-    """Left-to-right block claiming: 1/k of each group gets PROP(k-1).
-
-    The block grows along the good order; an active group claims it as soon
-    as 1/k of its members find the block PROP(k-1) (benchmarked against all
-    goods and the original k, lowest group index wins ties).  A claiming
-    group leaves with the block, the block restarts empty, and the last
-    active group takes whatever remains.
+    A left block grows one good at a time along the instance's ``order``
+    over the goods still unclaimed.  After every step the active groups are
+    polled in index order: a member says yes when ``holds(valuation, left,
+    right)`` does, with ``right`` the unclaimed goods outside the block, and
+    the first group where ``k * yes >= size`` claims the block and leaves.
+    The block then restarts empty, and the last active group takes what
+    remains.
     """
     k = inst.k
-    if k < 2:
-        raise ValueError("linek needs at least two groups")
-    criterion = PROPc(k - 1)
     remaining = list(inst.order)
     active = list(range(k))
     bundles = [None] * k
@@ -655,14 +602,14 @@ def linek(inst: Instance) -> RunResult:
     while len(active) > 1:
         left_bundle = Bundle.from_indices(left, inst.m)
         right = [g for g in remaining if g not in left]
+        right_bundle = Bundle.from_indices(right, inst.m)
         counts = []
         claimed = None
         for g in active:
             grp = inst.groups[g]
             yes = sum(
-                1
-                for agent in grp
-                if propc_holds(agent.valuation, left_bundle, k, k - 1)
+                1 for agent in grp
+                if holds(agent.valuation, left_bundle, right_bundle)
             )
             counts.append((g, yes, len(grp)))
             if k * yes >= len(grp):
@@ -678,21 +625,51 @@ def linek(inst: Instance) -> RunResult:
             left = []
             continue
         if not right:
-            raise ProtocolInvariantError("linek exhausted goods without a claim")
+            raise ProtocolInvariantError(f"{kind} exhausted goods without a claim")
         left.append(right[0])
     last = active[0]
     bundles[last] = Bundle.from_indices(remaining, inst.m)
     alloc = Allocation.from_bundles(bundles)
-    report = democratic_report(inst, alloc, criterion)
     bound = Fraction(1, k)
     return RunResult(
-        protocol="linek",
+        protocol=kind,
         allocation=alloc,
-        report=report,
+        report=democratic_report(inst, alloc, criterion),
         guarantees=(bound,) * k,
         criteria=(criterion,) * k,
-        trace=LineTrace("linek", f"PROP-{k - 1}", tuple(records), last),
+        trace=LineTrace(kind, label, tuple(records), last),
     )
+
+
+def line2(inst: Instance) -> RunResult:
+    """Cut-and-choose along the good order: half of each group gets EF1.
+
+    A left block grows one good at a time (in the instance's ``order``).
+    After every step each agent is asked whether the left block versus its
+    complement would be EF1 for them; as soon as half of some group says
+    yes (group 1 wins ties), that group takes the left block and the other
+    group takes the rest.
+    """
+    if inst.k != 2:
+        raise ValueError("line2 needs exactly two groups")
+    return _line(inst, "line2", EFc(1), "EF1",
+                 lambda v, left, right: efc_holds(v, left, (right,), 1))
+
+
+def linek(inst: Instance) -> RunResult:
+    """Left-to-right block claiming: 1/k of each group gets PROP(k-1).
+
+    The block grows along the good order; an active group claims it as soon
+    as 1/k of its members find the block PROP(k-1) (benchmarked against all
+    goods and the original k, lowest group index wins ties).  A claiming
+    group leaves with the block, the block restarts empty, and the last
+    active group takes whatever remains.
+    """
+    k = inst.k
+    if k < 2:
+        raise ValueError("linek needs at least two groups")
+    return _line(inst, "linek", PROPc(k - 1), f"PROP-{k - 1}",
+                 lambda v, left, right: propc_holds(v, left, k, k - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +700,7 @@ def rwavk(inst: Instance, c: int) -> RunResult:
     alloc, trace, _ = _weighted_approval(
         binarize_instance(inst, c), (criterion,) * k, "rwavk",
         itertools.cycle(range(k)).__next__, _kgroup_price, "B_k", d=k - 1,
-        number=lambda n, e: n / (1 << e),
+        number=operator.truediv,
     )
     return RunResult(
         protocol="rwavk",
@@ -854,6 +831,6 @@ def cwav2(inst: Instance, criterion, seed: int) -> RunResult:
         criteria=crits,
         trace=trace,
         expected_guarantees=tuple(
-            min(tbl.C(r, s) for r, s in start[g]).as_fraction() for g in range(2)
+            min(tbl.C(r, s) for r, s in start[g]) for g in range(2)
         ),
     )

@@ -2,7 +2,7 @@
 
 These are the straightforward implementations of ``rwav2``, ``cwav2`` and
 ``rwavk``: every turn re-sums the acting group's member weights for every
-remaining good.  The two-group ledger is kept in ``Dyadic`` numbers; the
+remaining good.  The two-group ledger is kept in ``Fraction`` numbers; the
 ``k``-group one in exact vectors over ``Q(L)``, ``L = 2**(1/(k-1))``,
 ordered by interval bounds on ``L`` refined until the sign is certain.
 The property tests in ``test_picking_engine.py`` require the integer-ledger
@@ -18,7 +18,7 @@ import warnings
 from fractions import Fraction
 
 from groupfair import budgets
-from groupfair.budgets import Dyadic, KGroupWeights
+from groupfair.budgets import KGroupWeights
 from groupfair.fairness import (
     OneOfBestC,
     SFunction,
@@ -67,7 +67,7 @@ def reference_rwav2(inst: Instance, criterion, first_group: int = 0, table=None)
     bal = [[-tbl.B(r[g][j], s[g][j]) for j in range(len(grp))]
            for g, grp in enumerate(desired)]
     group_bal = [
-        sum((tbl.B(r[g][j], s[g][j]) for j in range(len(grp))), Dyadic(0))
+        sum((tbl.B(r[g][j], s[g][j]) for j in range(len(grp))), Fraction(0))
         for g, grp in enumerate(desired)
     ]
 
@@ -83,7 +83,7 @@ def reference_rwav2(inst: Instance, criterion, first_group: int = 0, table=None)
         good_weights = []
         for good in remaining:
             bit = 1 << good
-            total = Dyadic(0)
+            total = Fraction(0)
             for j, mask in enumerate(desired[g]):
                 if mask & bit:
                     total = total + member_states[j][2]
@@ -140,12 +140,12 @@ def reference_rwav2(inst: Instance, criterion, first_group: int = 0, table=None)
     for g in range(2):
         if g == first_group:
             bound = min(
-                tbl.B(r0[g][j], s0[g][j]).as_fraction()
+                tbl.B(r0[g][j], s0[g][j])
                 for j in range(len(desired[g]))
             )
         else:
             bound = min(
-                tbl.B(r0[g][j] - 1, s0[g][j]).as_fraction()
+                tbl.B(r0[g][j] - 1, s0[g][j])
                 for j in range(len(desired[g]))
             )
         guarantees.append(bound)
@@ -185,7 +185,7 @@ def reference_cwav2(inst: Instance, criterion, seed: int) -> RunResult:
     bal = [[-tbl.C(r[g][j], s[g][j]) for j in range(len(grp))]
            for g, grp in enumerate(desired)]
     group_bal = [
-        sum((tbl.C(r[g][j], s[g][j]) for j in range(len(grp))), Dyadic(0))
+        sum((tbl.C(r[g][j], s[g][j]) for j in range(len(grp))), Fraction(0))
         for g, grp in enumerate(desired)
     ]
 
@@ -201,7 +201,7 @@ def reference_cwav2(inst: Instance, criterion, seed: int) -> RunResult:
         good_weights = []
         for good in remaining:
             bit = 1 << good
-            total = Dyadic(0)
+            total = Fraction(0)
             for j, mask in enumerate(desired[g]):
                 if mask & bit:
                     total = total + member_states[j][2]
@@ -255,7 +255,7 @@ def reference_cwav2(inst: Instance, criterion, seed: int) -> RunResult:
     report = democratic_report(inst, alloc, crits)
     expected = tuple(
         min(
-            tbl.C(r0[g][j], s0[g][j]).as_fraction()
+            tbl.C(r0[g][j], s0[g][j])
             for j in range(len(desired[g]))
         )
         for g in range(2)

@@ -9,11 +9,12 @@ to agree with it on every value, every repr and every cap error.
 
 from __future__ import annotations
 
-from groupfair.budgets import Dyadic
+from fractions import Fraction
+
 from groupfair.errors import CapExceededError
 
-_ZERO = Dyadic(0)
-_ONE = Dyadic(1)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class EagerBudgetTable:
@@ -32,14 +33,14 @@ class EagerBudgetTable:
                     self._B[r + 2][s + 2] = _ZERO
                     self._C[r + 2][s + 2] = _ZERO
                     continue
-                avg = (self._B[r + 1][s + 2] + self._B[r + 1][s + 1]).halved()
+                avg = (self._B[r + 1][s + 2] + self._B[r + 1][s + 1]) / 2
                 drop = self._B[r][s + 1]
                 self._B[r + 2][s + 2] = min(avg, drop)
                 self._C[r + 2][s + 2] = (
                     self._C[r + 1][s + 2] + self._C[r + 1][s + 1]
-                ).halved()
+                ) / 2
 
-    def _lookup(self, grid, r: int, s: int) -> Dyadic:
+    def _lookup(self, grid, r: int, s: int) -> Fraction:
         if s <= 0:
             return _ONE
         if r < s:
@@ -50,14 +51,14 @@ class EagerBudgetTable:
             )
         return grid[r + 2][s + 2]
 
-    def B(self, r: int, s: int) -> Dyadic:
+    def B(self, r: int, s: int) -> Fraction:
         return self._lookup(self._B, r, s)
 
-    def w(self, r: int, s: int) -> Dyadic:
+    def w(self, r: int, s: int) -> Fraction:
         return self._lookup(self._B, r, s) - self._lookup(self._B, r - 1, s)
 
-    def C(self, r: int, s: int) -> Dyadic:
+    def C(self, r: int, s: int) -> Fraction:
         return self._lookup(self._C, r, s)
 
-    def w_C(self, r: int, s: int) -> Dyadic:
+    def w_C(self, r: int, s: int) -> Fraction:
         return self._lookup(self._C, r, s) - self._lookup(self._C, r - 1, s)

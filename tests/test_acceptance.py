@@ -21,7 +21,6 @@ from groupfair.budgets import (
     B_closed,
     BudgetTable,
     DEFAULT_TABLE,
-    Dyadic,
     KGroupWeights,
     maxh_finite,
 )
@@ -105,10 +104,10 @@ def test_01_rwav2_reproduces_both_sample_runs(mixed_two_group):
     assert [inst.goods[t.pick] for t in first.trace.turns] == list("wzxvy")
     opening = first.trace.turns[0]
     assert opening.member_states == (
-        ((2, 1, Dyadic(1, 2)),) * 2
-        + ((3, 1, Dyadic(1, 3)),)
-        + ((4, 2, Dyadic(1, 2)),) * 5
-        + ((2, 1, Dyadic(1, 2)),) * 3
+        ((2, 1, Fraction(1, 2**2)),) * 2
+        + ((3, 1, Fraction(1, 2**3)),)
+        + ((4, 2, Fraction(1, 2**2)),) * 5
+        + ((2, 1, Fraction(1, 2**2)),) * 3
     )
     assert {inst.goods[g]: t for g, t in opening.good_weights} == {
         "v": Fraction(5, 8),
@@ -126,7 +125,7 @@ def test_01_rwav2_reproduces_both_sample_runs(mixed_two_group):
     assert [inst.goods[t.pick] for t in second.trace.turns] == list("zwvxy")
     opening = second.trace.turns[0]
     assert opening.member_states == (
-        ((4, 1, Dyadic(1, 4)),) * 2 + ((2, 1, Dyadic(1, 2)),) * 3
+        ((4, 1, Fraction(1, 2**4)),) * 2 + ((2, 1, Fraction(1, 2**2)),) * 3
     )
     assert {inst.goods[g]: t for g, t in opening.good_weights} == {
         "v": Fraction(3, 4),
@@ -225,7 +224,7 @@ _W_GRID = (
 
 
 def _three_decimals(value) -> Decimal:
-    frac = value.as_fraction() if isinstance(value, Dyadic) else Fraction(value)
+    frac = Fraction(value)
     return (Decimal(frac.numerator) / Decimal(frac.denominator)).quantize(
         Decimal("0.001"), rounding=ROUND_HALF_UP
     )
@@ -236,7 +235,7 @@ def test_03_budget_recurrence_matches_closed_form():
     table = BudgetTable(30)
     for r in range(31):
         for s in range(r + 1):
-            assert table.B(r, s).as_fraction() == B_closed(r, s)
+            assert table.B(r, s) == B_closed(r, s)
     assert budget_w(1, 1) == Fraction(1, 2)
     assert budget_w(3, 2) == Fraction(3, 8)
     assert budget_B(2, 1) == Fraction(3, 4)
@@ -266,12 +265,12 @@ def test_04_budget_table_property_suite():
             assert table.B(r, s) == 0
     for s in range(31):
         for r in range(max(1, 2 * s - 1), 31):
-            averaged = (table.B(r - 1, s) + table.B(r - 1, s - 1)).halved()
+            averaged = (table.B(r - 1, s) + table.B(r - 1, s - 1)) / 2
             assert table.B(r, s) == averaged
     for c in range(3, 9):
         floor_bound = 1 - Fraction(1, 2 ** (c - 1))
         for s in range(1, 13):
-            assert table.B(c * s - 1, s).as_fraction() >= floor_bound
+            assert table.B(c * s - 1, s) >= floor_bound
             # binomial tail bound behind the c >= 3 guarantee
             lead = sum(math.comb(c * s - 1, i) for i in range(s))
             trail = sum(math.comb(c * s - 1, i) for i in range(s - 1))
@@ -332,7 +331,7 @@ def test_05_balance_invariants_on_random_runs():
                     table.B(mask.bit_count(), need[g][j])
                     for j, mask in enumerate(live[g])
                 ),
-                Dyadic(0),
+                Fraction(0),
             )
             for g in range(2)
         ]
@@ -628,7 +627,7 @@ def test_11_coinflip_replay_and_expectation():
         samples.append(float(fractions[0] + fractions[1]) / 2)
     mean = statistics.fmean(samples)
     stderr = statistics.stdev(samples) / math.sqrt(len(samples))
-    target = DEFAULT_TABLE.C(3, 2).as_fraction()
+    target = DEFAULT_TABLE.C(3, 2)
     assert target == Fraction(1, 2)
     assert mean >= float(target) - 3 * stderr
     assert time.perf_counter() - start < 30.0

@@ -14,14 +14,13 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from groupfair.budgets import (
     B,
     B_closed,
     BudgetTable,
     C,
-    Dyadic,
     KGroupWeights,
     maxh,
     maxh_finite,
@@ -29,35 +28,9 @@ from groupfair.budgets import (
     w_C,
 )
 from groupfair.errors import CapExceededError
+from groupfair.protocols import _table_price
 
 from table_reference import EagerBudgetTable
-
-
-# ---------------------------------------------------------------------------
-# Dyadic
-
-
-@given(st.integers(-1000, 1000), st.integers(0, 20),
-       st.integers(-1000, 1000), st.integers(0, 20))
-def test_dyadic_matches_fraction(a, ea, b, eb):
-    x, y = Dyadic(a, ea), Dyadic(b, eb)
-    fx, fy = Fraction(a, 2**ea), Fraction(b, 2**eb)
-    assert (x + y).as_fraction() == fx + fy
-    assert (x - y).as_fraction() == fx - fy
-    assert (x * y).as_fraction() == fx * fy
-    assert (x < y) == (fx < fy)
-    assert (x == y) == (fx == fy)
-    assert x.halved().as_fraction() == fx / 2
-
-
-def test_dyadic_canonical():
-    assert Dyadic(4, 2) == Dyadic(1, 0) == 1
-    assert Dyadic(0, 7) == Dyadic(0)
-    assert hash(Dyadic(3, 2)) == hash(Fraction(3, 4))
-    assert float(Dyadic(3, 2)) == 0.75
-    assert Dyadic.from_fraction(Fraction(5, 8)) == Dyadic(5, 3)
-    with pytest.raises(ValueError):
-        Dyadic.from_fraction(Fraction(1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +72,7 @@ def test_zero_region():
 def test_simplified_recurrence_region():
     for s in range(1, 13):
         for r in range(max(1, 2 * s - 1), 31):
-            assert B(r, s) == (B(r - 1, s) + B(r - 1, s - 1)).halved()
+            assert B(r, s) == (B(r - 1, s) + B(r - 1, s - 1)) / 2
 
 
 def test_monotonicity():
@@ -132,7 +105,7 @@ def test_three_decimal_grid():
         (10, 4): "0.117", (10, 5): "0.205",
     }
     for (r, s), text in expected.items():
-        f = w(r, s).as_fraction()
+        f = w(r, s)
         got = str((Decimal(f.numerator) / Decimal(f.denominator)).quantize(
             Decimal("0.001"), rounding=ROUND_HALF_UP))
         assert got == text, (r, s, got, text)
@@ -210,6 +183,32 @@ def test_lazy_table_threads_agree():
 
 
 # ---------------------------------------------------------------------------
+# scaled ints in, Fraction out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 3))
+def test_values_are_dyadic_and_price_exactly(r_max, extra):
+    table = BudgetTable(r_max)
+    P = r_max + extra  # the ledger unit is 2**-P when r_max is the run's R
+
+    def rwav2_pay(r, s):
+        return max(table.w(r, s), table.w(r - 1, s - 1))
+
+    families = ((table.B, table.w, rwav2_pay), (table.C, table.w_C, table.w_C))
+    for r in range(r_max + 1):
+        for s in range(r + 1):
+            for name in ("B", "w", "C", "w_C"):
+                value = getattr(table, name)(r, s)
+                assert type(value) is Fraction, (name, r, s)
+                den = value.denominator
+                assert den & (den - 1) == 0 and (1 << r) % den == 0, (name, r, s)
+            for family in families:
+                ints = _table_price(*family)(r, s, lambda j: 1 << (P - j))
+                assert list(ints) == [f(r, s) * 2**P for f in family], (r, s)
+
+
+# ---------------------------------------------------------------------------
 # C (averaged variant)
 
 
@@ -223,7 +222,7 @@ def test_c_pinned_and_halfway():
 def test_c_is_always_average():
     for r in range(1, 25):
         for s in range(1, r + 1):
-            assert C(r, s) == (C(r - 1, s) + C(r - 1, s - 1)).halved()
+            assert C(r, s) == (C(r - 1, s) + C(r - 1, s - 1)) / 2
 
 
 def test_c_pick_identity():
@@ -250,7 +249,7 @@ def test_maxh_matches_coinflip_tail():
     # which the C recurrence computes by a completely different route
     for s in range(1, 10):
         for r in range(2 * s, 25):
-            assert maxh(r, s, 2) == C(r, s).as_fraction()
+            assert maxh(r, s, 2) == C(r, s)
     for s in range(1, 10):
         for r in range(s, 2 * s):
             assert maxh(r, s, 2) == 0

@@ -242,6 +242,20 @@ def test_member_count_cap_exits_3(tmp_path, capsys):
     assert f"more than {MAX_MEMBERS} members" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"goods": [1, "a"],  # the concatenated-key fallback asks each good's length
+     "groups": [[{"type": "tabular", "values": {"xy": 0}}]]},
+    {"goods": ["a", "b"],  # sorting a mixed order compares str with int
+     "groups": [[{"type": "binary", "desired": ["a"]}]], "order": ["a", 1]},
+])
+def test_non_string_goods_exit_2(doc, tmp_path, capsys):
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", "--protocol", "line2",
+                             "--instance", str(path))
+    assert (code, out, err) == (2, "", "error: bad good label 1\n")
+
+
 def test_deeply_nested_json_exits_2(b1_path, tmp_path, capsys):
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 100_000 + "]" * 100_000)
@@ -472,6 +486,14 @@ def test_gen_member_cap(capsys):
         capsys, "gen", "--spec", "all-subsets:r=12,s=6,k=2,m=12"
     )
     assert code == 3 and "members" in err
+
+
+def test_gen_circle_cap(capsys):
+    # k groups of 2k - 1 members wanting k goods each: 79 is the last k
+    # within MAX_MEMBERS desired entries
+    code, out, err = run_cli(capsys, "gen", "--spec", "circle:k=80")
+    assert code == 3 and out == ""
+    assert f"exceeds the cap of {MAX_MEMBERS}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -348,10 +348,21 @@ def _parse_outcome(parse, text):
     '{"goods": ["a", "a"], "groups": [[{"type": "tabular",'
     ' "values": {"": 0, "a": 1}}]]}'
 )
+@example(  # a good with no length meets the concatenated-key fallback
+    '{"goods": [1, "a"], "groups": [[{"type": "tabular",'
+    ' "values": {"xy": 0}}]]}'
+)
+@example(  # an order mixing str and int labels does not sort
+    '{"goods": ["a", 1], "groups": [[{"type": "binary", "desired": []}]],'
+    ' "order": ["a", 1]}'
+)
 def test_parse_instance_matches_scanning_reference(text):
-    assert _parse_outcome(parse_instance, text) == _parse_outcome(
-        reference_parse_instance, text
-    )
+    got = _parse_outcome(parse_instance, text)
+    expected = _parse_outcome(reference_parse_instance, text)
+    if expected[0] == "TypeError":  # the reference's traceback is a FormatError
+        assert got[0] == "FormatError" and got[1].startswith("bad good label ")
+    else:
+        assert got == expected
 
 
 @st.composite

@@ -2,7 +2,7 @@
 
 ``rwav2``, ``cwav2`` and ``rwavk`` run on one engine that keeps the payment
 ledger in scaled ints.  These tests hold it to the loops in
-``picking_reference.py`` (``Dyadic`` for two groups, exact ``Q(L)``
+``picking_reference.py`` (``Fraction`` for two groups, exact ``Q(L)``
 vectors for ``k`` groups): same allocation, guarantees, report and trace,
 field by field and type by type, the same ``CapExceededError`` under a
 small budget table, and a ledger check that still fires.
@@ -10,12 +10,13 @@ small budget table, and a ledger check that still fires.
 
 import dataclasses
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupfair import budgets
-from groupfair.budgets import BudgetTable, Dyadic
+from groupfair.budgets import BudgetTable
 from groupfair.errors import CapExceededError
 from groupfair.fairness import (
     MMS,
@@ -71,7 +72,7 @@ def assert_same_run(new, ref):
     for got, want in zip(new.trace.turns, ref.trace.turns):
         for f in dataclasses.fields(want):
             a, b = getattr(got, f.name), getattr(want, f.name)
-            # repr also tells a Dyadic from an int or a Fraction of equal value
+            # repr also tells a Fraction from an int or a float of equal value
             assert (a, repr(a)) == (b, repr(b)), f"turn {want.turn} {f.name}"
 
 
@@ -135,11 +136,11 @@ class OffByOneUnit(BudgetTable):
 
     def w(self, r, s):
         value = super().w(r, s)
-        return value + Dyadic(1, 4) if (r, s) == (2, 1) else value
+        return value + Fraction(1, 2**4) if (r, s) == (2, 1) else value
 
     def w_C(self, r, s):
         value = super().w_C(r, s)
-        return value + Dyadic(1, 4) if (r, s) == (2, 1) else value
+        return value + Fraction(1, 2**4) if (r, s) == (2, 1) else value
 
 
 def test_ledger_check_catches_a_wrong_weight(mixed_two_group):

@@ -5,12 +5,14 @@ instances (see conftest fixtures); random instances then exercise the
 built-in balance invariants and the guarantee bounds.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from groupfair.budgets import C, Dyadic, KGroupWeights
+from groupfair.budgets import C, KGroupWeights
 from groupfair.fairness import (
     EFc,
     FractionMMS,
@@ -18,12 +20,21 @@ from groupfair.fairness import (
     OneOutOfCMMS,
     democratic_report,
 )
-from groupfair.model import Allocation, Instance, bundles_of
+from groupfair.model import (
+    AdditiveValuation,
+    Allocation,
+    BinaryValuation,
+    Bundle,
+    Instance,
+    TabularValuation,
+    bundles_of,
+)
 from groupfair.protocols import (
     BestKTrace,
     EnhancedSplit,
     LineTrace,
     MoveRecord,
+    ProtocolInvariantError,
     ProtocolTrace,
     RunResult,
     SearchTrace,
@@ -39,6 +50,7 @@ from groupfair.protocols import (
 )
 
 from conftest import GOODS5, addval, binval, random_binary_instance
+from line_reference import reference_line2, reference_linek
 
 MIXED_CRITERIA = (OneOutOfCMMS(2), OneOfBestC(2))
 
@@ -68,10 +80,10 @@ def test_rwav2_first_group_one_of_two(mixed_two_group):
     first = result.trace.turns[0]
     assert first.group == 0
     states = first.member_states
-    assert states[0] == states[1] == (2, 1, Dyadic(1, 2))
-    assert states[2] == (3, 1, Dyadic(1, 3))
-    assert states[3:8] == ((4, 2, Dyadic(1, 2)),) * 5
-    assert states[8:] == ((2, 1, Dyadic(1, 2)),) * 3
+    assert states[0] == states[1] == (2, 1, Fraction(1, 2**2))
+    assert states[2] == (3, 1, Fraction(1, 2**3))
+    assert states[3:8] == ((4, 2, Fraction(1, 2**2)),) * 5
+    assert states[8:] == ((2, 1, Fraction(1, 2**2)),) * 3
     totals = {inst.goods[g]: w for g, w in first.good_weights}
     assert totals == {
         "v": Fraction(5, 8),
@@ -98,11 +110,11 @@ def test_rwav2_other_group_first(mixed_two_group):
     first = result.trace.turns[0]
     assert first.group == 1
     assert first.member_states == (
-        (4, 1, Dyadic(1, 4)),
-        (4, 1, Dyadic(1, 4)),
-        (2, 1, Dyadic(1, 2)),
-        (2, 1, Dyadic(1, 2)),
-        (2, 1, Dyadic(1, 2)),
+        (4, 1, Fraction(1, 2**4)),
+        (4, 1, Fraction(1, 2**4)),
+        (2, 1, Fraction(1, 2**2)),
+        (2, 1, Fraction(1, 2**2)),
+        (2, 1, Fraction(1, 2**2)),
     )
     totals = {inst.goods[g]: w for g, w in first.good_weights}
     assert totals == {
@@ -344,6 +356,60 @@ def test_linek_on_two_groups_matches_prop1(additive_three_groups):
     result = linek(inst)
     assert result.trace.criterion_label == "PROP-1"
     assert result.report.h >= Fraction(1, 2)
+
+
+@st.composite
+def _valuations(draw, m):
+    kind = draw(st.sampled_from(["additive", "binary", "tabular"]))
+    if kind == "binary":
+        return BinaryValuation(Bundle(draw(st.integers(0, (1 << m) - 1)), m))
+    if kind == "additive":
+        return AdditiveValuation(tuple(
+            Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 3)))
+            for _ in range(m)
+        ))
+    # monotone: a bundle is worth its best one-smaller subset plus a gain
+    table = [Fraction(0)] * (1 << m)
+    for mask in range(1, 1 << m):
+        table[mask] = max(
+            table[mask & ~(1 << i)] for i in range(m) if mask >> i & 1
+        ) + Fraction(draw(st.integers(0, 4)), draw(st.integers(1, 2)))
+    return TabularValuation(tuple(table), m)
+
+
+@st.composite
+def line_instances(draw, k):
+    m = draw(st.integers(1, 5))
+    groups = [
+        [draw(_valuations(m)) for _ in range(draw(st.integers(1, 4)))]
+        for _ in range(k)
+    ]
+    order = draw(st.permutations(range(m)))
+    return Instance.from_valuations(tuple(f"g{i}" for i in range(m)), groups, order)
+
+
+def _line_outcome(protocol, inst):
+    """Every output field of a line-protocol run, or its error."""
+    try:
+        result = protocol(inst)
+    except ProtocolInvariantError as exc:
+        return type(exc), str(exc)
+    trace = result.trace
+    fields = [
+        result.protocol, result.allocation, result.report, result.guarantees,
+        result.criteria, result.expected_guarantees, type(trace), trace.kind,
+        trace.criterion_label, trace.remainder_group,
+        *(dataclasses.astuple(rec) for rec in trace.records),
+    ]
+    return fields, repr(fields)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 4).flatmap(line_instances))
+def test_line_protocols_match_reference_loops(inst):
+    if inst.k == 2:
+        assert _line_outcome(line2, inst) == _line_outcome(reference_line2, inst)
+    assert _line_outcome(linek, inst) == _line_outcome(reference_linek, inst)
 
 
 # ---------------------------------------------------------------------------
