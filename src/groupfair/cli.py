@@ -402,6 +402,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_brute(args) -> int:
+    if args.workers < 1:
+        raise _CliError("--workers must be at least 1")
     if args.spec:
         spec = oracles.parse_spec(args.spec)
         inst = oracles.generate(spec)

@@ -6,15 +6,21 @@ allocation leaves at least ``h`` of every group happy), together with the
 lexicographically-smallest witness.  :func:`exists_h` is its short-circuit
 decision form.
 
-Both sweep the index space in numpy chunks with one decode: each index
-becomes one own-bundle mask per group.  One of two scoring rules then
-counts each group's happy members.  When every member is binary and its
-criterion is an own-count threshold, the binary rule compares popcounts
-against the thresholds.  Otherwise the table rule gathers from per-group
-count tables over own-bundle masks, plus exact rank tables for EF-c
-members, all compiled from each valuation's
-:func:`groupfair.model.int_table`.  What each criterion means comes from
-:mod:`groupfair.fairness`.
+Both sweep the index space in blocks with one decode: an index is a row
+of its high base-``k`` digits and a column of its low ones, each group's
+bundle is the OR of a row mask and a column mask from two small tables,
+and a block is a run of whole rows (or part of one row).  One of two
+scoring rules then counts each group's happy members over the block.
+When every member is binary and its criterion is an own-count threshold,
+the binary rule counts desired goods per half -- ``popcount(d & bundle)``
+is a row count plus a column count -- and gets a group's happy count from
+per-row and per-column tables in one matrix product, run in float64 and
+exact because every partial sum is an integer no larger than the group's
+size (see :func:`_binary_rule`).  Otherwise the table rule gathers from
+per-group count tables over own-bundle masks, plus exact rank tables for
+EF-c members, all compiled from each valuation's
+:func:`groupfair.model.int_table`.  Scores are exact int64 throughout.
+What each criterion means comes from :mod:`groupfair.fairness`.
 numpy is imported by the sweep functions themselves, and the thread pool
 by :func:`max_h` only when ``workers > 1``, so importing this module (and
 running any CLI command but ``brute``) loads neither.
@@ -26,6 +32,7 @@ families, circular blocks, and the additive rotation example.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -71,6 +78,8 @@ __all__ = [
 
 DEFAULT_CAP = 1 << 24
 _CHUNK = 1 << 16
+#: most entries in one piece of a binary-rule table (1 MiB of float64)
+_PIECE = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -103,47 +112,91 @@ class ExistsResult:
 # happiness compilation
 
 
-def _binary_rule(inst: Instance, crits):
-    """The binary scoring rule: ``happy(g, masks)`` counts the members of
-    group ``g`` whose own bundle holds their own-count threshold of desired
-    goods, one entry per distinct desired set.  None unless every member
-    is binary and every criterion has such a threshold."""
+def _binary_rule(inst: Instance, crits, high, low):
+    """The binary scoring rule: ``counts(rows, cols)`` gives each group's
+    happy count over a block of high-digit rows by low-digit columns from
+    per-half tables and one matrix product.  None unless every member is
+    binary and every criterion has an own-count threshold.
+
+    A member desiring ``d`` with threshold ``t`` holds ``H_d[h] + L_d[l]``
+    desired goods at allocation ``(h, l)``: ``H_d[h]`` of them among the
+    high goods of row ``h``, ``L_d[l]`` among the low goods of column
+    ``l``.  So a group's happy count over the block is
+    ``base[h] + (A @ B)[h, l]`` with, per distinct desired set ``d`` of
+    multiplicity ``count_d``,
+
+    * ``base[h] = sum_d count_d * [t_d - H_d[h] <= 0]``,
+    * ``A[h, (d, v)] = count_d * [t_d - H_d[h] == v]`` and
+    * ``B[(d, v), l] = [L_d[l] >= v]``
+
+    for ``v = 1 .. |d & low goods|`` (``L_d`` never exceeds that).  The
+    ``(d, v)`` dimension is taken in pieces of at most ``_PIECE`` entries
+    per block side, so no array grows with the number of distinct sets.
+
+    The sums run in float64 and are cast to int64 exactly: every entry is
+    0, 1 or a member count, and each ``d`` adds to at most one term of a
+    happy count, so every partial sum is an integer no larger than the
+    group's size, below ``MAX_MEMBERS`` < 2**53.
+    """
     if not inst.is_binary():
         return None
     import numpy as np
 
-    rows = []
+    low_goods = ((1 << inst.m // 2) - 1) << (inst.m - inst.m // 2)
+    tables = []
     for g, grp in enumerate(inst.groups):
-        row = []
-        for mask, count in Counter(a.valuation.desired.mask for a in grp).items():
-            t = _binary_threshold(crits[g], mask.bit_count(), inst.k)
-            if t is None:
-                return None
-            row.append((np.uint64(mask), t, count))
-        rows.append(row)
+        weights = Counter(a.valuation.desired.mask for a in grp)
+        thresholds = [
+            _binary_threshold(crits[g], mask.bit_count(), inst.k) for mask in weights
+        ]
+        if None in thresholds:
+            return None
+        desired = np.array(list(weights), dtype=np.uint64)
+        thresholds = np.array(thresholds, dtype=np.int64)
+        weights = np.array(list(weights.values()), dtype=np.float64)
+        # one (d, v) pair for each v = 1 .. |d & low goods|
+        spans = np.bitwise_count(desired & np.uint64(low_goods)).astype(np.int64)
+        of = np.repeat(np.arange(len(spans)), spans)
+        v = np.arange(len(of)) - np.repeat(np.cumsum(spans) - spans, spans) + 1
+        tables.append((
+            (desired, thresholds, weights),
+            (desired[of], thresholds[of], weights[of], v),
+        ))
 
-    def happy(g, masks):
-        return sum(
-            count * (np.bitwise_count(masks[g] & desired) >= t)
-            for desired, t, count in rows[g]
-        )
+    def counts(rows, cols):
+        out = []
+        for g, ((desired, thresholds, weights), pairs) in enumerate(tables):
+            row, col = high[g, rows], low[g, cols]
+            piece = max(1, _PIECE // max(len(row), len(col)))
+            base = np.zeros(len(row))
+            for s in range(0, len(desired), piece):
+                held = np.bitwise_count(row[:, None] & desired[s:s + piece])
+                base += (thresholds[s:s + piece] <= held) @ weights[s:s + piece]
+            happy = np.zeros((len(row), len(col)))
+            for s in range(0, len(pairs[0]), piece):
+                d, t, w, v = (x[s:s + piece] for x in pairs)
+                a = (t - np.bitwise_count(row[:, None] & d) == v) * w
+                b = np.bitwise_count(d[:, None] & col) >= v[:, None]
+                happy += a @ b.astype(np.float64)
+            out.append((happy + base[:, None]).astype(np.int64).ravel())
+        return out
 
-    return happy
+    return counts
 
 
-def _drop_table(values, m: int, c: int):
-    """``out[mask]`` = min value of ``mask`` after deleting min(c, |mask|)
-    goods (the envious agent's most favourable removal)."""
-    cur = list(values)
+def _drop_table(rank, m: int, c: int):
+    """``out[mask]`` = min of ``rank`` over ``mask`` after deleting
+    min(c, |mask|) goods (the envious agent's most favourable removal);
+    ``rank`` is an int64 array over all ``2**m`` masks."""
+    import numpy as np
+
+    cur = rank
     for _ in range(c):
-        nxt = list(cur)
-        for mask in range(1, 1 << m):
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if cur[mask ^ low] < nxt[mask]:
-                    nxt[mask] = cur[mask ^ low]
+        nxt = cur.copy()
+        for i in range(m):
+            # masks as (higher bits, bit i, lower bits): [:, 1] has bit i set
+            without, view = cur.reshape(-1, 2, 1 << i)[:, 0], nxt.reshape(-1, 2, 1 << i)
+            np.minimum(view[:, 1], without, out=view[:, 1])
         cur = nxt
     return cur
 
@@ -161,15 +214,16 @@ def _prop_benchmark_table(values, m: int, c: int):
     return out
 
 
-def _table_rule(inst: Instance, crits):
-    """The table scoring rule: ``happy(g, masks)`` from lookup tables over
-    own-bundle masks, for any valuation and criterion.
+def _table_rule(inst: Instance, crits, high, low):
+    """The table scoring rule: ``counts(rows, cols)`` gives each group's
+    happy count over a block from lookup tables over own-bundle masks, for
+    any valuation and criterion.
 
     Each group has one count table: for every mask, how many members whose
     verdict depends on their own bundle alone are happy holding it.  Each
     EF-c member (one entry per distinct valuation, with its multiplicity)
-    has its value table and :func:`_drop_table` as ranks over their union,
-    so envy is an exact int comparison against every other group's bundle.
+    has the ranks of its values and their :func:`_drop_table`, so envy is
+    an exact int comparison against every other group's bundle.
     """
     import numpy as np
 
@@ -181,17 +235,15 @@ def _table_rule(inst: Instance, crits):
     own, envy = [], []
     for g, grp in enumerate(inst.groups):
         crit = crits[g]
-        counts = np.zeros(1 << m, dtype=np.int64)
+        tally = np.zeros(1 << m, dtype=np.int64)
         pairs = []
         for v, count in Counter(a.valuation for a in grp).items():
             values = int_table(v, (1 << m) - 1)
             if isinstance(crit, EFc):
-                drop = _drop_table(values, m, crit.c)
-                rank = {x: i for i, x in enumerate(sorted({*values, *drop}))}
-                pairs.append(
-                    (count, np.array([rank[x] for x in values]),
-                     np.array([rank[x] for x in drop]))
-                )
+                # each dropped value is the value of some mask: ranks suffice
+                order = {x: i for i, x in enumerate(sorted(set(values)))}
+                rank = np.array([order[x] for x in values], dtype=np.int64)
+                pairs.append((count, rank, _drop_table(rank, m, crit.c)))
                 continue
             if isinstance(crit, PROPc):
                 bench = _prop_benchmark_table(values, m, crit.c)
@@ -199,8 +251,8 @@ def _table_rule(inst: Instance, crits):
             else:
                 bar = _own_bar(v, crit, k)
                 ok = [x >= bar for x in values]
-            counts += count * np.array(ok, dtype=np.int64)
-        own.append(counts)
+            tally += count * np.array(ok, dtype=np.int64)
+        own.append(tally)
         envy.append(pairs)
 
     def happy(g, masks):
@@ -214,7 +266,11 @@ def _table_rule(inst: Instance, crits):
             total = total + count * ok
         return total
 
-    return happy
+    def counts(rows, cols):
+        masks = (high[:, rows, None] | low[:, None, cols]).reshape(k, -1)
+        return [happy(g, masks) for g in range(k)]
+
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -250,37 +306,59 @@ def _digit_masks(k: int, first: int, d: int):
     return out
 
 
-def _group_masks(lo: int, hi: int, k: int, m: int):
-    """Own-bundle masks of allocation indices [lo, hi): row ``g`` holds
-    group ``g``'s.  Good 0 is the most significant base-``k`` digit; each
-    index is split into its high and low ``m // 2`` digits, which are
-    looked up in two small tables."""
-    import numpy as np
-
-    a = m // 2
-    high, low = np.divmod(np.arange(lo, hi, dtype=np.int64), k**a)
-    return _digit_masks(k, 0, m - a)[:, high] | _digit_masks(k, m - a, a)[:, low]
+def _blocks(total: int, width: int):
+    """Index ranges [lo, hi) of about ``_CHUNK`` allocations each: whole
+    rows of ``width`` low-digit columns, or pieces of one row when a row
+    is wider than ``_CHUNK``."""
+    if width <= _CHUNK:
+        step = _CHUNK // width * width
+        return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+    return [
+        (lo, min(lo + _CHUNK, row + width))
+        for row in range(0, total, width)
+        for lo in range(row, row + width, _CHUNK)
+    ]
 
 
 def _chunk_scorer(inst: Instance, crits, cap: int):
     """``(N, bounds, chunk_scores)`` for both sweeps: ``chunk_scores(lo,
-    hi)`` decodes allocation indices [lo, hi) to group masks, counts each
-    group's happy members with the binary or the table rule, and returns
-    the integer scores min_g(happy_g * N / n_g), N = lcm(sizes)."""
+    hi)`` counts each group's happy members over allocation indices
+    [lo, hi) with the binary or the table rule, and returns the integer
+    scores min_g(happy_g * N / n_g), N = lcm(sizes), in index order.
+
+    Good 0 is the most significant base-``k`` digit.  Each index is a row
+    ``h`` of its high ``m - m // 2`` digits and a column ``l`` of its low
+    ``m // 2``, so group ``g``'s bundle is ``high[g, h] | low[g, l]``, and
+    every range in ``bounds`` is a block of whole rows or part of one row.
+    """
     import numpy as np
 
     total = _space(inst, cap)
     k, m = inst.k, inst.m
     N = math.lcm(*inst.sizes)
+    if N >= 1 << 63:  # scores reach N, in int64
+        raise CapExceededError(
+            f"the oracle's exact int64 scores need the lcm of the group sizes"
+            f" ({N}) to be at most 2^63 - 1"
+        )
     scale = [N // n for n in inst.sizes]
-    happy = _binary_rule(inst, crits) or _table_rule(inst, crits)
+    a = m // 2
+    width = k**a
+    high, low = _digit_masks(k, 0, m - a), _digit_masks(k, m - a, a)
+    counts = _binary_rule(inst, crits, high, low) or _table_rule(
+        inst, crits, high, low
+    )
 
     def chunk_scores(lo, hi):
-        masks = _group_masks(lo, hi, k, m)
-        return np.min([happy(g, masks) * scale[g] for g in range(k)], axis=0)
+        row, col = divmod(lo, width)
+        if hi - lo < width:
+            rows, cols = slice(row, row + 1), slice(col, col + hi - lo)
+        else:
+            rows, cols = slice(row, hi // width), slice(None)
+        scores = [happy * s for happy, s in zip(counts(rows, cols), scale)]
+        return functools.reduce(np.minimum, scores)
 
-    bounds = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-    return N, bounds, chunk_scores
+    return N, _blocks(total, width), chunk_scores
 
 
 def max_h(

@@ -338,6 +338,39 @@ def test_brute_cap_exit(capsys):
     assert code == 3 and "cap" in err.lower()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_brute_workers_below_one_exit_2(workers, monkeypatch, capsys):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("rejected --workers must not start a sweep")
+
+    monkeypatch.setattr(cli.oracles, "max_h", no_sweep)
+    monkeypatch.setattr(cli.oracles, "exists_h", no_sweep)
+    for extra in ((), ("--h", "1/2")):
+        code, out, err = run_cli(
+            capsys, "brute", "--spec", "three-good-cycle",
+            "--criterion", "positive-mms", "--workers", workers, *extra,
+        )
+        assert code == 2 and out == "" and "--workers must be at least 1" in err
+
+
+def test_brute_lcm_beyond_int64_exits_3(tmp_path, capsys):
+    # four prime group sizes: lcm(sizes) ~ 1.8e19 > 2^63 - 1, where the
+    # int64 scores used to wrap and print best_h 7319191239917883/...
+    sizes = (65537, 65539, 65543, 65551)
+    doc = {
+        "goods": ["a", "b"],
+        "groups": [
+            [{"type": "binary", "desired": ["a"], "count": n}] for n in sizes
+        ],
+    }
+    path = tmp_path / "primes.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "brute", "--instance", str(path), "--criterion", "prop-1",
+    )
+    assert code == 3 and out == "" and "2^63" in err
+
+
 def test_brute_bad_spec(capsys):
     code, _, err = run_cli(
         capsys, "brute", "--spec", "circl:k=2", "--criterion", "mms"

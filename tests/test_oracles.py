@@ -9,7 +9,9 @@ their advertised impossibility bounds.
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -34,6 +36,7 @@ from groupfair.model import (
     Instance,
     TabularValuation,
 )
+from groupfair import oracles
 from groupfair.oracles import (
     AdditiveThird,
     AllSubsets,
@@ -51,6 +54,11 @@ from groupfair.oracles import (
 )
 
 from conftest import addval, binval, random_binary_instance
+from oracle_reference import (
+    reference_drop_table,
+    reference_exists_h,
+    reference_max_h,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +219,87 @@ def test_sweeps_match_reference_enumeration(case):
     assert hit.allocations_examined == (total if first is None else first + 1)
     if first is not None:
         assert hit.witness.assignment == assigns[first]
+
+
+# ---------------------------------------------------------------------------
+# binary rule against the per-index reference
+
+
+def _threshold_criteria(k):
+    """Criteria with an own-count threshold for binary members at ``k``."""
+    out = [
+        PROPc(0), PROPc(1), PROPc(2), MMS(), OneOutOfCMMS(k),
+        OneOutOfCMMS(k + 1), FractionMMS(Fraction(1, 2)),
+        FractionMMS(Fraction(2, 3)), OneOfBestC(1), OneOfBestC(3),
+        PositiveMMS(),
+    ]
+    return out + [EFc(0), EFc(1), EFc(2)] if k == 2 else out
+
+
+@st.composite
+def _binary_sweep_cases(draw):
+    """A binary instance with k = 2..4, m <= 10 and up to a dozen distinct
+    desired sets per group, each with a multiplicity; one criterion per
+    group; a ``_CHUNK`` of 1, 7 or 64 and a space of at most 32 chunks, so
+    small instances span many row blocks, some narrower than one row."""
+    chunk = draw(st.sampled_from([1, 7, 64]))
+    k = draw(st.integers(2, 4))
+    m_max = max(m for m in range(1, 11) if k**m <= min(32 * chunk, 1024))
+    m = draw(st.integers(1, m_max))
+    groups = []
+    for _ in range(k):
+        entries = draw(st.lists(
+            st.tuples(st.integers(0, (1 << m) - 1), st.integers(1, 5)),
+            min_size=1, max_size=12,
+        ))
+        groups.append([
+            BinaryValuation(Bundle(mask, m))
+            for mask, count in entries for _ in range(count)
+        ])
+    inst = Instance.from_valuations(tuple(f"g{i}" for i in range(m)), groups)
+    criteria = tuple(draw(st.sampled_from(_threshold_criteria(k))) for _ in range(k))
+    targets = draw(st.lists(st.fractions(0, 1, max_denominator=12), max_size=3))
+    return inst, criteria, chunk, draw(st.sampled_from([1, 2])), targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(_binary_sweep_cases())
+def test_binary_rule_matches_per_index_reference(case):
+    inst, criteria, chunk, workers, targets = case
+    assert oracles._binary_rule(inst, criteria, None, None) is not None
+    with mock.patch.object(oracles, "_CHUNK", chunk):
+        best_h, witness, examined = reference_max_h(inst, criteria)
+        result = max_h(inst, criteria, workers=workers)
+        assert (result.best_h, result.witness.assignment,
+                result.allocations_examined) == (best_h, witness, examined)
+        above = min(best_h + Fraction(1, 60), Fraction(1))
+        for h in (*targets, best_h, above):
+            hit = exists_h(inst, criteria, h)
+            found, witness, examined = reference_exists_h(inst, criteria, h)
+            assert (hit.found, hit.witness and hit.witness.assignment,
+                    hit.allocations_examined) == (found, witness, examined), h
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.integers(-5, 5), min_size=1 << m, max_size=1 << m),
+    st.integers(0, 4),
+)))
+def test_drop_table_matches_loop_reference(case):
+    m, values, c = case
+    fast = oracles._drop_table(np.array(values, dtype=np.int64), m, c)
+    assert fast.tolist() == reference_drop_table(values, m, c)
+
+
+def test_binary_rule_blocks_narrower_than_one_row():
+    # 2^10 allocations in rows of 2^5 columns: _CHUNK = 7 cuts every row
+    # into pieces of 7, 7, 7, 7 and 4 columns
+    with mock.patch.object(oracles, "_CHUNK", 7):
+        bounds = oracles._blocks(1 << 10, 32)
+    assert bounds[:6] == [(0, 7), (7, 14), (14, 21), (21, 28), (28, 32), (32, 39)]
+    assert [lo for lo, _ in bounds[1:]] == [hi for _, hi in bounds[:-1]]
+    assert bounds[-1][1] == 1 << 10
 
 
 # ---------------------------------------------------------------------------
