@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil
@@ -40,6 +39,7 @@ from .model import (
     BinaryValuation,
     Bundle,
     Instance,
+    Record,
     Valuation,
     bundles_of,
     int_table,
@@ -80,41 +80,40 @@ MMS_GOODS_CAP = 12
 # criteria
 
 
-@dataclass(frozen=True)
-class EFc:
+class EFc(Record):
     """Envy-free up to ``c`` goods: envy toward any other group vanishes
     after removing at most ``c`` goods from that group's bundle."""
 
     c: int
 
-    def __post_init__(self):
-        if self.c < 0:
+    def __init__(self, c: int):
+        if c < 0:
             raise ValueError("EFc needs c >= 0")
+        self._init(c)
 
     @property
     def name(self) -> str:
         return f"ef-{self.c}"
 
 
-@dataclass(frozen=True)
-class PROPc:
+class PROPc(Record):
     """Proportional except ``c`` goods: the agent's group gets at least
     ``1/k`` of the agent's value for all goods minus some ``c`` unowned
     goods."""
 
     c: int
 
-    def __post_init__(self):
-        if self.c < 0:
+    def __init__(self, c: int):
+        if c < 0:
             raise ValueError("PROPc needs c >= 0")
+        self._init(c)
 
     @property
     def name(self) -> str:
         return f"prop-{self.c}"
 
 
-@dataclass(frozen=True)
-class MMS:
+class MMS(Record):
     """The agent's bundle is worth its maximin share over ``k`` parts."""
 
     @property
@@ -122,55 +121,53 @@ class MMS:
         return "mms"
 
 
-@dataclass(frozen=True)
-class OneOutOfCMMS:
+class OneOutOfCMMS(Record):
     """Maximin share computed with ``c`` parts (a relaxation for c > k)."""
 
     c: int
 
-    def __post_init__(self):
-        if self.c < 1:
+    def __init__(self, c: int):
+        if c < 1:
             raise ValueError("1-out-of-c MMS needs c >= 1")
+        self._init(c)
 
     @property
     def name(self) -> str:
         return f"1-out-of-{self.c}-mms"
 
 
-@dataclass(frozen=True)
-class FractionMMS:
+class FractionMMS(Record):
     """The agent's bundle is worth at least ``q`` times its maximin share."""
 
     q: Fraction
 
-    def __post_init__(self):
-        q = Fraction(self.q)
+    def __init__(self, q: Fraction):
+        q = Fraction(q)
         if not 0 < q < 1:
             raise ValueError("fraction-mms needs q strictly between 0 and 1")
-        object.__setattr__(self, "q", q)
+        self._init(q)
 
     @property
     def name(self) -> str:
         return f"fraction-mms:{self.q.numerator}/{self.q.denominator}"
 
 
-@dataclass(frozen=True)
-class OneOfBestC:
+class OneOfBestC(Record):
     """The agent's bundle is worth at least its c-th best single good."""
 
     c: int
 
-    def __post_init__(self):
-        if self.c < 1:
+    def __init__(self, c: int):
+        if c < 1:
             raise ValueError("1-of-best-c needs c >= 1")
+        self._init(c)
 
     @property
     def name(self) -> str:
         return f"1-of-best-{self.c}"
 
 
-@dataclass(frozen=True)
-class PositiveMMS:
+class PositiveMMS(Record):
     """Positive maximin share implies positive utility."""
 
     @property
@@ -459,15 +456,15 @@ def s_threshold(criterion: FairnessCriterion, r: int, k: int = 2) -> int:
     return _binary_threshold(criterion, r, k)
 
 
-@dataclass(frozen=True)
-class SFunction:
+class SFunction(Record):
     """The threshold map r -> s for a fixed criterion and group count."""
 
     criterion: FairnessCriterion
     k: int = 2
 
-    def __post_init__(self):
-        s_threshold(self.criterion, 0, self.k)  # validate the pairing
+    def __init__(self, criterion: FairnessCriterion, k: int = 2):
+        s_threshold(criterion, 0, k)  # validate the pairing
+        self._init(criterion, k)
 
     def __call__(self, r: int) -> int:
         return s_threshold(self.criterion, r, self.k)
@@ -477,8 +474,7 @@ class SFunction:
 # reports
 
 
-@dataclass(frozen=True)
-class FairnessReport:
+class FairnessReport(Record):
     """Per-agent verdicts plus the per-group happy fractions.
 
     ``h`` is the democratic fraction: the worst group's happy share.
@@ -486,10 +482,8 @@ class FairnessReport:
 
     verdicts: tuple  # one tuple of booleans per group
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "verdicts", tuple(tuple(bool(x) for x in g) for g in self.verdicts)
-        )
+    def __init__(self, verdicts: tuple):
+        self._init(tuple(tuple(bool(x) for x in g) for g in verdicts))
 
     @property
     def sizes(self) -> tuple:

@@ -41,8 +41,8 @@ strings, or JSON floats (read with decimal semantics, so ``0.51`` means
 from __future__ import annotations
 
 import json
+import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
@@ -50,6 +50,7 @@ from typing import Iterable, Iterator, Sequence, Union
 from .errors import CapExceededError, FormatError
 
 __all__ = [
+    "Record",
     "GoodId",
     "Bundle",
     "BinaryValuation",
@@ -84,11 +85,85 @@ MAX_MEMBERS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
+# records
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass declares its fields as annotations, in order, with any
+    defaults as class attributes; ``_fields`` lists them.  Two records are
+    equal when they have the same class and equal fields, a record hashes
+    as the tuple of its fields and reprs as ``Name(field=value, ...)``, and
+    assigning or deleting an attribute raises ``AttributeError``.
+
+    The constructor here takes the fields by position or keyword.  A
+    subclass that checks or normalises its arguments defines its own
+    ``__init__`` and stores its fields with ``_init``, or with
+    ``object.__setattr__`` where a constructor is hot.  Not through
+    ``self.__dict__``: that gives the instance a dict of its own, larger
+    and slower to read than its inline attributes.
+    """
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields = cls._fields + tuple(own)
+        cls._defaults = {**cls._defaults,
+                         **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
+        fields = cls._fields
+        get = operator.attrgetter(*fields) if fields else lambda r: ()
+        # attrgetter returns a bare value, not a tuple, for one name
+        cls._values = staticmethod(get if len(fields) != 1 else lambda r: (get(r),))
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments "
+                            f"but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields or key in values:
+                raise TypeError(f"{name}() got an unexpected or repeated "
+                                f"argument {key!r}")
+            values[key] = value
+        missing = [f for f in fields if f not in values and f not in self._defaults]
+        if missing:
+            raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
+        self._init(*(values[f] if f in values else self._defaults[f] for f in fields))
+
+    def _init(self, *values):
+        """Store ``values`` as the fields, in order."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # bundles
 
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(Record):
     """An immutable set of goods, stored as a bitmask over ``m`` goods.
 
     Bit ``i`` set means good ``i`` is in the bundle.
@@ -103,9 +178,11 @@ class Bundle:
     mask: int
     m: int
 
-    def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.m):
-            raise ValueError(f"mask {self.mask:#x} out of range for m={self.m}")
+    def __init__(self, mask: int, m: int):
+        if not 0 <= mask < (1 << m):
+            raise ValueError(f"mask {mask:#x} out of range for m={m}")
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "m", m)
 
     @classmethod
     def empty(cls, m: int) -> "Bundle":
@@ -177,8 +254,7 @@ class Bundle:
 # valuations
 
 
-@dataclass(frozen=True)
-class BinaryValuation:
+class BinaryValuation(Record):
     """The agent wants ``desired``; a bundle is worth the overlap size.
 
     Its int form is the desired mask itself, at scale 1.
@@ -191,6 +267,9 @@ class BinaryValuation:
     desired: Bundle
     scale = 1
 
+    def __init__(self, desired: Bundle):
+        object.__setattr__(self, "desired", desired)
+
     @property
     def m(self) -> int:
         return self.desired.m
@@ -202,8 +281,7 @@ class BinaryValuation:
         return self.int_value(bundle.mask)
 
 
-@dataclass(frozen=True)
-class AdditiveValuation:
+class AdditiveValuation(Record):
     """One nonnegative value per good; bundles are worth the sum.
 
     The int form scales every value by ``scale``, the lcm of their
@@ -217,14 +295,12 @@ class AdditiveValuation:
     """
 
     values: tuple
-    scale: int = field(init=False, repr=False, compare=False)
-    ints: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
+    def __init__(self, values: tuple):
+        vals = tuple(Fraction(v) for v in values)
         if any(v < 0 for v in vals):
             raise ValueError("additive values must be nonnegative")
-        object.__setattr__(self, "values", vals)
+        self._init(vals)
         _set_int_form(self, vals)
 
     @property
@@ -243,8 +319,7 @@ class AdditiveValuation:
         return Fraction(self.int_value(bundle.mask), self.scale)
 
 
-@dataclass(frozen=True)
-class TabularValuation:
+class TabularValuation(Record):
     """An explicit table: ``table[mask]`` is the value of that bundle.
 
     Must have ``2**m`` entries, value 0 on the empty bundle, and be monotone
@@ -259,26 +334,24 @@ class TabularValuation:
 
     table: tuple
     m: int
-    scale: int = field(init=False, repr=False, compare=False)
-    ints: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.m > MAX_TABULAR_GOODS:
+    def __init__(self, table: tuple, m: int):
+        if m > MAX_TABULAR_GOODS:
             raise ValueError(
                 f"tabular valuations support at most {MAX_TABULAR_GOODS} goods"
             )
-        table = tuple(Fraction(v) for v in self.table)
-        if len(table) != 1 << self.m:
+        table = tuple(Fraction(v) for v in table)
+        if len(table) != 1 << m:
             raise ValueError(
-                f"tabular valuation over {self.m} goods needs "
-                f"{1 << self.m} entries, got {len(table)}"
+                f"tabular valuation over {m} goods needs "
+                f"{1 << m} entries, got {len(table)}"
             )
         if table[0] != 0:
             raise ValueError("tabular valuation must give the empty bundle 0")
-        object.__setattr__(self, "table", table)
+        self._init(table, m)
         _set_int_form(self, table)
         ints = self.ints
-        for mask in range(1, 1 << self.m):
+        for mask in range(1, 1 << m):
             rest = mask
             while rest:
                 low = rest & -rest
@@ -296,7 +369,8 @@ class TabularValuation:
 
 
 def _set_int_form(v, fractions: tuple):
-    """Give ``v`` its ``scale``, the lcm of the denominators, and ``ints``."""
+    """Give ``v`` its ``scale``, the lcm of the denominators, and ``ints``
+    (attributes outside its fields: not compared, hashed or shown)."""
     scale = lcm(*(x.denominator for x in fractions))
     object.__setattr__(v, "scale", scale)
     ints = tuple(x.numerator * (scale // x.denominator) for x in fractions)
@@ -335,13 +409,17 @@ def int_table(v: Valuation, goods_mask: int) -> list:
 # agents, instances, allocations
 
 
-@dataclass(frozen=True)
-class Agent:
+class Agent(Record):
     """One agent: its group, its position inside the group, its valuation."""
 
     group: int
     index: int
     valuation: Valuation
+
+    def __init__(self, group: int, index: int, valuation: Valuation):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "valuation", valuation)
 
     @property
     def label(self) -> str:
@@ -349,8 +427,7 @@ class Agent:
         return f"{self.group + 1}.{self.index + 1}"
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """Immutable problem instance: labelled goods and ``k`` agent groups.
 
     ``order`` is the traversal order of goods (a permutation of indices)
@@ -361,8 +438,8 @@ class Instance:
     groups: tuple
     order: tuple = None  # type: ignore[assignment]
 
-    def __post_init__(self):
-        goods = tuple(self.goods)
+    def __init__(self, goods: tuple, groups: tuple, order: tuple = None):
+        goods = tuple(goods)
         if not goods:
             raise ValueError("instance needs at least one good")
         for g in goods:
@@ -371,7 +448,7 @@ class Instance:
         if len(set(goods)) != len(goods):
             raise ValueError("good labels must be unique")
         m = len(goods)
-        groups = tuple(tuple(grp) for grp in self.groups)
+        groups = tuple(tuple(grp) for grp in groups)
         if not groups:
             raise ValueError("instance needs at least one group")
         for gi, grp in enumerate(groups):
@@ -388,16 +465,13 @@ class Instance:
                         f"agent {agent.label} valuation covers "
                         f"{agent.valuation.m} goods, instance has {m}"
                     )
-        order = self.order
         if order is None:
             order = tuple(range(m))
         else:
             order = tuple(order)
             if sorted(order) != list(range(m)):
                 raise ValueError("order must be a permutation of good indices")
-        object.__setattr__(self, "goods", goods)
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "order", order)
+        self._init(goods, groups, order)
 
     @classmethod
     def from_valuations(
@@ -444,21 +518,20 @@ class Instance:
         )
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(Record):
     """A total assignment of goods to groups: ``assignment[i]`` owns good i."""
 
     assignment: tuple
     k: int
 
-    def __post_init__(self):
-        assignment = tuple(self.assignment)
+    def __init__(self, assignment: tuple, k: int):
+        assignment = tuple(assignment)
         if not assignment:
             raise ValueError("allocation covers no goods")
         for gi, grp in enumerate(assignment):
-            if not 0 <= grp < self.k:
+            if not 0 <= grp < k:
                 raise ValueError(f"good {gi} assigned to bad group {grp}")
-        object.__setattr__(self, "assignment", assignment)
+        self._init(assignment, k)
 
     @property
     def m(self) -> int:
@@ -549,7 +622,8 @@ def _load_json(text: str):
 
 
 def _good_finder(goods: list):
-    """``find(label)``: the first index of ``label`` in ``goods``, or None.
+    """``find(label)``: the first index of ``label`` in ``goods``, or None;
+    and ``bits``, the mask bit ``1 << find(label)`` of every string label.
 
     String labels go through one dict built here.  Any other label (an int,
     None, an unhashable list) scans ``goods`` with ``==``, so an unhashable
@@ -565,7 +639,7 @@ def _good_finder(goods: list):
             return first.get(label)
         return goods.index(label) if label in goods else None
 
-    return find
+    return find, {label: 1 << i for label, i in first.items()}
 
 
 def _bad_label(labels) -> FormatError:
@@ -602,7 +676,7 @@ def _parse_subset_key(key: str, inst_goods: Sequence[str], find) -> int:
     return mask
 
 
-def _parse_valuation(doc, goods: Sequence[str], find) -> Valuation:
+def _parse_valuation(doc, goods: Sequence[str], find, bits: dict) -> Valuation:
     if not isinstance(doc, dict):
         raise FormatError(f"agent entry must be an object, got {doc!r}")
     kind = doc.get("type")
@@ -612,11 +686,16 @@ def _parse_valuation(doc, goods: Sequence[str], find) -> Valuation:
         if not isinstance(desired, list):
             raise FormatError("binary agent needs a 'desired' list")
         mask = 0
-        for label in desired:
-            index = find(label)
-            if index is None:
-                raise FormatError(f"unknown good label {label!r}")
-            mask |= 1 << index
+        try:
+            for label in desired:
+                mask |= bits[label]
+        except (KeyError, TypeError):  # unknown or unhashable: report it
+            mask = 0
+            for label in desired:
+                index = find(label)
+                if index is None:
+                    raise FormatError(f"unknown good label {label!r}") from None
+                mask |= 1 << index
         return BinaryValuation(Bundle(mask, m))
     if kind == "additive":
         values = doc.get("values")
@@ -685,7 +764,7 @@ def parse_instance(text: str) -> Instance:
     if not isinstance(groups_doc, list) or not groups_doc:
         raise FormatError("instance needs a non-empty 'groups' list")
     goods = list(goods)
-    find = _good_finder(goods)
+    find, bits = _good_finder(goods)
     groups = []
     total = 0
     for grp in groups_doc:
@@ -703,7 +782,7 @@ def parse_instance(text: str) -> Instance:
                 raise CapExceededError(
                     f"instance has more than {MAX_MEMBERS} members"
                 )
-            valuation = _parse_valuation(entry, goods, find)
+            valuation = _parse_valuation(entry, goods, find, bits)
             members.extend([valuation] * count)
         groups.append(members)
     order = None

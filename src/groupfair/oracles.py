@@ -37,7 +37,6 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .budgets import maxh_finite
@@ -56,6 +55,7 @@ from .model import (
     Bundle,
     Instance,
     MAX_MEMBERS,
+    Record,
     int_table,
 )
 
@@ -82,8 +82,7 @@ _CHUNK = 1 << 16
 _PIECE = 1 << 17
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
     """Best democratic fraction over the full allocation space.
 
     ``witness`` is the lexicographically smallest assignment vector (good 0
@@ -96,8 +95,7 @@ class OracleResult:
     allocations_examined: int
 
 
-@dataclass(frozen=True)
-class ExistsResult:
+class ExistsResult(Record):
     """Decision-form result: was an ``h``-democratic allocation found?"""
 
     found: bool
@@ -417,20 +415,19 @@ def exists_h(inst: Instance, criterion, h, cap: int = DEFAULT_CAP) -> ExistsResu
 # adversarial generators
 
 
-@dataclass(frozen=True)
-class ThreeGoodCycle:
+class ThreeGoodCycle(Record):
     """Three goods; every group has three members, each disapproving one
     distinct good (so each desires the other two)."""
 
     k: int = 2
 
-    def __post_init__(self):
-        if self.k < 2:
+    def __init__(self, k: int = 2):
+        if k < 2:
             raise ValueError("three-good-cycle needs k >= 2")
+        self._init(k)
 
 
-@dataclass(frozen=True)
-class AllSubsets:
+class AllSubsets(Record):
     """``k*m`` goods; every group has one member per ``r``-subset."""
 
     r: int
@@ -438,45 +435,45 @@ class AllSubsets:
     k: int
     m: int
 
-    def __post_init__(self):
-        if not (self.s >= 1 and self.r >= self.s):
+    def __init__(self, r: int, s: int, k: int, m: int):
+        if not (s >= 1 and r >= s):
             raise ValueError("all-subsets needs r >= s >= 1")
-        if self.k < 2 or self.m < 1:
+        if k < 2 or m < 1:
             raise ValueError("all-subsets needs k >= 2 and m >= 1")
-        if self.r > self.k * self.m:
+        if r > k * m:
             raise ValueError("all-subsets needs r <= k*m goods")
+        self._init(r, s, k, m)
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(Record):
     """``2k - 1`` goods in a circle; every group has ``2k - 1`` members,
     each desiring a distinct window of ``k`` consecutive goods."""
 
     k: int
 
-    def __post_init__(self):
-        if self.k < 2:
+    def __init__(self, k: int):
+        if k < 2:
             raise ValueError("circle needs k >= 2")
+        self._init(k)
 
 
-@dataclass(frozen=True)
-class AdditiveThird:
+class AdditiveThird(Record):
     """Two groups of three additive agents valuing (2,1,1) rotations."""
 
 
-@dataclass(frozen=True)
-class EFcLimit:
+class EFcLimit(Record):
     """All-subsets family at r = 2l sized so EF-c fails beyond the budget
     bound: s = l - floor(c/2), two groups, 2l goods per group."""
 
     c: int
     l: int
 
-    def __post_init__(self):
-        if self.c < 0 or self.l < 1:
+    def __init__(self, c: int, l: int):
+        if c < 0 or l < 1:
             raise ValueError("efc-limit needs c >= 0 and l >= 1")
-        if self.l - self.c // 2 < 1:
+        if l - c // 2 < 1:
             raise ValueError("efc-limit needs l - floor(c/2) >= 1")
+        self._init(c, l)
 
 
 _SPEC_PARAMS = {

@@ -37,7 +37,6 @@ import itertools
 import operator
 import random
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -59,6 +58,7 @@ from .model import (
     BinaryValuation,
     Bundle,
     Instance,
+    Record,
     binarize_instance,
     bundles_of,
 )
@@ -89,8 +89,7 @@ __all__ = [
 # result and trace types
 
 
-@dataclass(frozen=True)
-class TurnRecord:
+class TurnRecord(Record):
     """One picking turn, recorded before/after the pick.
 
     ``member_states`` holds (r, s, weight) for the acting group's members at
@@ -107,17 +106,21 @@ class TurnRecord:
     group_balances: tuple
     agent_balances: tuple
 
+    def __init__(self, turn: int, group: int, remaining: tuple,
+                 member_states: tuple, good_weights: tuple, pick: int,
+                 group_balances: tuple, agent_balances: tuple):
+        self._init(turn, group, remaining, member_states, good_weights, pick,
+                   group_balances, agent_balances)
 
-@dataclass(frozen=True)
-class ProtocolTrace:
+
+class ProtocolTrace(Record):
     """Turn-by-turn trace of a picking protocol run."""
 
     kind: str
     turns: tuple
 
 
-@dataclass(frozen=True)
-class PrefixRecord:
+class PrefixRecord(Record):
     """One evaluation step of a line protocol.
 
     ``counts`` lists (group, yes, size) for the groups polled at this
@@ -130,8 +133,7 @@ class PrefixRecord:
     claimed_by: object = None
 
 
-@dataclass(frozen=True)
-class LineTrace:
+class LineTrace(Record):
     """Prefix-growth trace of line2/linek."""
 
     kind: str
@@ -140,23 +142,20 @@ class LineTrace:
     remainder_group: int
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(Record):
     good: int
     from_group: int
     to_group: int
 
 
-@dataclass(frozen=True)
-class SearchTrace:
+class SearchTrace(Record):
     """Move list of the identical-groups local search."""
 
     kind: str
     moves: tuple
 
 
-@dataclass(frozen=True)
-class EnhancedSplit:
+class EnhancedSplit(Record):
     """Record of the enhanced-RWAV shortcut: a near-unanimous good was
     handed to its group, everything else to the other group."""
 
@@ -166,8 +165,7 @@ class EnhancedSplit:
     counted: int
 
 
-@dataclass(frozen=True)
-class UnanimousStep:
+class UnanimousStep(Record):
     """One recursion step of the best-k protocol: group got its common good."""
 
     group: int
@@ -176,8 +174,7 @@ class UnanimousStep:
     size: int
 
 
-@dataclass(frozen=True)
-class BestKTrace:
+class BestKTrace(Record):
     steps: tuple
     base: object  # RunResult of the final 2-group (or k-group RWAV) stage
     base_goods: tuple
@@ -185,8 +182,7 @@ class BestKTrace:
     base_instance: object = None
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Record):
     """Outcome of one protocol run.
 
     ``guarantees[i]`` is the happy-fraction lower bound the protocol claims
@@ -210,7 +206,18 @@ class RunResult:
 
 
 class ProtocolInvariantError(RuntimeError):
-    """A runtime ledger/termination invariant failed (protocol bug)."""
+    """A runtime ledger/termination invariant failed (protocol bug).
+
+    A failed ledger check says where: ``agent`` (the ``group.member``
+    label), ``turn``, and the ``expected`` and ``actual`` balance as exact
+    ``Fraction``s.  Each is None where it does not apply.
+    """
+
+    def __init__(self, message: str, *, agent=None, turn=None, expected=None,
+                 actual=None):
+        super().__init__(message)
+        self.agent, self.turn = agent, turn
+        self.expected, self.actual = expected, actual
 
 
 def _require_binary(inst: Instance, protocol: str):
@@ -371,7 +378,10 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
                 if bal[gg][j] != -new.budget:
                     raise ProtocolInvariantError(
                         f"agent {gg + 1}.{j + 1} balance {traced(bal[gg][j])} != "
-                        f"-{budget_name}({rj - 1}, {sj}) after turn {turn}"
+                        f"-{budget_name}({rj - 1}, {sj}) after turn {turn}",
+                        agent=f"{gg + 1}.{j + 1}", turn=turn,
+                        expected=Fraction(-new.budget, 1 << shift),
+                        actual=Fraction(bal[gg][j], 1 << shift),
                     )
                 goods = goods_of[gg][j]
                 goods.remove(pick)
@@ -399,7 +409,8 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
         happy = sum(1 for p in state[g] if p.state[1] == 0)
         if group_bal[g] != happy << shift:
             raise ProtocolInvariantError(
-                f"group {g + 1} final balance {traced(group_bal[g])} != happy {happy}"
+                f"group {g + 1} final balance {traced(group_bal[g])} != happy {happy}",
+                expected=Fraction(happy), actual=Fraction(group_bal[g], 1 << shift),
             )
     return Allocation(tuple(assignment), k), ProtocolTrace(kind, tuple(turns)), start
 

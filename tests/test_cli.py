@@ -11,6 +11,7 @@ entry in ``pyproject.toml``, puts it first on ``PATH`` with this checkout's
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib.metadata import EntryPoint
@@ -653,3 +654,37 @@ def test_cold_path_builds_no_table_and_no_thread_pool(b1_path, tmp_path):
     assert result.returncode == 0, result.stderr
     # the column s = 0 of all ones is there from the start
     assert result.stdout.splitlines()[-1] == "False 1"
+
+
+def _imported_modules(*args) -> set:
+    """The modules a fresh ``python -X importtime ARGS`` imports."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert result.returncode == 0, result.stderr
+    return {
+        line.rpartition("|")[2].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+@pytest.mark.parametrize(
+    "args", [("-m", "groupfair.cli", "--help"), ("-c", "import groupfair.cli")],
+    ids=["help", "import"],
+)
+def test_startup_skips_dataclasses_and_inspect(args):
+    imported = _imported_modules(*args)
+    assert "groupfair.protocols" in imported  # the listing is complete
+    assert not imported & {"dataclasses", "inspect"}
+
+
+def test_package_generates_no_code():
+    # the builtins exec/eval/compile, not a method such as re.compile
+    call = re.compile(r"(?<![\w.])(exec|eval|compile)\(")
+    for path in sorted((ROOT / "src" / "groupfair").glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            assert not call.search(line), f"{path.name}:{number}: {line.strip()}"

@@ -8,7 +8,6 @@ field by field and type by type, the same ``CapExceededError`` under a
 small budget table, and a ledger check that still fires.
 """
 
-import dataclasses
 import re
 from fractions import Fraction
 
@@ -70,10 +69,10 @@ def assert_same_run(new, ref):
     assert new.trace.kind == ref.trace.kind
     assert len(new.trace.turns) == len(ref.trace.turns)
     for got, want in zip(new.trace.turns, ref.trace.turns):
-        for f in dataclasses.fields(want):
-            a, b = getattr(got, f.name), getattr(want, f.name)
+        for name in want._fields:
+            a, b = getattr(got, name), getattr(want, name)
             # repr also tells a Fraction from an int or a float of equal value
-            assert (a, repr(a)) == (b, repr(b)), f"turn {want.turn} {f.name}"
+            assert (a, repr(a)) == (b, repr(b)), f"turn {want.turn} {name}"
 
 
 def outcome(protocol, *args, **kwargs):
@@ -147,8 +146,11 @@ def test_ledger_check_catches_a_wrong_weight(mixed_two_group):
     # Agent 1.9 wants {w, z}; group 1 takes w on turn 1 and the member pays
     # the inflated w(2, 1) = 5/16 instead of 1/4.
     message = r"^agent 1\.9 balance -17/16 != -B\(1, 0\) after turn 1$"
-    with pytest.raises(ProtocolInvariantError, match=message):
+    with pytest.raises(ProtocolInvariantError, match=message) as info:
         rwav2(mixed_two_group, OneOfBestC(2), table=OffByOneUnit())
+    exc = info.value
+    assert (exc.agent, exc.turn, exc.expected, exc.actual) == (
+        "1.9", 1, Fraction(-1), Fraction(-17, 16))
     with pytest.raises(ProtocolInvariantError, match=message):
         reference_rwav2(mixed_two_group, OneOfBestC(2), table=OffByOneUnit())
 
@@ -241,12 +243,23 @@ def test_rwavk_ledger_check_fires_at_the_first_wrong_payment(run):
     )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(protocols, "_kgroup_price", off_by_one(2, None))
-        new = outcome(rwavk, inst, c)
+        try:
+            new = rwavk(inst, c)
+        except ProtocolInvariantError as exc:
+            new = exc
     if first is None:
         assert_same_run(new, ref)
     else:
         turn, g, j, r = first
-        assert new[0] is ProtocolInvariantError
-        assert new[1].startswith(f"agent {g + 1}.{j + 1} balance ")
-        assert new[1].endswith(f" != -B_k({r - 1}, 0) after turn {turn}")
+        assert type(new) is ProtocolInvariantError
+        assert str(new).startswith(f"agent {g + 1}.{j + 1} balance ")
+        assert str(new).endswith(f" != -B_k({r - 1}, 0) after turn {turn}")
+        # the structured fields say the same, with exact balances: the
+        # member paid one ledger unit too much on top of its budget -1
+        assert (new.agent, new.turn) == (f"{g + 1}.{j + 1}", turn)
+        assert new.expected == -1 and type(new.expected) is Fraction
+        unit = new.expected - new.actual
+        assert unit > 0 and unit.numerator == 1
+        assert unit.denominator & (unit.denominator - 1) == 0  # a power of 2
+        assert f" balance {float(new.actual)} != " in str(new)
 

@@ -5,7 +5,6 @@ instances (see conftest fixtures); random instances then exercise the
 built-in balance invariants and the guarantee bounds.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -399,7 +398,7 @@ def _line_outcome(protocol, inst):
         result.protocol, result.allocation, result.report, result.guarantees,
         result.criteria, result.expected_guarantees, type(trace), trace.kind,
         trace.criterion_label, trace.remainder_group,
-        *(dataclasses.astuple(rec) for rec in trace.records),
+        *(tuple(getattr(rec, f) for f in rec._fields) for rec in trace.records),
     ]
     return fields, repr(fields)
 
