@@ -12,17 +12,17 @@ member cap exceeded.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from . import budgets, oracles, protocols
-from .budgets import BudgetTable, KGroupWeights
+from .budgets import BudgetTable, KGroupWeights, maxh
 from .errors import CapExceededError, FormatError
-from .fairness import OneOfBestC, democratic_report, parse_criteria, parse_criterion
 from .model import (
+    DEFAULT_CAP,
     Instance,
     allocation_doc,
     binarize_instance,
@@ -35,6 +35,31 @@ from .model import (
 )
 
 __all__ = ["main"]
+
+
+def _lazy_submodule(name: str):
+    """``groupfair.<name>``, registered in ``sys.modules`` and on the
+    package as an import would, but compiled and run only on its first
+    attribute access, so each command loads only the modules it uses.
+
+    Python 3.11's lazy loader is not thread-safe: every command touches its
+    modules on the main thread before any thread pool starts.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+fairness = _lazy_submodule("fairness")
+protocols = _lazy_submodule("protocols")
+oracles = _lazy_submodule("oracles")
 
 _FIXED_CRITERION = {
     "line2": "EF1 (built in)",
@@ -50,6 +75,9 @@ MAX_TABLE_CELLS = 20_000
 #: as ``r`` grows (``maxh`` sums ``r`` big-int terms; the float ``Bk``
 #: overflows past ``r = 1023`` at ``k = 2``).
 MAX_TABLE_RMAX = 300
+#: Most threads ``brute --workers`` may ask for: ``max_h`` can start one per
+#: block of the allocation space, which is thousands at a large ``--cap``.
+MAX_WORKERS = 64
 
 
 class _CliError(Exception):
@@ -267,7 +295,7 @@ def _render_table(which: str, rmax: int, smax: int, k: int) -> str:
                 return Fraction(1)
             if r < s:
                 return Fraction(0)
-            return budgets.maxh(r, s, k)
+            return maxh(r, s, k)
 
         return _grid(
             f"MaxH(r,s) for k = {k}, r = 0..{rmax}, s = 0..{smax}",
@@ -312,13 +340,13 @@ def _cmd_run(args) -> int:
     if name in ("rwav2", "cwav2"):
         if not args.criterion:
             raise _CliError(f"{name} needs --criterion")
-        crits = parse_criteria(args.criterion, inst.k)
+        crits = fairness.parse_criteria(args.criterion, inst.k)
     elif name in ("rwav2-enhanced", "rwavk"):
         if name == "rwavk" and not args.criterion:
             raise _CliError("rwavk needs --criterion 1-of-best-c")
         if args.criterion:
-            crit = parse_criterion(args.criterion)
-            if not isinstance(crit, OneOfBestC):
+            crit = fairness.parse_criterion(args.criterion)
+            if not isinstance(crit, fairness.OneOfBestC):
                 raise _CliError(f"{name} needs a 1-of-best-c criterion")
             best_c = crit.c
         else:
@@ -331,9 +359,11 @@ def _cmd_run(args) -> int:
             c = best_c
         elif name == "local-search":
             c = 2
-        elif crits and all(isinstance(cr, OneOfBestC) for cr in crits) and len(
-            {cr.c for cr in crits}
-        ) == 1:
+        elif (
+            crits
+            and all(isinstance(cr, fairness.OneOfBestC) for cr in crits)
+            and len({cr.c for cr in crits}) == 1
+        ):
             c = crits[0].c
         else:
             raise _CliError(
@@ -390,8 +420,8 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     inst = parse_instance(_read(args.instance))
     alloc = parse_allocation(_read(args.allocation), inst)
-    crits = parse_criteria(args.criterion, inst.k)
-    report = democratic_report(inst, alloc, crits)
+    crits = fairness.parse_criteria(args.criterion, inst.k)
+    report = fairness.democratic_report(inst, alloc, crits)
     doc = {
         "criteria": [c.name for c in crits],
         "allocation": allocation_doc(alloc, inst),
@@ -404,6 +434,8 @@ def _cmd_check(args) -> int:
 def _cmd_brute(args) -> int:
     if args.workers < 1:
         raise _CliError("--workers must be at least 1")
+    if args.workers > MAX_WORKERS:
+        raise _CliError(f"--workers must be at most {MAX_WORKERS}")
     if args.spec:
         spec = oracles.parse_spec(args.spec)
         inst = oracles.generate(spec)
@@ -411,7 +443,7 @@ def _cmd_brute(args) -> int:
     else:
         inst = parse_instance(_read(args.instance))
         source = {"instance": args.instance}
-    crits = parse_criteria(args.criterion, inst.k)
+    crits = fairness.parse_criteria(args.criterion, inst.k)
     doc = dict(source)
     doc["criteria"] = [c.name for c in crits]
     if args.h is not None:
@@ -519,7 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
     brute.add_argument(
         "--h", help="decision mode: is some allocation h-democratic fair?"
     )
-    brute.add_argument("--cap", type=int, default=oracles.DEFAULT_CAP,
+    brute.add_argument("--cap", type=int, default=DEFAULT_CAP,
                        help="allocation-space cap (default 2^24)")
     brute.add_argument("--workers", type=int, default=1,
                        help="threads that score chunks (max-h mode only)")

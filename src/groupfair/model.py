@@ -83,6 +83,11 @@ MAX_TABULAR_GOODS = 16
 #: ``2k - 1`` members wanting ``k`` goods each), which caps it at k = 79.
 MAX_MEMBERS = 1_000_000
 
+#: Largest allocation space (``k**m``) the brute-force oracles sweep by
+#: default.  It lives here, not in :mod:`groupfair.oracles`, so the CLI can
+#: show it as ``brute --cap``'s default without loading the oracles.
+DEFAULT_CAP = 1 << 24
+
 
 # ---------------------------------------------------------------------------
 # records

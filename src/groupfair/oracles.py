@@ -53,6 +53,7 @@ from .model import (
     Allocation,
     BinaryValuation,
     Bundle,
+    DEFAULT_CAP,
     Instance,
     MAX_MEMBERS,
     Record,
@@ -76,8 +77,13 @@ __all__ = [
     "DEFAULT_CAP",
 ]
 
-DEFAULT_CAP = 1 << 24
 _CHUNK = 1 << 16
+#: Most goods, and most desired entries (members times the goods each
+#: desires), of an all-subsets instance.  Past the member cap, these bound
+#: its time, memory and output: masks over many goods cost time per bit,
+#: and ``efc-limit:c=1,l=5`` (20 goods, 3,695,120 entries) takes seconds.
+MAX_SUBSET_GOODS = 64
+MAX_SUBSET_ENTRIES = 1 << 22
 #: most entries in one piece of a binary-rule table (1 MiB of float64)
 _PIECE = 1 << 17
 
@@ -533,9 +539,27 @@ def parse_spec(text: str):
         raise FormatError(str(exc)) from None
 
 
+def _comb_at_most(n: int, r: int, limit: int):
+    """``math.comb(n, r)`` if it is at most ``limit``, else None, found
+    without computing a binomial much larger than ``limit``: ``C(n, i)``
+    grows with ``i`` up to ``min(r, n - r)``, so the running product stops
+    once it passes."""
+    c = 1
+    for i in range(min(r, n - r)):
+        c = c * (n - i) // (i + 1)  # C(n, i + 1), exact
+        if c > limit:
+            return None
+    return c if c <= limit else None
+
+
 def generate(spec) -> Instance:
     """Build the adversarial instance described by ``spec``."""
     if isinstance(spec, ThreeGoodCycle):
+        if 3 * spec.k > MAX_MEMBERS:
+            raise CapExceededError(
+                f"three-good-cycle instance would have more than {MAX_MEMBERS}"
+                f" members"
+            )
         goods = ("x", "y", "z")
         members = [
             BinaryValuation(Bundle.from_indices([j for j in range(3) if j != i], 3))
@@ -544,10 +568,22 @@ def generate(spec) -> Instance:
         return Instance.from_valuations(goods, [list(members)] * spec.k)
     if isinstance(spec, AllSubsets):
         n_goods = spec.k * spec.m
-        if math.comb(n_goods, spec.r) * spec.k > MAX_MEMBERS:
+        per_group = _comb_at_most(n_goods, spec.r, MAX_MEMBERS // spec.k)
+        if per_group is None:
             raise CapExceededError(
-                f"all-subsets instance would have {math.comb(n_goods, spec.r)}"
-                f" members per group"
+                f"all-subsets instance would have more than {MAX_MEMBERS}"
+                f" members"
+            )
+        if n_goods > MAX_SUBSET_GOODS:
+            raise CapExceededError(
+                f"all-subsets instance would have {n_goods} goods, which"
+                f" exceeds the cap of {MAX_SUBSET_GOODS}"
+            )
+        entries = per_group * spec.k * spec.r
+        if entries > MAX_SUBSET_ENTRIES:
+            raise CapExceededError(
+                f"all-subsets instance would have {entries} desired entries,"
+                f" which exceeds the cap of {MAX_SUBSET_ENTRIES}"
             )
         goods = tuple(f"g{i + 1}" for i in range(n_goods))
         members = [

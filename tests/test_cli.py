@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -354,6 +355,30 @@ def test_brute_workers_below_one_exit_2(workers, monkeypatch, capsys):
         assert code == 2 and out == "" and "--workers must be at least 1" in err
 
 
+def test_brute_workers_above_cap_exit_2_without_threads(monkeypatch, capsys):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("rejected --workers must not start a sweep")
+
+    threads = threading.active_count()
+    monkeypatch.setattr(cli.oracles, "max_h", no_sweep)
+    code, out, err = run_cli(
+        capsys, "brute", "--spec", "three-good-cycle",
+        "--criterion", "positive-mms", "--workers", str(cli.MAX_WORKERS + 1),
+    )
+    assert code == 2 and out == ""
+    assert f"--workers must be at most {cli.MAX_WORKERS}" in err
+    assert threading.active_count() == threads
+
+
+def test_brute_workers_at_cap_runs(capsys):
+    # three-good-cycle is one block, so no pool starts
+    code, out, _ = run_cli(
+        capsys, "brute", "--spec", "three-good-cycle",
+        "--criterion", "positive-mms", "--workers", str(cli.MAX_WORKERS),
+    )
+    assert code == 0 and json.loads(out)["best_h"] == "2/3"
+
+
 def test_brute_lcm_beyond_int64_exits_3(tmp_path, capsys):
     # four prime group sizes: lcm(sizes) ~ 1.8e19 > 2^63 - 1, where the
     # int64 scores used to wrap and print best_h 7319191239917883/...
@@ -522,6 +547,47 @@ def test_gen_member_cap(capsys):
     assert code == 3 and "members" in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # C(399996, 199998) has 120,000 digits: printing it raised
+        "efc-limit:c=0,l=99999",
+        # computing C(4000000, 2000000) took minutes
+        "all-subsets:r=2000000,s=1,k=2,m=2000000",
+        "three-good-cycle:k=100000000000000000000",
+    ],
+)
+def test_gen_member_cap_needs_no_big_binomial(spec, capsys):
+    code, out, err = run_cli(capsys, "gen", "--spec", spec)
+    assert code == 3 and out == ""
+    assert f"more than {MAX_MEMBERS} members" in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        # one member per group desiring 2,000,000 goods
+        ("all-subsets:r=2000000,s=1,k=2,m=1000000", "2000000 goods"),
+        ("all-subsets:r=61,s=1,k=16,m=4", "40664064 desired entries"),
+    ],
+)
+def test_gen_all_subsets_size_caps(spec, message, capsys):
+    code, out, err = run_cli(capsys, "gen", "--spec", spec)
+    assert code == 3 and out == "" and message in err
+
+
+def test_comb_at_most_matches_math_comb():
+    from math import comb
+
+    from groupfair.oracles import _comb_at_most
+
+    for n in range(12):
+        for r in range(n + 1):
+            for limit in range(0, 500, 7):
+                expected = comb(n, r) if comb(n, r) <= limit else None
+                assert _comb_at_most(n, r, limit) == expected, (n, r, limit)
+
+
 def test_gen_circle_cap(capsys):
     # k groups of 2k - 1 members wanting k goods each: 79 is the last k
     # within MAX_MEMBERS desired entries
@@ -678,8 +744,53 @@ def _imported_modules(*args) -> set:
 )
 def test_startup_skips_dataclasses_and_inspect(args):
     imported = _imported_modules(*args)
-    assert "groupfair.protocols" in imported  # the listing is complete
+    assert "groupfair.model" in imported  # the listing is complete
     assert not imported & {"dataclasses", "inspect"}
+
+
+COMMAND_MODULES = """
+import contextlib, io, json, sys
+from types import ModuleType
+from groupfair.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+names = ("fairness", "protocols", "oracles")
+unloaded = [n for n in names if type(sys.modules["groupfair." + n]) is not ModuleType]
+print(json.dumps({"code": code, "unloaded": unloaded, "numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, unloaded",
+    [
+        (["--help"], ["fairness", "protocols", "oracles"]),
+        (["table", "--which", "maxh"], ["fairness", "protocols", "oracles"]),
+        (["check", "--instance", "B1", "--allocation", "ALLOC", "--criterion",
+          "ef-1"], ["protocols", "oracles"]),
+        (["run", "--protocol", "rwav2", "--instance", "B1", *B1_ARGS, "--trace"],
+         ["oracles"]),
+        (["gen", "--spec", "efc-limit:c=1,l=2"], ["protocols"]),
+        (["brute", "--instance", "B1", "--criterion", "ef-1"], ["protocols"]),
+        # four blocks of 2^16 allocations: the pool runs after every load
+        (["brute", "--spec", "all-subsets:r=2,s=1,k=2,m=9", "--criterion",
+          "1-out-of-2-mms", "--workers", "2"], ["protocols"]),
+    ],
+    ids=["help", "table", "check", "run", "gen", "brute", "brute-workers"],
+)
+def test_each_command_loads_only_its_modules(command, unloaded, b1_path, tmp_path):
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text('{"bundles": [["w", "x", "y"], ["v", "z"]]}')
+    argv = [{"B1": b1_path, "ALLOC": str(alloc)}.get(a, a) for a in command]
+    result = subprocess.run(
+        [sys.executable, "-c", COMMAND_MODULES, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert doc == {"code": 0, "unloaded": unloaded, "numpy": argv[0] == "brute"}
 
 
 def test_package_generates_no_code():
