@@ -438,6 +438,7 @@ def _cmd_brute(args) -> int:
         raise _CliError(f"--workers must be at most {MAX_WORKERS}")
     if args.spec:
         spec = oracles.parse_spec(args.spec)
+        oracles.check_space(spec, args.cap)
         inst = oracles.generate(spec)
         source = {"spec": oracles.spec_name(spec)}
     else:

@@ -897,11 +897,13 @@ def binarize_instance(inst: Instance, c: int) -> Instance:
     Each agent keeps its ``c`` highest-valued goods (ties broken towards the
     lowest good index); binary agents wanting fewer than ``c`` goods keep
     what they have.  Used by the protocols whose guarantees only depend on
-    each agent getting one of its best ``c`` goods.
+    each agent getting one of its best ``c`` goods.  Returns ``inst``
+    itself when no valuation changes.
     """
     if c < 1:
         raise ValueError("binarize needs c >= 1")
     groups = []
+    changed = False
     for grp in inst.groups:
         members = []
         for agent in grp:
@@ -912,13 +914,17 @@ def binarize_instance(inst: Instance, c: int) -> Instance:
                     rest &= rest - 1  # drop the lowest desired good
                 if rest:
                     v = BinaryValuation(Bundle(v.desired.mask ^ rest, inst.m))
+                    changed = True
                 members.append(v)
                 continue
             vals = [v.int_value(1 << i) for i in range(inst.m)]
             ranked = sorted(range(inst.m), key=lambda i: (-vals[i], i))
             top = [i for i in ranked[:c] if vals[i] > 0]
             members.append(BinaryValuation(Bundle.from_indices(top, inst.m)))
+            changed = True
         groups.append(members)
+    if not changed:
+        return inst
     return Instance.from_valuations(inst.goods, groups, inst.order)
 
 

@@ -281,12 +281,10 @@ def _table_rule(inst: Instance, crits, high, low):
 # enumeration
 
 
-def _space(inst: Instance, cap: int) -> int:
-    total = inst.k**inst.m
+def _space(k: int, m: int, cap: int) -> int:
+    total = k**m
     if total > cap:
-        raise CapExceededError(
-            f"allocation space {inst.k}^{inst.m} = {total} exceeds cap {cap}"
-        )
+        raise CapExceededError(f"allocation space {k}^{m} = {total} exceeds cap {cap}")
     return total
 
 
@@ -337,7 +335,7 @@ def _chunk_scorer(inst: Instance, crits, cap: int):
     """
     import numpy as np
 
-    total = _space(inst, cap)
+    total = _space(inst.k, inst.m, cap)
     k, m = inst.k, inst.m
     N = math.lcm(*inst.sizes)
     if N >= 1 << 63:  # scores reach N, in int64
@@ -537,6 +535,24 @@ def parse_spec(text: str):
         return cls(**kwargs)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+
+
+def check_space(spec, cap: int) -> None:
+    """Raise :class:`CapExceededError` before :func:`generate` builds an
+    instance whose allocation space exceeds ``cap``.  A space of more than
+    4,096 bits is left to :func:`generate`: every such spec has over 64
+    goods or a million members, which its own caps refuse."""
+    k = getattr(spec, "k", 2)  # additive-third and efc-limit have two groups
+    if isinstance(spec, AllSubsets):
+        m = k * spec.m
+    elif isinstance(spec, Circle):
+        m = 2 * k - 1
+    elif isinstance(spec, EFcLimit):
+        m = 4 * spec.l
+    else:  # three-good-cycle and additive-third
+        m = 3
+    if m * k.bit_length() <= 4096:
+        _space(k, m, cap)
 
 
 def _comb_at_most(n: int, r: int, limit: int):

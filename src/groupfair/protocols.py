@@ -26,19 +26,25 @@ order of good weights: ties go to the lowest good index exactly.  ``Q`` is
 exact value unless that lies within a relative ``2**-64`` of a point halfway
 between two floats.  For ``d = 1``, ``Q = 0``: the two-group budgets scaled
 by ``2**R``, integers by :func:`~groupfair.budgets.B_closed`, with
-``Fraction`` trace values.  Each ``(r, s)`` is priced once per run, and each
-group's per-good weight totals are updated incrementally from the weight
-changes of the members a pick touches.
+``Fraction`` trace values.
+
+Each ``(r, s)`` is priced once per run, when a member first reaches it, and
+keeps its two transitions (successor, balance change, weight change) for
+when the member's own group takes a good it wants and when another does.
+A turn applies them to the members wanting the pick, checks each balance,
+and sums each group's change once.  The loop keeps per-turn snapshots of
+the ledger, and :class:`ProtocolTrace` builds its ``turns`` from them on
+first read: a run whose trace is never read makes no :class:`TurnRecord`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
 import warnings
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import budgets
 from .budgets import KGroupWeights
@@ -106,18 +112,22 @@ class TurnRecord(Record):
     group_balances: tuple
     agent_balances: tuple
 
-    def __init__(self, turn: int, group: int, remaining: tuple,
-                 member_states: tuple, good_weights: tuple, pick: int,
-                 group_balances: tuple, agent_balances: tuple):
-        self._init(turn, group, remaining, member_states, good_weights, pick,
-                   group_balances, agent_balances)
-
 
 class ProtocolTrace(Record):
-    """Turn-by-turn trace of a picking protocol run."""
+    """Turn-by-turn trace of a picking protocol run.  The picking loop
+    leaves ``turns`` unset and ``_build()`` makes it on first read."""
 
     kind: str
     turns: tuple
+
+    def __getattr__(self, name):  # reached only while ``turns`` is unset
+        if name != "turns":
+            raise AttributeError(name)
+        object.__setattr__(self, "turns", self.__dict__.pop("_build")())
+        return self.turns
+
+    def __reduce__(self):  # pickles and copies the turns, not ``_build``
+        return ProtocolTrace, (self.kind, self.turns)
 
 
 class PrefixRecord(Record):
@@ -228,28 +238,40 @@ def _require_binary(inst: Instance, protocol: str):
 
 
 def _desired_masks(inst: Instance):
-    return [
-        [agent.valuation.desired.mask for agent in grp] for grp in inst.groups
-    ]
+    return [[agent.valuation.desired.mask for agent in grp] for grp in inst.groups]
+
+
+def _desire_counts(masks, m: int) -> list:
+    """How many of ``masks`` hold each of the ``m`` goods, in one pass over
+    their set bits."""
+    counts = [0] * m
+    for mask in masks:
+        while mask:
+            low = mask & -mask
+            counts[low.bit_length() - 1] += 1
+            mask ^= low
+    return counts
 
 
 # ---------------------------------------------------------------------------
 # the weighted-approval picking loop
 
 
-class _Price(NamedTuple):
-    """What a member in state ``(r, s)`` is worth in one run: ledger ints,
-    and the numbers its trace shows."""
+class _State:
+    """A member state ``(r, s)`` priced for one run: the balance the ledger
+    must show (``neg_budget``), ``weight`` and ``pay`` as ledger ints, the
+    trace's ``balance`` and ``entry`` ``(r, s, weight)``, and ``step``: per
+    side (0 when its own group takes a wanted good, 1 when another group
+    does) ``(successor, balance change, weight change)``, once known."""
 
-    budget: int
-    weight: int
-    pay: int
-    balance: object  # -budget, the member's balance in the trace
-    state: tuple  # (r, s, weight), the member's entry in the trace
+    def __init__(self, r, s, budget, weight, pay, traced):
+        self.r, self.s, self.weight, self.pay = r, s, weight, pay
+        self.neg_budget, self.balance = -budget, traced(-budget)
+        self.entry, self.step = (r, s, traced(weight)), [None, None]
 
 
 _BALANCE = operator.attrgetter("balance")
-_STATE = operator.attrgetter("state")
+_ENTRY = operator.attrgetter("entry")
 
 
 def _root_floor(n: int, d: int) -> int:
@@ -300,15 +322,16 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
     pairs.
     """
     k = inst.k
-    sfuncs = tuple(SFunction(c, k) for c in crits)
-    desired = _desired_masks(inst)
-    start = [[(mask.bit_count(), sfuncs[g](mask.bit_count())) for mask in grp]
-             for g, grp in enumerate(desired)]
+    sfuncs = [functools.cache(SFunction(c, k)) for c in crits]
+    # each member's desired goods still on the table
+    goods_of = [[list(agent.valuation.desired) for agent in grp] for grp in inst.groups]
+    start = [[(len(goods), sfunc(len(goods))) for goods in grp]
+             for sfunc, grp in zip(sfuncs, goods_of)]
     R = max((rj for grp in start for rj, _ in grp), default=0)
     P = -(-R // d)
     # every k-group weight has |2**P * w|_1 <= 2**(P+1) and a good weight
     # sums at most n of them, so H bounds |z|_1 for two goods' difference
-    H = sum(map(len, desired)) << (P + 2)
+    H = sum(map(len, goods_of)) << (P + 2)
     Q = d * (H.bit_length() + 1) + 64 if d > 1 else 0
     shift = P + Q
     roots = [_root_floor(1 << (t + d * Q), d) for t in range(d)]
@@ -321,98 +344,92 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
         q, t = divmod(d * P - j, d)
         return roots[t] << q
 
-    prices = {}
+    # each (r, s) is priced once per run, and each ledger int turned into
+    # the trace's number once
+    traced = functools.cache(lambda value: number(value, 1 << shift))
+    state_price = functools.cache(lambda r, s: _State(r, s, *price(r, s, lpow), traced))
 
-    def state_price(rj: int, sj: int) -> _Price:
-        key = (rj, sj)
-        if key not in prices:
-            b, wt, p = price(rj, sj, lpow)
-            prices[key] = _Price(b, wt, p, traced(-b), (rj, sj, traced(wt)))
-        return prices[key]
-
-    numbers = {}
-
-    def traced(value: int):
-        """The trace's number for a ledger int."""
-        if value not in numbers:
-            numbers[value] = number(value, 1 << shift)
-        return numbers[value]
+    def advance(old: _State, side: int):
+        """Price ``old``'s successor on ``side`` and keep the transition."""
+        new = state_price(old.r - 1, old.s if side else max(0, old.s - 1))
+        old.step[side] = step = (new, old.weight if side else -old.pay,
+                                 new.weight - old.weight)
+        return step
 
     m = inst.m
     state = [[state_price(rj, sj) for rj, sj in grp] for grp in start]
-    bal = [[-p.budget for p in grp] for grp in state]
-    group_bal = [sum(p.budget for p in grp) for grp in state]
-    # each member's desired goods still on the table; per group, the
-    # members wanting each good and each good's total member weight
-    goods_of = [[[i for i in range(m) if mask >> i & 1] for mask in grp]
-                for grp in desired]
-    wanted_by = [[[] for _ in range(m)] for _ in range(k)]
+    bal = [[p.neg_budget for p in grp] for grp in state]
+    group_bal = [-sum(bal[g]) for g in range(k)]
+    # per good and group, the members wanting it; per group, each good's
+    # total member weight
+    wanted_by = [[[] for _ in range(k)] for _ in range(m)]
     good_weight = [[0] * m for _ in range(k)]
     for g in range(k):
         for j, goods in enumerate(goods_of[g]):
             for i in goods:
-                wanted_by[g][i].append(j)
+                wanted_by[i][g].append(j)
                 good_weight[g][i] += state[g][j].weight
 
     remaining = list(range(m))
     assignment = [None] * m
-    turns = []
+    log = []  # per turn: group, pick, and the trace's ledger snapshots
     for turn in range(1, m + 1):
         g = next_group()
         weights = good_weight[g]
-        member_states = tuple(map(_STATE, state[g]))
-        good_weights = tuple((i, traced(weights[i])) for i in remaining)
+        before = tuple(state[g]), tuple(weights)
         pick = max(remaining, key=weights.__getitem__)
-        for gg in range(k):
-            for j in wanted_by[gg][pick]:
-                old = state[gg][j]
-                rj, sj, _ = old.state
-                if gg == g:
-                    bal[gg][j] -= old.pay
-                    group_bal[gg] += old.pay
-                    sj = max(0, sj - 1)
-                else:
-                    bal[gg][j] += old.weight
-                    group_bal[gg] -= old.weight
-                new = state[gg][j] = state_price(rj - 1, sj)
-                if bal[gg][j] != -new.budget:
+        for gg, members in enumerate(wanted_by[pick]):
+            side = gg != g
+            st, b, gw, goods_of_g = state[gg], bal[gg], good_weight[gg], goods_of[gg]
+            change = 0
+            for j in members:
+                old = st[j]
+                new, move, delta = old.step[side] or advance(old, side)
+                st[j] = new
+                b[j] = balance = b[j] + move
+                change += move
+                if balance != new.neg_budget:
                     raise ProtocolInvariantError(
-                        f"agent {gg + 1}.{j + 1} balance {traced(bal[gg][j])} != "
-                        f"-{budget_name}({rj - 1}, {sj}) after turn {turn}",
+                        f"agent {gg + 1}.{j + 1} balance {traced(balance)} != "
+                        f"-{budget_name}({new.r}, {new.s}) after turn {turn}",
                         agent=f"{gg + 1}.{j + 1}", turn=turn,
-                        expected=Fraction(-new.budget, 1 << shift),
-                        actual=Fraction(bal[gg][j], 1 << shift),
+                        expected=Fraction(new.neg_budget, 1 << shift),
+                        actual=Fraction(balance, 1 << shift),
                     )
-                goods = goods_of[gg][j]
+                goods = goods_of_g[j]
                 goods.remove(pick)
-                delta = new.weight - old.weight
                 if delta:
-                    gw = good_weight[gg]
                     for i in goods:
                         gw[i] += delta
+            group_bal[gg] -= change
         assignment[pick] = g
-        turns.append(
-            TurnRecord(
-                turn=turn,
-                group=g,
-                remaining=tuple(remaining),
-                member_states=member_states,
-                good_weights=good_weights,
-                pick=pick,
-                group_balances=tuple(map(traced, group_bal)),
-                agent_balances=tuple(tuple(map(_BALANCE, grp)) for grp in state),
-            )
-        )
+        log.append((g, pick, *before, tuple(group_bal), tuple(map(tuple, state))))
         remaining.remove(pick)
 
     for g in range(k):
-        happy = sum(1 for p in state[g] if p.state[1] == 0)
+        happy = sum(1 for p in state[g] if p.s == 0)
         if group_bal[g] != happy << shift:
             raise ProtocolInvariantError(
                 f"group {g + 1} final balance {traced(group_bal[g])} != happy {happy}",
                 expected=Fraction(happy), actual=Fraction(group_bal[g], 1 << shift),
             )
-    return Allocation(tuple(assignment), k), ProtocolTrace(kind, tuple(turns)), start
+
+    def turns() -> tuple:
+        left, records = list(range(m)), []
+        for turn, (g, pick, members, weights, gbal, states) in enumerate(log, 1):
+            records.append(TurnRecord(
+                turn, g, tuple(left), tuple(map(_ENTRY, members)),
+                tuple((i, traced(weights[i])) for i in left), pick,
+                tuple(map(traced, gbal)),
+                tuple(tuple(map(_BALANCE, grp)) for grp in states),
+            ))
+            left.remove(pick)
+        return tuple(records)
+
+    trace = ProtocolTrace.__new__(ProtocolTrace)
+    object.__setattr__(trace, "kind", kind)
+    object.__setattr__(trace, "_build", turns)
+    return Allocation(tuple(assignment), k), trace, start
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +464,8 @@ def rwav2(inst: Instance, criterion, first_group: int = 0, table=None) -> RunRes
         "B",
     )
     guarantees = tuple(
-        min(tbl.B(r if g == first_group else r - 1, s) for r, s in start[g])
+        min(tbl.B(r if g == first_group else r - 1, s)
+            for r, s in dict.fromkeys(start[g]))
         for g in range(2)
     )
     return RunResult(
@@ -482,9 +500,7 @@ def rwav2_enhanced(inst: Instance, c: int = 2) -> RunResult:
         counted = [mask for mask in desired[g] if mask.bit_count() >= c]
         if not counted:
             continue
-        for good in range(inst.m):
-            bit = 1 << good
-            desiring = sum(1 for mask in counted if mask & bit)
+        for good, desiring in enumerate(_desire_counts(counted, inst.m)):
             if desiring * threshold.denominator >= threshold.numerator * len(counted):
                 assignment = [1 - g] * inst.m
                 assignment[good] = g
@@ -530,52 +546,32 @@ def identical_local_search(inst: Instance) -> RunResult:
     full_masks = _desired_masks(inst)
     if sorted(full_masks[0]) != sorted(full_masks[1]):
         raise ValueError("groups are not identical (desired-set multisets differ)")
-    pairs = [[mask if mask.bit_count() == 2 else None for mask in grp]
+    # each member's two goods, 0 for the exempt
+    pairs = [[mask if mask.bit_count() == 2 else 0 for mask in grp]
              for grp in _desired_masks(binarize_instance(inst, 2))]
     own = [0, (1 << inst.m) - 1]  # current bundle masks
 
-    def util(g: int, j: int) -> int:
-        return (pairs[g][j] & own[g]).bit_count()
-
     def wanting_with_util(g: int, good: int, u: int) -> int:
-        bit = 1 << good
-        return sum(
-            1
-            for j, pair in enumerate(pairs[g])
-            if pair is not None and pair & bit and util(g, j) == u
-        )
+        return sum(1 for pair in pairs[g]
+                   if pair >> good & 1 and (pair & own[g]).bit_count() == u)
 
-    n_counted = sum(1 for grp in pairs for pair in grp if pair is not None)
-    max_moves = n_counted // 2 if n_counted else 0
+    max_moves = sum(1 for grp in pairs for pair in grp if pair) // 2
     moves = []
     while True:
-        moved = False
         for good in range(inst.m):
             bit = 1 << good
-            if own[0] & bit:
-                if wanting_with_util(1, good, 0) > wanting_with_util(0, good, 1):
-                    own[0] &= ~bit
-                    own[1] |= bit
-                    moves.append(MoveRecord(good, 0, 1))
-                    moved = True
-                    break
-            else:
-                if wanting_with_util(0, good, 0) > wanting_with_util(1, good, 1):
-                    own[1] &= ~bit
-                    own[0] |= bit
-                    moves.append(MoveRecord(good, 1, 0))
-                    moved = True
-                    break
-        if not moved:
+            held = 0 if own[0] & bit else 1  # the group holding the good
+            if wanting_with_util(1 - held, good, 0) > wanting_with_util(held, good, 1):
+                own[held] &= ~bit
+                own[1 - held] |= bit
+                moves.append(MoveRecord(good, held, 1 - held))
+                break
+        else:
             break
         if len(moves) > max_moves:
-            raise ProtocolInvariantError(
-                f"local search exceeded {max_moves} moves"
-            )
+            raise ProtocolInvariantError(f"local search exceeded {max_moves} moves")
 
-    alloc = Allocation.from_bundles(
-        [Bundle(own[0], inst.m), Bundle(own[1], inst.m)]
-    )
+    alloc = Allocation.from_bundles([Bundle(own[0], inst.m), Bundle(own[1], inst.m)])
     criterion = OneOfBestC(2)
     report = democratic_report(inst, alloc, (criterion, criterion))
     bound = Fraction(2, 3)
@@ -744,24 +740,22 @@ def best_k_protocol(inst: Instance) -> RunResult:
     binary = binarize_instance(inst, k)
     masks = _desired_masks(binary)
     criterion = OneOfBestC(k)
+    desiring = [_desire_counts(grp, inst.m) for grp in masks]
 
     active = list(range(k))
     remaining_mask = (1 << inst.m) - 1
     assignment = [None] * inst.m
     steps = []
     base = None
-    base_goods: tuple = ()
-    base_groups: tuple = ()
     while len(active) >= 3:
         # the first group, then good, that a third of the group wants
         step = next(
             (
-                UnanimousStep(g, good, desiring, len(masks[g]))
+                UnanimousStep(g, good, desiring[g][good], len(masks[g]))
                 for g in active
                 for good in range(inst.m)
                 if remaining_mask >> good & 1
-                and 3 * (desiring := sum(mask >> good & 1 for mask in masks[g]))
-                >= len(masks[g])
+                and 3 * desiring[g][good] >= len(masks[g])
             ),
             None,
         )
@@ -775,27 +769,27 @@ def best_k_protocol(inst: Instance) -> RunResult:
     goods_left = [i for i in range(inst.m) if remaining_mask >> i & 1]
     sub = None
     if goods_left:
-        sub = Instance.from_valuations(
-            [inst.goods[i] for i in goods_left],
-            [
+        sub = binary  # what the rebuild gives while no good has been taken
+        if steps or binary.order != tuple(range(inst.m)):
+            sub = Instance.from_valuations(
+                [inst.goods[i] for i in goods_left],
                 [
-                    BinaryValuation(Bundle.from_indices(
-                        (j for j, i in enumerate(goods_left) if mask >> i & 1),
-                        len(goods_left),
-                    ))
-                    for mask in masks[g]
-                ]
-                for g in active
-            ],
-        )
+                    [
+                        BinaryValuation(Bundle.from_indices(
+                            (j for j, i in enumerate(goods_left) if mask >> i & 1),
+                            len(goods_left),
+                        ))
+                        for mask in masks[g]
+                    ]
+                    for g in active
+                ],
+            )
         if len(active) == 2:
             base = rwav2_enhanced(sub, c=2)
         else:
             base = rwavk(sub, c=len(active))
         for local_good, owner in enumerate(base.allocation.assignment):
             assignment[goods_left[local_good]] = active[owner]
-        base_goods = tuple(goods_left)
-        base_groups = tuple(active)
 
     alloc = Allocation(tuple(assignment), k)
     report = democratic_report(inst, alloc, criterion)
@@ -806,7 +800,8 @@ def best_k_protocol(inst: Instance) -> RunResult:
         report=report,
         guarantees=(bound,) * k,
         criteria=(criterion,) * k,
-        trace=BestKTrace(tuple(steps), base, base_goods, base_groups, sub),
+        trace=BestKTrace(tuple(steps), base, tuple(goods_left),
+                         tuple(active) if goods_left else (), sub),
     )
 
 
@@ -842,6 +837,6 @@ def cwav2(inst: Instance, criterion, seed: int) -> RunResult:
         criteria=crits,
         trace=trace,
         expected_guarantees=tuple(
-            min(tbl.C(r, s) for r, s in start[g]) for g in range(2)
+            min(tbl.C(r, s) for r, s in dict.fromkeys(start[g])) for g in range(2)
         ),
     )

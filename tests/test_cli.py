@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from groupfair import cli
+from groupfair import cli, protocols
 from groupfair.budgets import BudgetTable
 from groupfair.cli import MAX_TABLE_CELLS, MAX_TABLE_RMAX, main
 from groupfair.model import MAX_MEMBERS
@@ -73,6 +73,22 @@ def test_run_trace_matches_golden(b1_path, capsys):
     )
     assert code == 0
     assert out == (DATA / "b1_trace.txt").read_text()
+
+
+def test_run_builds_turn_records_only_for_trace(b1_path, capsys, monkeypatch):
+    # the picking loop keeps ledger snapshots and makes TurnRecords only
+    # when the trace is read, which run does for --trace alone
+    made = []
+    init = protocols.TurnRecord.__init__
+    monkeypatch.setattr(protocols.TurnRecord, "__init__",
+                        lambda self, *args: made.append(args[0]) or init(self, *args))
+    argv = ("run", "--protocol", "rwav2", "--instance", b1_path, *B1_ARGS)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["protocol"] == "rwav2"
+    assert made == []
+    code, out, _ = run_cli(capsys, *argv, "--trace")
+    assert code == 0 and out == (DATA / "b1_trace.txt").read_text()
+    assert made == [1, 2, 3, 4, 5]
 
 
 def test_run_machine_doc_matches_golden(b1_path, capsys):
@@ -395,6 +411,19 @@ def test_brute_lcm_beyond_int64_exits_3(tmp_path, capsys):
         capsys, "brute", "--instance", str(path), "--criterion", "prop-1",
     )
     assert code == 3 and out == "" and "2^63" in err
+
+
+def test_brute_spec_checks_the_space_before_generating(monkeypatch, capsys):
+    def no_generate(spec):
+        raise AssertionError("an over-cap spec must not be generated")
+
+    monkeypatch.setattr(cli.oracles, "generate", no_generate)
+    code, out, err = run_cli(
+        capsys, "brute", "--spec", "three-good-cycle:k=99999",
+        "--criterion", "ef-1", "--cap", "8",
+    )
+    assert code == 3 and out == ""
+    assert "allocation space 99999^3 = 999970000299999 exceeds cap 8" in err
 
 
 def test_brute_bad_spec(capsys):
