@@ -24,16 +24,31 @@ for r in range(7):
     row = [w(r, s) for s in range(4)]
     print(f"  r={r}:  " + "  ".join(f"{x!s:>6}" for x in row))
 
-# The recurrence agrees with a closed binomial-sum form everywhere.
+# B is defined by a min-of-two recurrence, and the table reads it from a
+# closed binomial-sum form.  Rebuild the recurrence and compare.
+memo = {}
+
+
+def B_recurrence(r, s):
+    if s <= 0:
+        return Fraction(1)
+    if r < s:
+        return Fraction(0)
+    if (r, s) not in memo:
+        memo[r, s] = min((B_recurrence(r - 1, s) + B_recurrence(r - 1, s - 1)) / 2,
+                         B_recurrence(r - 2, s - 1))
+    return memo[r, s]
+
+
 assert all(
-    B(r, s) == B_closed(r, s)
+    B_recurrence(r, s) == B_closed(r, s) == B(r, s)
     for r in range(31)
     for s in range(r + 1)
 )
 print()
 print("recurrence == closed form for all 0 <= s <= r <= 30: OK")
 
-# Larger tables are built on demand; lookups outside the table raise.
+# A table answers up to its r_max; lookups beyond it raise.
 big = BudgetTable(95)
 print("B(23, 3) =", big.B(23, 3), ">= 7/8:",
       big.B(23, 3) >= Fraction(7, 8))

@@ -3,16 +3,16 @@
 The two-group protocols price goods with weights drawn from a *budget
 function* ``B(r, s)``: the guaranteed probability-mass of success for a
 member who still wants ``r`` of the remaining goods and needs ``s`` more of
-them.  ``B`` satisfies a min-of-two-recurrences rule and always produces
-dyadic rationals (denominator a power of two), so this module keeps the
-arithmetic exact: the tables hold ints scaled by a power of two, and every
-value leaves as a :class:`~fractions.Fraction`.
+them.  ``B``, its coin-flip variant ``C`` and the impossibility bound
+``maxh`` are all binomial tails, so this module reads every one of them
+from one exact int sum, :func:`_below`, and every value leaves as a
+:class:`~fractions.Fraction` (a dyadic one for ``B`` and ``C``: its
+denominator is a power of two).
 
 Contents:
 
-* :class:`BudgetTable` -- memo of ``B``, ``w``, ``C`` (the coin-flip
-  variant) up to a configurable ``r_max``, built column by column as
-  lookups reach it.
+* :class:`BudgetTable` -- ``B``, ``w``, ``C`` (the coin-flip variant) and
+  ``w_C`` up to a configurable ``r_max``.
 * :func:`B`, :func:`w`, :func:`C`, :func:`B_closed` -- module-level accessors
   backed by a shared default table.
 * :func:`maxh`, :func:`maxh_finite` -- exact upper bounds on the achievable
@@ -23,8 +23,8 @@ Contents:
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from fractions import Fraction
 
 from .errors import CapExceededError
@@ -47,9 +47,28 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+@functools.lru_cache(maxsize=1 << 15)
+def _below(r: int, s: int, k: int) -> int:
+    """``sum((k-1)**(r-i) * comb(r, i) for i in range(s))`` over ``i <= r``:
+    of the ``k**r`` ways to send ``r`` draws to ``k`` groups, how many send
+    fewer than ``s`` to group 0.  One running term, so no recursion."""
+    total, term = 0, (k - 1) ** r
+    for i in range(min(s, r + 1)):
+        total += term
+        term = term * (r - i) // ((i + 1) * (k - 1))  # the term of i + 1
+    return total
+
+
+def _coin_tail(r: int, s: int, t: int) -> Fraction:
+    """The chance that ``r`` fair coin flips show at least ``s`` heads and
+    at least ``t`` tails."""
+    if r < s + t:
+        return _ZERO
+    return Fraction((1 << r) - _below(r, s, 2) - _below(r, t, 2), 1 << r)
+
+
 class BudgetTable:
-    """Memo of the budget functions ``B``, ``w``, ``C``, ``w_C``, filled by
-    column on demand.
+    """The budget functions ``B``, ``w``, ``C``, ``w_C`` up to ``r_max``.
 
     ``B(r, s)`` is defined by::
 
@@ -63,85 +82,56 @@ class BudgetTable:
     for the coin-flip protocol, where turn order is random) and ``w_C`` is
     its marginal.  All values are exact ``Fraction`` numbers.
 
-    Column ``s`` of ``B`` and ``C`` reads only columns ``s`` and ``s - 1``,
-    so the memo holds the columns ``0 .. s`` built so far, each over
-    ``-2 <= r <= r_max``; a lookup in a later column builds the missing
-    ones first.  A column holds the ints ``V(r, s) = B(r, s) * 2**(r + 2)``
-    at index ``r + 2``, so column 0 is ``1 << i`` and the recurrences are
-    int sums::
-
-        V_B(r, s) = min(V_B(r-1, s) + V_B(r-1, s-1), 4 * V_B(r-2, s-1))
-        V_C(r, s) = V_C(r-1, s) + V_C(r-1, s-1)
+    Both recurrences solve to binomial tails, and the table reads its
+    values from them: for ``1 <= s <= r``, ``C(r, s)`` is the chance that
+    ``r`` fair coin flips show at least ``s`` heads, and ``B(r, s)`` the
+    chance of at least ``s`` heads and at least ``s - 1`` tails.
 
     Arguments that fall under a base-case rule are answered without a
     lookup, anything else beyond ``r_max`` raises
-    :class:`~groupfair.errors.CapExceededError`.  Lookups from several
-    threads are safe: a column is published whole, under a lock, once.
+    :class:`~groupfair.errors.CapExceededError`.  A table holds nothing but
+    ``r_max``; the sums it reads are cached, once per process.
 
     >>> table = BudgetTable(8)
-    >>> table.columns, str(table.B(5, 2)), table.columns
-    (1, '25/32', 3)
+    >>> str(table.B(5, 2)), str(table.C(5, 2))
+    ('25/32', '13/16')
     """
 
     def __init__(self, r_max: int = 64):
         if r_max < 1:
             raise ValueError("r_max must be >= 1")
         self.r_max = r_max
-        ones = [1 << i for i in range(r_max + 3)]  # indices r = -2 .. r_max
-        self._columns = [(ones, ones)]  # (B, C) column per s = 0, 1, ...
-        self._lock = threading.Lock()
 
-    @property
-    def columns(self) -> int:
-        """How many columns ``s = 0, 1, ...`` the memo has built."""
-        return len(self._columns)
-
-    def _grow(self, s: int):
-        """Build and publish every missing column up to ``s``."""
-        with self._lock:
-            columns = self._columns
-            while len(columns) <= s:
-                s_new = len(columns)
-                prev_b, prev_c = columns[-1]
-                n = len(prev_b)
-                col_b, col_c = [0] * n, [0] * n
-                for i in range(s_new + 2, n):  # r = s_new .. r_max
-                    col_b[i] = min(col_b[i - 1] + prev_b[i - 1], 4 * prev_b[i - 2])
-                    col_c[i] = col_c[i - 1] + prev_c[i - 1]
-                columns.append((col_b, col_c))
-
-    def _lookup(self, which: int, r: int, s: int) -> Fraction:
+    def _lookup(self, r: int, s: int, tails: int) -> Fraction:
         if s <= 0:
             return _ONE
         if r < s:
             return _ZERO
-        if r > self.r_max or s > self.r_max:
+        if r > self.r_max:
             raise CapExceededError(
                 f"budget table capped at r_max={self.r_max}, got (r={r}, s={s})"
             )
-        if s >= len(self._columns):
-            self._grow(s)
-        return Fraction(self._columns[s][which][r + 2], 1 << (r + 2))
+        return _coin_tail(r, s, tails)
 
     def B(self, r: int, s: int) -> Fraction:
         """Budget value ``B(r, s)``."""
-        return self._lookup(0, r, s)
+        return self._lookup(r, s, s - 1)
 
     def w(self, r: int, s: int) -> Fraction:
         """Marginal weight ``w(r, s) = B(r, s) - B(r-1, s)``."""
-        return self._lookup(0, r, s) - self._lookup(0, r - 1, s)
+        return self.B(r, s) - self.B(r - 1, s)
 
     def C(self, r: int, s: int) -> Fraction:
         """Coin-flip budget ``C(r, s)``."""
-        return self._lookup(1, r, s)
+        return self._lookup(r, s, 0)
 
     def w_C(self, r: int, s: int) -> Fraction:
         """Marginal coin-flip weight ``C(r, s) - C(r-1, s)``."""
-        return self._lookup(1, r, s) - self._lookup(1, r - 1, s)
+        return self.C(r, s) - self.C(r - 1, s)
 
 
-#: Shared table backing the module-level accessors (and the protocols); it
-#: starts empty and builds a column the first time a lookup needs it.
+#: Shared table backing the module-level accessors (and the protocols),
+#: capped at ``r_max = 64``; it holds no values of its own.
 DEFAULT_TABLE = BudgetTable()
 
 
@@ -178,10 +168,10 @@ def w_C(r: int, s: int) -> Fraction:
 
 
 def B_closed(r: int, s: int) -> Fraction:
-    """Closed form of ``B``: ``2**-r * sum(comb(r, i) for i in s..r-s+1)``.
-
-    Agrees with the recurrence everywhere on ``0 <= s <= r`` (the sum is
-    empty, hence 0, exactly on the zero region ``r <= 2s - 2``).
+    """``B`` for any ``r, s >= 0``, with no ``r_max``: the closed form
+    ``2**-r * sum(comb(r, i) for i in s..r-s+1)``, read from the same sum
+    as :meth:`BudgetTable.B` (the sum is empty, hence 0, exactly on the
+    zero region ``r <= 2s - 2``).
 
     >>> B_closed(3, 2) == B(3, 2)
     True
@@ -190,8 +180,7 @@ def B_closed(r: int, s: int) -> Fraction:
     """
     if r < 0 or s < 0:
         raise ValueError("B_closed needs r >= 0 and s >= 0")
-    total = sum(math.comb(r, i) for i in range(max(0, s), r - s + 2))
-    return Fraction(total, 1 << r)
+    return _coin_tail(r, s, s - 1)
 
 
 def maxh(r: int, s: int, k: int = 2) -> Fraction:
@@ -218,9 +207,8 @@ def maxh(r: int, s: int, k: int = 2) -> Fraction:
     if k < 2:
         raise ValueError("maxh needs k >= 2")
     if r <= k * s - 1:
-        return Fraction(0)
-    total = sum((k - 1) ** (r - i) * math.comb(r, i) for i in range(s, r + 1))
-    return Fraction(total, k**r)
+        return _ZERO
+    return Fraction(k**r - _below(r, s, k), k**r)
 
 
 def maxh_finite(r: int, s: int, k: int, m: int) -> Fraction:

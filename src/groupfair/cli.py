@@ -71,9 +71,9 @@ _FIXED_CRITERION = {
 
 #: Most cells ``(rmax + 1) * (smax + 1)`` a ``table`` grid may have.
 MAX_TABLE_CELLS = 20_000
-#: Largest ``--rmax`` for ``--which Bk`` and ``maxh``, whose cells cost more
-#: as ``r`` grows (``maxh`` sums ``r`` big-int terms; the float ``Bk``
-#: overflows past ``r = 1023`` at ``k = 2``).
+#: Largest ``--rmax`` for ``--which Bk`` and ``maxh``.  The float ``Bk``
+#: overflows past ``r = 1023`` at ``k = 2``; a ``maxh`` cell sums up to ``s``
+#: ints of ``r * log2(k)`` bits, and is 0 without a sum unless ``k <= r``.
 MAX_TABLE_RMAX = 300
 #: Most threads ``brute --workers`` may ask for: ``max_h`` can start one per
 #: block of the allocation space, which is thousands at a large ``--cap``.
@@ -317,7 +317,10 @@ def _read(path: str) -> str:
 
 def _emit(text: str, out_path):
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            raise _CliError(f"cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -408,12 +411,10 @@ def _cmd_run(args) -> int:
             _guarantee_doc(x) for x in result.expected_guarantees
         ]
     machine = json.dumps(doc, indent=2) + "\n"
+    if args.out or not args.trace:  # with --trace, the document needs --out
+        _emit(machine, args.out)
     if args.trace:
         sys.stdout.write(_render_trace(result, inst))
-        if args.out:
-            Path(args.out).write_text(machine)
-    else:
-        _emit(machine, args.out)
     return 0
 
 

@@ -80,10 +80,26 @@ MMS_GOODS_CAP = 12
 # criteria
 
 
-class EFc(Record):
+#: A ``<field>`` in a criterion's shape.
+_PLACEHOLDER = re.compile(r"<(\w)>")
+
+
+class _Shaped:
+    """A criterion's kebab-case ``name``: its class's ``shape`` with each
+    ``<field>`` replaced by that field's value."""
+
+    shape = ""
+
+    @property
+    def name(self) -> str:
+        return _PLACEHOLDER.sub(lambda m: str(getattr(self, m[1])), self.shape)
+
+
+class EFc(_Shaped, Record):
     """Envy-free up to ``c`` goods: envy toward any other group vanishes
     after removing at most ``c`` goods from that group's bundle."""
 
+    shape = "ef-<c>"
     c: int
 
     def __init__(self, c: int):
@@ -91,16 +107,13 @@ class EFc(Record):
             raise ValueError("EFc needs c >= 0")
         self._init(c)
 
-    @property
-    def name(self) -> str:
-        return f"ef-{self.c}"
 
-
-class PROPc(Record):
+class PROPc(_Shaped, Record):
     """Proportional except ``c`` goods: the agent's group gets at least
     ``1/k`` of the agent's value for all goods minus some ``c`` unowned
     goods."""
 
+    shape = "prop-<c>"
     c: int
 
     def __init__(self, c: int):
@@ -108,22 +121,17 @@ class PROPc(Record):
             raise ValueError("PROPc needs c >= 0")
         self._init(c)
 
-    @property
-    def name(self) -> str:
-        return f"prop-{self.c}"
 
-
-class MMS(Record):
+class MMS(_Shaped, Record):
     """The agent's bundle is worth its maximin share over ``k`` parts."""
 
-    @property
-    def name(self) -> str:
-        return "mms"
+    shape = "mms"
 
 
-class OneOutOfCMMS(Record):
+class OneOutOfCMMS(_Shaped, Record):
     """Maximin share computed with ``c`` parts (a relaxation for c > k)."""
 
+    shape = "1-out-of-<c>-mms"
     c: int
 
     def __init__(self, c: int):
@@ -131,14 +139,11 @@ class OneOutOfCMMS(Record):
             raise ValueError("1-out-of-c MMS needs c >= 1")
         self._init(c)
 
-    @property
-    def name(self) -> str:
-        return f"1-out-of-{self.c}-mms"
 
-
-class FractionMMS(Record):
+class FractionMMS(_Shaped, Record):
     """The agent's bundle is worth at least ``q`` times its maximin share."""
 
+    shape = "fraction-mms:<q>"
     q: Fraction
 
     def __init__(self, q: Fraction):
@@ -147,14 +152,11 @@ class FractionMMS(Record):
             raise ValueError("fraction-mms needs q strictly between 0 and 1")
         self._init(q)
 
-    @property
-    def name(self) -> str:
-        return f"fraction-mms:{self.q.numerator}/{self.q.denominator}"
 
-
-class OneOfBestC(Record):
+class OneOfBestC(_Shaped, Record):
     """The agent's bundle is worth at least its c-th best single good."""
 
+    shape = "1-of-best-<c>"
     c: int
 
     def __init__(self, c: int):
@@ -162,41 +164,23 @@ class OneOfBestC(Record):
             raise ValueError("1-of-best-c needs c >= 1")
         self._init(c)
 
-    @property
-    def name(self) -> str:
-        return f"1-of-best-{self.c}"
 
-
-class PositiveMMS(Record):
+class PositiveMMS(_Shaped, Record):
     """Positive maximin share implies positive utility."""
 
-    @property
-    def name(self) -> str:
-        return "positive-mms"
+    shape = "positive-mms"
 
 
-FairnessCriterion = Union[
-    EFc, PROPc, MMS, OneOutOfCMMS, FractionMMS, OneOfBestC, PositiveMMS
-]
+_CRITERIA = (EFc, PROPc, MMS, OneOutOfCMMS, FractionMMS, OneOfBestC, PositiveMMS)
+FairnessCriterion = Union[_CRITERIA]
 
+#: How each ``<field>`` of a shape reads: its pattern and its parser.
+_FIELD_SYNTAX = {"c": (r"\d+", int), "q": (".+", parse_rational)}
 _CRITERION_PATTERNS = [
-    (re.compile(r"ef-(\d+)$"), lambda m: EFc(int(m.group(1)))),
-    (re.compile(r"prop-(\d+)$"), lambda m: PROPc(int(m.group(1)))),
-    (re.compile(r"mms$"), lambda m: MMS()),
-    (re.compile(r"1-out-of-(\d+)-mms$"), lambda m: OneOutOfCMMS(int(m.group(1)))),
-    (re.compile(r"fraction-mms:(.+)$"), lambda m: FractionMMS(parse_rational(m.group(1)))),
-    (re.compile(r"1-of-best-(\d+)$"), lambda m: OneOfBestC(int(m.group(1)))),
-    (re.compile(r"positive-mms$"), lambda m: PositiveMMS()),
-]
-
-_CRITERION_SHAPES = [
-    "ef-<c>",
-    "prop-<c>",
-    "mms",
-    "1-out-of-<c>-mms",
-    "fraction-mms:<q>",
-    "1-of-best-<c>",
-    "positive-mms",
+    (re.compile(_PLACEHOLDER.sub(
+        lambda m: f"(?P<{m[1]}>{_FIELD_SYNTAX[m[1]][0]})", re.escape(cls.shape)
+    )), cls)
+    for cls in _CRITERIA
 ]
 
 
@@ -209,22 +193,23 @@ def parse_criterion(text: str) -> FairnessCriterion:
     Fraction(1, 2)
     """
     name = text.strip().lower()
-    for pattern, build in _CRITERION_PATTERNS:
+    for pattern, cls in _CRITERION_PATTERNS:
         match = pattern.fullmatch(name)
         if match:
             try:
-                return build(match)
+                return cls(**{field: _FIELD_SYNTAX[field][1](value)
+                              for field, value in match.groupdict().items()})
             except (ValueError, FormatError) as exc:
                 raise FormatError(f"bad criterion {text!r}: {exc}") from None
     import difflib
 
+    shapes = [cls.shape for cls in _CRITERIA]
     hints = difflib.get_close_matches(
-        name, _CRITERION_SHAPES + ["ef-1", "prop-2", "1-of-best-2"], n=3, cutoff=0.4
+        name, shapes + ["ef-1", "prop-2", "1-of-best-2"], n=3, cutoff=0.4
     )
     suffix = f" (did you mean: {', '.join(hints)}?)" if hints else ""
     raise FormatError(
-        f"unknown criterion {text!r}; expected one of "
-        f"{', '.join(_CRITERION_SHAPES)}{suffix}"
+        f"unknown criterion {text!r}; expected one of {', '.join(shapes)}{suffix}"
     )
 
 

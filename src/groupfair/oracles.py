@@ -480,23 +480,25 @@ class EFcLimit(Record):
         self._init(c, l)
 
 
-_SPEC_PARAMS = {
-    "three-good-cycle": (ThreeGoodCycle, {"k"}, {"k"}),
-    "all-subsets": (AllSubsets, {"r", "s", "k", "m"}, set()),
-    "circle": (Circle, {"k"}, set()),
-    "additive-third": (AdditiveThird, set(), set()),
-    "efc-limit": (EFcLimit, {"c", "l"}, set()),
+#: Each generator's spec record; its parameters are the record's fields,
+#: and those with a default may be left out.
+_SPECS = {
+    "three-good-cycle": ThreeGoodCycle,
+    "all-subsets": AllSubsets,
+    "circle": Circle,
+    "additive-third": AdditiveThird,
+    "efc-limit": EFcLimit,
 }
 
 
 def spec_name(spec) -> str:
     """Canonical textual form, re-parsable by :func:`parse_spec`."""
-    for name, (cls, params, _) in _SPEC_PARAMS.items():
+    for name, cls in _SPECS.items():
         if isinstance(spec, cls):
-            if not params:
+            if not cls._fields:
                 return name
             args = ",".join(
-                f"{p}={getattr(spec, p)}" for p in sorted(params)
+                f"{p}={getattr(spec, p)}" for p in sorted(cls._fields)
             )
             return f"{name}:{args}"
     raise TypeError(f"unknown generator spec {spec!r}")
@@ -512,23 +514,25 @@ def parse_spec(text: str):
     """
     name, _, args = text.strip().partition(":")
     name = name.strip()
-    if name not in _SPEC_PARAMS:
+    if name not in _SPECS:
         import difflib
 
-        hint = difflib.get_close_matches(name, _SPEC_PARAMS, n=1)
+        hint = difflib.get_close_matches(name, _SPECS, n=1)
         extra = f"; did you mean {hint[0]!r}?" if hint else ""
         raise FormatError(f"unknown generator {name!r}{extra}")
-    cls, params, optional = _SPEC_PARAMS[name]
+    cls = _SPECS[name]
     kwargs = {}
     for part in filter(None, (p.strip() for p in args.split(","))):
         m = re.fullmatch(r"([a-z]+)\s*=\s*(\d+)", part)
-        if not m or m.group(1) not in params:
+        if not m or m.group(1) not in cls._fields:
             raise FormatError(
                 f"bad parameter {part!r} for {name} (expected"
-                f" {sorted(params) or 'none'})"
+                f" {sorted(cls._fields) or 'none'})"
             )
+        if m.group(1) in kwargs:
+            raise FormatError(f"parameter {m.group(1)!r} given twice")
         kwargs[m.group(1)] = int(m.group(2))
-    missing = params - optional - set(kwargs)
+    missing = set(cls._fields) - set(cls._defaults) - set(kwargs)
     if missing:
         raise FormatError(f"{name} needs parameters {sorted(missing)}")
     try:

@@ -1,14 +1,19 @@
-"""Eager reference for the budget tables.
+"""Slow references for the budget tables and bounds.
 
-This is the straightforward build :class:`groupfair.budgets.BudgetTable`
-replaces: the constructor fills every cell of ``B`` and ``C`` for
-``-2 <= r, s <= r_max``, row by row, before the first lookup.  The
-property tests in ``test_budgets.py`` require the column-on-demand table
-to agree with it on every value, every repr and every cap error.
+:class:`EagerBudgetTable` is the straightforward build of the recurrences
+that :class:`groupfair.budgets.BudgetTable` replaces with binomial tails:
+the constructor fills every cell of ``B`` and ``C`` for
+``-2 <= r, s <= r_max``, row by row, before the first lookup.
+:func:`b_closed_sum` and :func:`maxh_sum` are the direct binomial sums
+that :func:`groupfair.budgets.B_closed` and :func:`groupfair.budgets.maxh`
+replace with one cached tail.  The property tests in ``test_budgets.py``
+require the module to agree with them on every value, every repr and
+every cap error.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from groupfair.errors import CapExceededError
@@ -62,3 +67,18 @@ class EagerBudgetTable:
 
     def w_C(self, r: int, s: int) -> Fraction:
         return self._lookup(self._C, r, s) - self._lookup(self._C, r - 1, s)
+
+
+def b_closed_sum(r: int, s: int) -> Fraction:
+    """``2**-r * sum(comb(r, i) for i in s..r-s+1)``, term by term."""
+    total = sum(math.comb(r, i) for i in range(max(0, s), r - s + 2))
+    return Fraction(total, 1 << r)
+
+
+def maxh_sum(r: int, s: int, k: int) -> Fraction:
+    """``k**-r * sum((k-1)**(r-i) * comb(r, i) for i in s..r)``, or 0 when
+    ``r <= k*s - 1``, term by term."""
+    if r <= k * s - 1:
+        return Fraction(0)
+    total = sum((k - 1) ** (r - i) * math.comb(r, i) for i in range(s, r + 1))
+    return Fraction(total, k**r)

@@ -1,9 +1,10 @@
 """Budget/weight table tests.
 
-The recurrence-driven tables are checked against the independent closed
-form (binomial sums), frozen spot values, and the printed three-decimal
-grid of the reference table.  The column-on-demand memo is checked against
-the eager build in ``table_reference.py``, from one thread and from four.
+The tables, ``B_closed`` and ``maxh`` all read one binomial-tail sum.  They
+are checked against the slow references in ``table_reference.py`` (the
+eager build of the recurrences, from one thread and from four, and the
+direct binomial sums), frozen spot values, and the printed three-decimal
+grid of the reference table.
 """
 
 import functools
@@ -30,7 +31,7 @@ from groupfair.budgets import (
 from groupfair.errors import CapExceededError
 from groupfair.protocols import _table_price
 
-from table_reference import EagerBudgetTable
+from table_reference import EagerBudgetTable, b_closed_sum, maxh_sum
 
 
 # ---------------------------------------------------------------------------
@@ -38,9 +39,11 @@ from table_reference import EagerBudgetTable
 
 
 def test_b_equals_closed_form_exactly():
+    # the closed form against the recurrence, built by another route
+    eager = EagerBudgetTable(30)
     for r in range(0, 31):
         for s in range(0, r + 1):
-            assert B(r, s) == B_closed(r, s), (r, s)
+            assert B(r, s) == B_closed(r, s) == eager.B(r, s), (r, s)
 
 
 def test_pinned_values():
@@ -121,7 +124,7 @@ def test_cap():
 
 
 # ---------------------------------------------------------------------------
-# column-on-demand memo against the eager build
+# binomial tails against the eager build and the direct sums
 
 eager_table = functools.lru_cache(maxsize=None)(EagerBudgetTable)
 
@@ -144,13 +147,8 @@ def lookup(table, name, r, s):
 )
 def test_lazy_table_matches_eager_build(r_max, queries):
     table, eager = BudgetTable(r_max), eager_table(r_max)
-    assert table.columns == 1
     for name, r, s in queries:
         assert lookup(table, name, r, s) == lookup(eager, name, r, s)
-    # a lookup builds columns only up to its own s, and only when it gets
-    # past the base cases and the cap
-    needed = [s for _, r, s in queries if 1 <= s <= r <= r_max]
-    assert table.columns == 1 + max(needed, default=0)
 
 
 def test_lazy_table_threads_agree():
@@ -179,7 +177,21 @@ def test_lazy_table_threads_agree():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [expected] * 4
-    assert table.columns == r_max + 1  # no column appended twice
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 200), st.integers(0, 201), st.integers(2, 6))
+def test_tails_match_the_direct_sums(r, s, k):
+    closed = B_closed(r, s)
+    assert (type(closed), repr(closed)) == (Fraction, repr(b_closed_sum(r, s)))
+    if 1 <= s <= r:
+        bound = maxh(r, s, k)
+        assert (type(bound), repr(bound)) == (Fraction, repr(maxh_sum(r, s, k)))
+
+
+def test_tails_far_past_the_recursion_limit():
+    assert B_closed(2000, 1000) == b_closed_sum(2000, 1000)
+    assert maxh(2000, 1000, 2) == maxh_sum(2000, 1000, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +259,10 @@ def test_maxh_values():
 def test_maxh_matches_coinflip_tail():
     # for two groups the bound is the binomial tail P(Bin(r, 1/2) >= s),
     # which the C recurrence computes by a completely different route
+    eager = EagerBudgetTable(24)
     for s in range(1, 10):
         for r in range(2 * s, 25):
-            assert maxh(r, s, 2) == C(r, s)
+            assert maxh(r, s, 2) == eager.C(r, s)
     for s in range(1, 10):
         for r in range(s, 2 * s):
             assert maxh(r, s, 2) == 0

@@ -44,6 +44,7 @@ from groupfair.oracles import (
     EFcLimit,
     ThreeGoodCycle,
     _binary_threshold,
+    check_space,
     exists_h,
     generate,
     max_h,
@@ -425,6 +426,21 @@ def test_parse_spec_errors():
         parse_spec("circle:q=3")
     with pytest.raises(FormatError):  # r < s fails the family's validation
         parse_spec("all-subsets:r=1,s=2,k=2,m=3")
+    with pytest.raises(FormatError, match="parameter 'k' given twice"):
+        parse_spec("circle:k=2,k=3")
+
+
+@pytest.mark.parametrize("text", [
+    "three-good-cycle:k=3", "all-subsets:r=2,s=1,k=2,m=3", "circle:k=3",
+    "additive-third", "efc-limit:c=1,l=2",
+])
+def test_check_space_matches_the_generated_instance(text):
+    spec = parse_spec(text)
+    inst = generate(spec)
+    space = inst.k**inst.m
+    with pytest.raises(CapExceededError, match=f"{inst.k}\\^{inst.m} = {space}"):
+        check_space(spec, space - 1)
+    assert check_space(spec, space) is None
 
 
 def test_generated_shapes():
