@@ -10,8 +10,10 @@ allocations to confirm each bound exactly.
 
 from fractions import Fraction
 
-from groupfair import PositiveMMS
+from groupfair import OneOutOfCMMS, PositiveMMS
+from groupfair.budgets import maxh, maxh_finite
 from groupfair.oracles import (
+    AllSubsets,
     Circle,
     ThreeGoodCycle,
     generate,
@@ -42,3 +44,14 @@ for k in (2, 3):
 spec = parse_spec("all-subsets:r=2,s=1,k=2,m=3")
 result = max_h(generate(spec), PositiveMMS())
 print("all-subsets r=2 s=1 k=2 m=3: best h =", result.best_h)
+
+# All-subsets families with r=4, s=2, k=2 and m goods per group: every
+# group has a member for each 4-subset of the 2m goods.  Their bounds fall
+# toward the paper's limit maxh(4, 2, 2) as m grows; m=10 sweeps 2^20
+# allocations.
+print("all-subsets r=4 s=2 k=2, limit maxh =", maxh(4, 2, 2))
+for m in (4, 6, 10):
+    spec = AllSubsets(4, 2, 2, m)
+    result = max_h(generate(spec), OneOutOfCMMS(2))
+    print(f"  m={m}: best h = {result.best_h}"
+          f" (maxh_finite = {maxh_finite(4, 2, 2, m)})")

@@ -12,7 +12,9 @@ member cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
+import itertools
 import json
 import sys
 from decimal import ROUND_HALF_UP, Decimal
@@ -125,6 +127,18 @@ def _guarantee_doc(x):
 
 
 def _render_turns(trace, inst: Instance, out: list):
+    # each live mask's labels and each weight's text, made once per render
+    weight_of = functools.cache(_fmt_weight)
+
+    @functools.cache
+    def labels_of(live: int) -> str:
+        names = []
+        while live:
+            bit = live & -live
+            names.append(inst.goods[bit.bit_length() - 1])
+            live ^= bit
+        return ",".join(names)
+
     for rec in trace.turns:
         remaining = [inst.goods[i] for i in rec.remaining]
         out.append(
@@ -139,30 +153,21 @@ def _render_turns(trace, inst: Instance, out: list):
         remaining_mask = 0
         for i in rec.remaining:
             remaining_mask |= 1 << i
-        rows = []
-        for agent, (r, s, w) in zip(inst.groups[rec.group], rec.member_states):
-            live = agent.valuation.desired.mask & remaining_mask
-            labels = ",".join(
-                inst.goods[i] for i in range(inst.m) if live >> i & 1
-            )
-            rows.append((labels, r, s, _fmt_weight(w)))
-        start = 0
-        while start < len(rows):
-            end = start
-            while end < len(rows) and rows[end] == rows[start]:
-                end += 1
-            count = end - start
+        rows = [
+            (labels_of(agent.valuation.desired.mask & remaining_mask), r, s, weight_of(w))
+            for agent, (r, s, w) in zip(inst.groups[rec.group], rec.member_states)
+        ]
+        for (labels, r, s, w), run in itertools.groupby(rows):
+            count = sum(1 for _ in run)
             label = f"{count} member" + ("s" if count != 1 else "")
-            labels, r, s, w = rows[start]
             out.append(
                 label.ljust(12) + labels.ljust(12) + str(r).ljust(3)
                 + str(s).ljust(3) + w.ljust(9)
             )
-            start = end
         out.append("Calculating remaining good weights:")
         out.append("".ljust(6) + "Weight".ljust(9))
-        for good, weight in rec.good_weights:
-            out.append(inst.goods[good].ljust(6) + _fmt_weight(weight).ljust(9))
+        for good, w in rec.good_weights:
+            out.append(inst.goods[good].ljust(6) + weight_of(w).ljust(9))
         out.append(f"Group {rec.group + 1} picks {inst.goods[rec.pick]}")
         out.append("")
 

@@ -303,12 +303,15 @@ def _mms_cached(v: Valuation, c: int, goods: Bundle, cap: int) -> int:
     size = len(vals)
     # dp[mask] = best min-part value partitioning mask into p parts so far.
     # The part containing the lowest set bit is chosen first (canonical
-    # anchoring), which enumerates every partition exactly once.  The last
-    # round reads only the full mask, so it computes only that entry.
+    # anchoring), which enumerates every partition exactly once.  Round c
+    # reads only the full mask, so it computes only that entry; its reads
+    # leave out good 0, and by induction round p < c reads, so computes,
+    # only the masks that leave out the c - p lowest goods.
     dp = vals
     for p in range(2, c + 1):
         new = [0] * size
-        for mask in range(1, size) if p < c else (size - 1,):
+        step = 1 << (c - p)
+        for mask in range(step, size, step) if p < c else (size - 1,):
             low = mask & -mask
             rest = mask ^ low
             best = 0

@@ -13,17 +13,19 @@ and a block is a run of whole rows (or part of one row).  One of two
 scoring rules then counts each group's happy members over the block.
 When every member is binary and its criterion is an own-count threshold,
 the binary rule counts desired goods per half -- ``popcount(d & bundle)``
-is a row count plus a column count -- and gets a group's happy count from
-per-row and per-column tables in one matrix product, run in float64 and
-exact because every partial sum is an integer no larger than the group's
-size (see :func:`_binary_rule`).  Otherwise the table rule gathers from
-per-group count tables over own-bundle masks, plus exact rank tables for
-EF-c members, all compiled from each valuation's
-:func:`groupfair.model.int_table`.  Scores are exact int64 throughout.
-What each criterion means comes from :mod:`groupfair.fairness`.
-numpy is imported by the sweep functions themselves, and the thread pool
-by :func:`max_h` only when ``workers > 1``, so importing this module (and
-running any CLI command but ``brute``) loads neither.
+is a row count plus a column count -- folds a group's desired sets by
+their low half, and gets a group's happy count from per-row slot counts
+and a column table built once per sweep in one matrix product per piece,
+run in float32 and exact because every partial sum is an integer no
+larger than the group's size (see :func:`_binary_rule`).  Otherwise the
+table rule gathers from per-group count tables over own-bundle masks,
+plus exact rank tables for EF-c members, all compiled from each
+valuation's :func:`groupfair.model.int_table`.  Scores are exact int64
+throughout.  What each criterion means comes from
+:mod:`groupfair.fairness`.  numpy is imported by the sweep functions
+themselves, and the thread pool by :func:`max_h` only when
+``workers > 1``, so importing this module (and running any CLI command
+but ``brute``) loads neither.
 
 The generators build the small adversarial instances used to show that the
 protocol guarantees cannot be improved: cycles of disapproval, all-subsets
@@ -84,8 +86,11 @@ _CHUNK = 1 << 16
 #: and ``efc-limit:c=1,l=5`` (20 goods, 3,695,120 entries) takes seconds.
 MAX_SUBSET_GOODS = 64
 MAX_SUBSET_ENTRIES = 1 << 22
-#: most entries in one piece of a binary-rule table (1 MiB of float64)
+#: most entries in one piece of a binary-rule array (1 MiB of int64)
 _PIECE = 1 << 17
+#: most column-table entries the binary rule keeps across blocks, over all
+#: groups (16 MiB of float32)
+_TABLE_BUDGET = 1 << 22
 
 
 class OracleResult(Record):
@@ -116,74 +121,163 @@ class ExistsResult(Record):
 # happiness compilation
 
 
+def _total(terms):
+    """The sum of a non-empty run of arrays, added in place into the first."""
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
+
+
 def _binary_rule(inst: Instance, crits, high, low):
     """The binary scoring rule: ``counts(rows, cols)`` gives each group's
     happy count over a block of high-digit rows by low-digit columns from
-    per-half tables and one matrix product.  None unless every member is
-    binary and every criterion has an own-count threshold.
+    a per-row slot count and a column table, in one matrix product per
+    piece.  None unless every member is binary and every criterion has an
+    own-count threshold; with ``high`` and ``low`` None it only answers
+    that and builds no table.
 
     A member desiring ``d`` with threshold ``t`` holds ``H_d[h] + L_d[l]``
     desired goods at allocation ``(h, l)``: ``H_d[h]`` of them among the
     high goods of row ``h``, ``L_d[l]`` among the low goods of column
-    ``l``.  So a group's happy count over the block is
-    ``base[h] + (A @ B)[h, l]`` with, per distinct desired set ``d`` of
-    multiplicity ``count_d``,
+    ``l``.  ``L_d[l] = popcount(low(d) & col_l)`` depends on ``d`` only
+    through its low half ``low(d)``, so the distinct desired sets of a
+    group are folded by low half.  For each distinct low half ``e`` and
+    each ``v = 1 .. |e|`` there is one slot ``(e, v)``, plus one slot of
+    members happy at every column, and a group's happy count over the
+    block is ``(A @ T)[h, l]`` with
 
-    * ``base[h] = sum_d count_d * [t_d - H_d[h] <= 0]``,
-    * ``A[h, (d, v)] = count_d * [t_d - H_d[h] == v]`` and
-    * ``B[(d, v), l] = [L_d[l] >= v]``
+    * ``A[h, (e, v)]`` the number of members with ``low(d) = e`` and
+      residual ``t_d - H_d[h] = v``, summed by one ``bincount`` (members
+      with a residual of at most 0 count in the always-happy slot, and
+      those with one above ``|e|`` in none), and
+    * ``T[(e, v), l] = [popcount(e & col_l) >= v]``, the column table,
+      with a row of ones for the always-happy slot.
 
-    for ``v = 1 .. |d & low goods|`` (``L_d`` never exceeds that).  The
-    ``(d, v)`` dimension is taken in pieces of at most ``_PIECE`` entries
-    per block side, so no array grows with the number of distinct sets.
+    So per block the work is rows times distinct sets, then rows times
+    slots times columns, where there are at most ``a * 2**(a - 1)`` slots
+    for ``a`` low goods whatever the member count.
 
-    The sums run in float64 and are cast to int64 exactly: every entry is
-    0, 1 or a member count, and each ``d`` adds to at most one term of a
-    happy count, so every partial sum is an integer no larger than the
-    group's size, below ``MAX_MEMBERS`` < 2**53.
+    The slots are taken in pieces, runs of whole low halves of about
+    ``_PIECE // max(rows, columns)`` slots, and the distinct sets of a
+    piece in runs of ``_PIECE // rows``, so no array grows with the
+    number of members or of distinct sets beyond ``_PIECE`` entries a
+    piece.  The column tables of every piece are built once per sweep,
+    before any block is scored (and before ``max_h`` starts its thread
+    pool), when all of them together hold at most ``_TABLE_BUDGET``
+    entries; past that budget each block builds its pieces of them for
+    its own columns.
+
+    The product runs in float32 and is cast to int64 exactly: ``A``
+    holds member counts and ``T`` zeros and ones, and each member adds to
+    at most one slot of a row, so every partial sum is an integer no
+    larger than the group's size, below ``MAX_MEMBERS`` < 2**24, and
+    float32 holds every such integer exactly.
     """
     if not inst.is_binary():
         return None
     import numpy as np
 
-    low_goods = ((1 << inst.m // 2) - 1) << (inst.m - inst.m // 2)
-    tables = []
+    k, m = inst.k, inst.m
+    a = m // 2
+    width = k**a
+    most_rows = min(k ** (m - a), max(1, _CHUNK // width))  # in one block
+    per_piece = max(1, _PIECE // max(most_rows, min(width, _CHUNK)))
+    low_goods = np.uint64(((1 << a) - 1) << (m - a))
+    plans = []
     for g, grp in enumerate(inst.groups):
-        weights = Counter(a.valuation.desired.mask for a in grp)
-        thresholds = [
-            _binary_threshold(crits[g], mask.bit_count(), inst.k) for mask in weights
-        ]
-        if None in thresholds:
+        tally = Counter(agent.valuation.desired.mask for agent in grp)
+        desired = np.array(list(tally), dtype=np.uint64)
+        sizes = np.bitwise_count(desired).astype(np.int64)
+        bars = {r: _binary_threshold(crits[g], r, k) for r in set(sizes.tolist())}
+        if None in bars.values():
             return None
-        desired = np.array(list(weights), dtype=np.uint64)
-        thresholds = np.array(thresholds, dtype=np.int64)
-        weights = np.array(list(weights.values()), dtype=np.float64)
-        # one (d, v) pair for each v = 1 .. |d & low goods|
-        spans = np.bitwise_count(desired & np.uint64(low_goods)).astype(np.int64)
-        of = np.repeat(np.arange(len(spans)), spans)
-        v = np.arange(len(of)) - np.repeat(np.cumsum(spans) - spans, spans) + 1
-        tables.append((
-            (desired, thresholds, weights),
-            (desired[of], thresholds[of], weights[of], v),
-        ))
+        # distinct sets sorted by low half: each piece's sets are one run
+        order = np.argsort(desired & low_goods, kind="stable")
+        desired = desired[order]
+        weights = np.array(list(tally.values()), dtype=np.float64)[order]
+        thresholds = np.array([bars[r] for r in sizes[order].tolist()])
+        halves, first, of = np.unique(
+            desired & low_goods, return_index=True, return_inverse=True
+        )
+        first = np.append(first, len(desired))  # half i's sets: first[i:i+2]
+        spans = np.bitwise_count(halves).astype(np.int64)
+        # cut the low halves into pieces of about per_piece slots
+        cuts, used = [0], 0
+        for i, n in enumerate(spans.tolist()):
+            if used and used + n > per_piece:
+                cuts.append(i)
+                used = 0
+            used += n
+        cuts.append(len(halves))
+        # per low half: its piece's slot count and its first slot there
+        total, offset = np.empty_like(spans), np.empty_like(spans)
+        pieces = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            n = spans[lo:hi]
+            total[lo:hi] = q = int(n.sum())
+            offset[lo:hi] = np.cumsum(n) - n
+            # slot (e, v) for each v = 1 .. |e|, then (0, 0): a row of ones
+            e = np.append(np.repeat(halves[lo:hi], n), np.uint64(0))
+            v = np.append(np.arange(q) - np.repeat(offset[lo:hi], n) + 1, 0)
+            pieces.append((first[lo], first[hi], q, e, v))
+        # slot[start[d] + p]: the slot of set d when p of its high goods
+        # are held; its piece's slot count means always, one more never
+        spread = np.bitwise_count(desired & ~low_goods).astype(np.int64) + 1
+        start = np.cumsum(spread) - spread
+        at = np.repeat(np.arange(len(desired)), spread)
+        residual = thresholds[at] - (np.arange(len(at)) - start[at])
+        half = of[at]
+        slot = np.where(
+            residual <= 0, total[half],
+            np.where(residual > spans[half], total[half] + 1,
+                     offset[half] + residual - 1),
+        )
+        plans.append((desired, weights, start, slot, pieces))
+
+    def column_table(e, v, col):
+        return (np.bitwise_count(e[:, None] & col) >= v[:, None]).astype(np.float32)
+
+    cells = sum(len(p[3]) for *_, pieces in plans for p in pieces) * width
+    tables = None
+    if low is not None and cells <= _TABLE_BUDGET:
+        tables = [
+            [column_table(e, v, low[g]) for *_, e, v in pieces]
+            for g, (*_, pieces) in enumerate(plans)
+        ]
+
+    def slot_counts(g, row, lo, hi, q):
+        """Piece ``[lo, hi)`` of group ``g``'s sets over rows ``row``: one
+        row of ``q + 2`` slot counts per row, by runs of sets."""
+        desired, weights, start, slot = plans[g][:4]
+        shift = np.arange(0, len(row) * (q + 2), q + 2)[:, None]
+        step = max(1, _PIECE // len(row))
+        for s in range(lo, hi, step):
+            t = min(s + step, hi)
+            at = slot[np.bitwise_count(row[:, None] & desired[s:t]) + start[s:t]]
+            at += shift
+            yield np.bincount(
+                at.ravel(), np.broadcast_to(weights[s:t], at.shape).ravel(),
+                len(row) * (q + 2),
+            )
+
+    def products(g, row, cols):
+        """Group ``g``'s happy counts over ``row`` by ``cols``, one float32
+        term per piece."""
+        for j, (lo, hi, q, e, v) in enumerate(plans[g][4]):
+            held = _total(slot_counts(g, row, lo, hi, q))
+            held = held.reshape(len(row), q + 2)[:, :-1].astype(np.float32)
+            if tables is not None:
+                yield held @ tables[g][j][:, cols]
+            else:
+                yield held @ column_table(e, v, low[g, cols])
 
     def counts(rows, cols):
-        out = []
-        for g, ((desired, thresholds, weights), pairs) in enumerate(tables):
-            row, col = high[g, rows], low[g, cols]
-            piece = max(1, _PIECE // max(len(row), len(col)))
-            base = np.zeros(len(row))
-            for s in range(0, len(desired), piece):
-                held = np.bitwise_count(row[:, None] & desired[s:s + piece])
-                base += (thresholds[s:s + piece] <= held) @ weights[s:s + piece]
-            happy = np.zeros((len(row), len(col)))
-            for s in range(0, len(pairs[0]), piece):
-                d, t, w, v = (x[s:s + piece] for x in pairs)
-                a = (t - np.bitwise_count(row[:, None] & d) == v) * w
-                b = np.bitwise_count(d[:, None] & col) >= v[:, None]
-                happy += a @ b.astype(np.float64)
-            out.append((happy + base[:, None]).astype(np.int64).ravel())
-        return out
+        return [
+            _total(products(g, high[g, rows], cols)).astype(np.int64).ravel()
+            for g in range(len(plans))
+        ]
 
     return counts
 
@@ -357,8 +451,12 @@ def _chunk_scorer(inst: Instance, crits, cap: int):
             rows, cols = slice(row, row + 1), slice(col, col + hi - lo)
         else:
             rows, cols = slice(row, hi // width), slice(None)
-        scores = [happy * s for happy, s in zip(counts(rows, cols), scale)]
-        return functools.reduce(np.minimum, scores)
+        # both rules return fresh arrays: scale and reduce them in place,
+        # which spares a sweep a new array per group per block
+        scores = counts(rows, cols)
+        for happy, s in zip(scores, scale):
+            happy *= s
+        return functools.reduce(lambda x, y: np.minimum(x, y, out=x), scores)
 
     return N, _blocks(total, width), chunk_scores
 

@@ -455,12 +455,15 @@ def test_07_impossibility_bounds_are_exact():
         assert max_h(generate(circle), PositiveMMS()).best_h == bound
         assert verify_negative(circle, PositiveMMS(), bound)
 
-    for r, s, k, m in ((2, 1, 2, 2), (2, 1, 2, 3), (3, 1, 2, 3), (4, 2, 2, 4)):
+    # (4, 2, 2, 10): 2^20 allocations, 4,845 members per group
+    for r, s, k, m in ((2, 1, 2, 2), (2, 1, 2, 3), (3, 1, 2, 3), (4, 2, 2, 4),
+                       (4, 2, 2, 10)):
         spec = AllSubsets(r, s, k, m)
         result = max_h(generate(spec), OneOutOfCMMS(r // s))
         assert result.best_h == maxh_finite(r, s, k, m)
         assert result.best_h == negative_bound(spec)
     assert maxh_finite(4, 2, 2, 4) == Fraction(53, 70)
+    assert maxh_finite(4, 2, 2, 10) == Fraction(229, 323)
     assert time.perf_counter() - start < 60.0
 
 

@@ -104,16 +104,13 @@ def test_criterion_validation():
 def _mms_reference(valuation, c):
     """Brute force: enumerate every assignment of goods to c parts."""
     m = valuation.m
+    value = [valuation.value(Bundle(mask, m)) for mask in range(1 << m)]
     best = None
     for assign in itertools.product(range(c), repeat=m):
-        worst = min(
-            valuation.value(
-                Bundle.from_indices(
-                    [i for i, g in enumerate(assign) if g == part], m
-                )
-            )
-            for part in range(c)
-        )
+        parts = [0] * c
+        for i, part in enumerate(assign):
+            parts[part] |= 1 << i
+        worst = min(value[mask] for mask in parts)
         if best is None or worst > best:
             best = worst
     return best
@@ -146,9 +143,9 @@ def test_mms_cap_and_validation():
     st.lists(
         st.fractions(min_value=0, max_value=6, max_denominator=3),
         min_size=1,
-        max_size=5,
+        max_size=7,
     ),
-    st.integers(2, 3),
+    st.integers(2, 4),
 )
 def test_mms_matches_brute_force_additive(values, c):
     v = addval(values)
@@ -159,6 +156,16 @@ def test_mms_matches_brute_force_tabular():
     # budget-capped unit values: v(S) = min(|S|, 2)
     table = tuple(min(bin(mask).count("1"), 2) for mask in range(16))
     v = TabularValuation(table, 4)
+    for c in (2, 3, 4):
+        assert mms_share(v, c) == _mms_reference(v, c)
+    # six goods, weights capped at 9: the partition search's rounds below
+    # the last read only masks that leave out the lowest goods
+    weights = (3, 1, 4, 1, 5, 2)
+    table = tuple(
+        min(sum(w for i, w in enumerate(weights) if mask >> i & 1), 9)
+        for mask in range(1 << 6)
+    )
+    v = TabularValuation(table, 6)
     for c in (2, 3, 4):
         assert mms_share(v, c) == _mms_reference(v, c)
 

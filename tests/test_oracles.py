@@ -8,6 +8,7 @@ their advertised impossibility bounds.
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -240,19 +241,33 @@ def _threshold_criteria(k):
 @st.composite
 def _binary_sweep_cases(draw):
     """A binary instance with k = 2..4, m <= 10 and up to a dozen distinct
-    desired sets per group, each with a multiplicity; one criterion per
-    group; a ``_CHUNK`` of 1, 7 or 64 and a space of at most 32 chunks, so
-    small instances span many row blocks, some narrower than one row."""
+    desired sets per group, each with a multiplicity, some of them sharing
+    a low half (the goods of the low digits) with another set and differing
+    in the high half; one criterion per group; a ``_CHUNK`` of 1, 7 or 64
+    and a space of at most 32 chunks, so small instances span many row
+    blocks, some narrower than one row; a ``_PIECE`` of 1, 3 or the
+    default, and a ``_TABLE_BUDGET`` of 0 (every block builds its column
+    tables) or the default."""
     chunk = draw(st.sampled_from([1, 7, 64]))
+    piece = draw(st.sampled_from([1, 3, oracles._PIECE]))
+    budget = draw(st.sampled_from([0, oracles._TABLE_BUDGET]))
     k = draw(st.integers(2, 4))
     m_max = max(m for m in range(1, 11) if k**m <= min(32 * chunk, 1024))
     m = draw(st.integers(1, m_max))
+    low = ((1 << m // 2) - 1) << (m - m // 2)
     groups = []
     for _ in range(k):
         entries = draw(st.lists(
             st.tuples(st.integers(0, (1 << m) - 1), st.integers(1, 5)),
             min_size=1, max_size=12,
         ))
+        # same low half, another high half
+        twins = draw(st.lists(
+            st.tuples(st.sampled_from(entries), st.integers(0, (1 << m) - 1)),
+            max_size=4,
+        ))
+        entries += [((mask & low) | (high & ~low), count)
+                    for (mask, count), high in twins]
         groups.append([
             BinaryValuation(Bundle(mask, m))
             for mask, count in entries for _ in range(count)
@@ -260,15 +275,16 @@ def _binary_sweep_cases(draw):
     inst = Instance.from_valuations(tuple(f"g{i}" for i in range(m)), groups)
     criteria = tuple(draw(st.sampled_from(_threshold_criteria(k))) for _ in range(k))
     targets = draw(st.lists(st.fractions(0, 1, max_denominator=12), max_size=3))
-    return inst, criteria, chunk, draw(st.sampled_from([1, 2])), targets
+    constants = {"_CHUNK": chunk, "_PIECE": piece, "_TABLE_BUDGET": budget}
+    return inst, criteria, constants, draw(st.sampled_from([1, 2])), targets
 
 
 @settings(max_examples=200, deadline=None)
 @given(_binary_sweep_cases())
 def test_binary_rule_matches_per_index_reference(case):
-    inst, criteria, chunk, workers, targets = case
+    inst, criteria, constants, workers, targets = case
     assert oracles._binary_rule(inst, criteria, None, None) is not None
-    with mock.patch.object(oracles, "_CHUNK", chunk):
+    with mock.patch.multiple(oracles, **constants):
         best_h, witness, examined = reference_max_h(inst, criteria)
         result = max_h(inst, criteria, workers=workers)
         assert (result.best_h, result.witness.assignment,
@@ -279,6 +295,34 @@ def test_binary_rule_matches_per_index_reference(case):
             found, witness, examined = reference_exists_h(inst, criteria, h)
             assert (hit.found, hit.witness and hit.witness.assignment,
                     hit.allocations_examined) == (found, witness, examined), h
+
+
+def test_binary_rule_memory_is_bounded_by_its_constants():
+    # Every subset of the 8 low goods, each with two high halves: 1,024
+    # slots per group, against pieces of 4 slots and a column-table budget
+    # far below the more than 2 x 1,024 x 256 entries of whole tables.  A
+    # block's arrays hold _CHUNK entries and a piece's _PIECE, a few of each
+    # per group; nothing else may grow with the members.
+    max_h(generate(ThreeGoodCycle()), OneOutOfCMMS(2))  # first-call imports
+    m, chunk, piece = 16, 1 << 12, 1 << 10
+    masks = [half << 8 | high for half in range(256) for high in (0b11, 0b1010100)]
+    goods = tuple(f"g{i}" for i in range(m))
+    bound = 8 * (16 * chunk + 64 * piece)
+    results = []
+    for copies in (1, 8):
+        members = [BinaryValuation(Bundle(mask, m)) for mask in masks] * copies
+        inst = Instance.from_valuations(goods, [members, members])
+        with mock.patch.multiple(
+            oracles, _CHUNK=chunk, _PIECE=piece, _TABLE_BUDGET=1 << 12
+        ):
+            tracemalloc.start()
+            try:
+                results.append(max_h(inst, OneOutOfCMMS(2)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < bound, (copies, peak, bound)
+    assert results[0] == results[1]
 
 
 @settings(max_examples=100, deadline=None)
