@@ -97,15 +97,10 @@ def _fmt_weight(x) -> str:
 
 def _fmt_cell(x) -> str:
     """Three-decimal table cell (half-up), integers printed bare."""
-    f = Fraction(x) if isinstance(x, (int, Fraction)) else None
-    if f is not None:
-        if f.denominator == 1:
-            return str(f.numerator)
-        d = Decimal(f.numerator) / Decimal(f.denominator)
-    else:
-        if x == int(x):
-            return str(int(x))
-        d = Decimal(repr(float(x)))
+    f = Fraction(repr(x)) if isinstance(x, float) else Fraction(x)
+    if f.denominator == 1:
+        return str(f.numerator)
+    d = Decimal(f.numerator) / Decimal(f.denominator)
     return str(d.quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 

@@ -40,6 +40,7 @@ strings, or JSON floats (read with decimal semantics, so ``0.51`` means
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 import re
@@ -51,7 +52,6 @@ from .errors import CapExceededError, FormatError
 
 __all__ = [
     "Record",
-    "GoodId",
     "Bundle",
     "BinaryValuation",
     "AdditiveValuation",
@@ -70,10 +70,6 @@ __all__ = [
     "serialize_allocation",
     "binarize_instance",
 ]
-
-#: Goods are referred to by integer index inside the library; the JSON layer
-#: and traces use the instance's string labels.
-GoodId = int
 
 MAX_TABULAR_GOODS = 16
 
@@ -830,17 +826,12 @@ def serialize_instance(inst: Instance) -> str:
     groups_doc = []
     for grp in inst.groups:
         entries = []
-        for agent in grp:
-            doc = _valuation_doc(agent.valuation, inst)
-            if entries and entries[-1]["_v"] == agent.valuation:
-                entries[-1]["count"] = entries[-1].get("count", 1) + 1
-            else:
-                doc["_v"] = agent.valuation
-                entries.append(doc)
-        for doc in entries:
-            del doc["_v"]
-            if doc.get("count") == 1:
-                del doc["count"]
+        for v, run in itertools.groupby(agent.valuation for agent in grp):
+            doc = _valuation_doc(v, inst)
+            count = sum(1 for _ in run)
+            if count > 1:
+                doc["count"] = count
+            entries.append(doc)
         groups_doc.append(entries)
     doc = {"goods": list(inst.goods), "groups": groups_doc}
     if inst.order != tuple(range(inst.m)):

@@ -135,8 +135,7 @@ def _binary_rule(inst: Instance, crits, high, low):
     happy count over a block of high-digit rows by low-digit columns from
     a per-row slot count and a column table, in one matrix product per
     piece.  None unless every member is binary and every criterion has an
-    own-count threshold; with ``high`` and ``low`` None it only answers
-    that and builds no table.
+    own-count threshold.
 
     A member desiring ``d`` with threshold ``t`` holds ``H_d[h] + L_d[l]``
     desired goods at allocation ``(h, l)``: ``H_d[h]`` of them among the
@@ -241,7 +240,7 @@ def _binary_rule(inst: Instance, crits, high, low):
 
     cells = sum(len(p[3]) for *_, pieces in plans for p in pieces) * width
     tables = None
-    if low is not None and cells <= _TABLE_BUDGET:
+    if cells <= _TABLE_BUDGET:
         tables = [
             [column_table(e, v, low[g]) for *_, e, v in pieces]
             for g, (*_, pieces) in enumerate(plans)
@@ -739,7 +738,7 @@ def generate(spec) -> Instance:
     raise TypeError(f"unknown generator spec {spec!r}")
 
 
-def negative_bound(spec, criterion=None) -> Fraction:
+def negative_bound(spec) -> Fraction:
     """The impossibility bound the generated instance witnesses."""
     if isinstance(spec, ThreeGoodCycle):
         return Fraction(2, 3)

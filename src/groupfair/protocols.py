@@ -66,7 +66,6 @@ from .model import (
     Instance,
     Record,
     binarize_instance,
-    bundles_of,
 )
 
 __all__ = [
@@ -608,7 +607,7 @@ def _line(inst: Instance, kind: str, criterion, label: str, holds) -> RunResult:
     records = []
     while len(active) > 1:
         left_bundle = Bundle.from_indices(left, inst.m)
-        right = [g for g in remaining if g not in left]
+        right = remaining[len(left):]  # the block is a prefix of remaining
         right_bundle = Bundle.from_indices(right, inst.m)
         counts = []
         claimed = None

@@ -38,6 +38,15 @@ def random_binary_instance(rng: random.Random, k: int, m_max=8, n_max=6):
     return Instance.from_valuations(goods, groups)
 
 
+def meets_bk(frac: Fraction, r: int, k: int) -> bool:
+    """Whether the happy fraction ``frac`` reaches the k-group guarantee
+    ``B_k(r, 1) = 1 - 2**(-r/d)``, ``d = k - 1``, exactly: ``p/q`` does
+    when ``r <= 0`` or ``q**d >= (q - p)**d * 2**r``."""
+    d = k - 1
+    p, q = frac.numerator, frac.denominator
+    return r <= 0 or q**d >= (q - p) ** d << r
+
+
 GOODS5 = ("v", "w", "x", "y", "z")
 GOODS6 = ("u", "v", "w", "x", "y", "z")
 

@@ -217,6 +217,30 @@ def test_serialize_instance_round_trip_and_count_compression():
     assert again == inst
 
 
+BIN_V = {"type": "binary", "desired": ["v"]}
+BIN_W = {"type": "binary", "desired": ["w"]}
+
+
+@pytest.mark.parametrize("groups, expected", [
+    # adjacent equal entries merge, their counts summed
+    ([[{**BIN_V, "count": 2}, BIN_V], [BIN_W]],
+     [[{**BIN_V, "count": 3}], [BIN_W]]),
+    # equal members apart stay apart; a single member has no count
+    ([[BIN_V, BIN_W, BIN_V], [{"type": "binary", "desired": []}]],
+     [[BIN_V, BIN_W, BIN_V], [{"type": "binary", "desired": []}]]),
+    # one member of each kind
+    ([[BIN_W, {"type": "additive", "values": [1, 0.5]}],
+      [{"type": "tabular", "values": {"": 0, "v": "1/3", "w": 0.5, "v,w": 1}}]],
+     [[BIN_W, {"type": "additive", "values": [1, "1/2"]}],
+      [{"type": "tabular", "values": {"": 0, "v": "1/3", "w": "1/2", "v,w": 1}}]]),
+], ids=["adjacent", "apart", "kinds"])
+def test_serialize_instance_text(groups, expected):
+    text = json.dumps({"goods": ["v", "w"], "groups": groups})
+    assert serialize_instance(parse_instance(text)) == json.dumps(
+        {"goods": ["v", "w"], "groups": expected}, indent=2
+    )
+
+
 def test_parse_instance_errors():
     bad = [
         "{",  # invalid JSON
