@@ -1,6 +1,6 @@
 """
-Exact budget and weight tables
-==============================
+Exact budget and weight functions
+=================================
 
 The picking protocols price every member with a weight w(r, s) derived
 from a budget function B(r, s), both exact dyadic rationals.  This script
@@ -9,7 +9,7 @@ prints a corner of the tables and spot-checks the closed form.
 
 from fractions import Fraction
 
-from groupfair import B, B_closed, BudgetTable, w
+from groupfair import B, B_closed, w
 
 # B(r, s) is the probability-like budget of a member who still sees r of
 # its desired goods and needs s more of them; w is its one-turn increment.
@@ -24,7 +24,7 @@ for r in range(7):
     row = [w(r, s) for s in range(4)]
     print(f"  r={r}:  " + "  ".join(f"{x!s:>6}" for x in row))
 
-# B is defined by a min-of-two recurrence, and the table reads it from a
+# B is defined by a min-of-two recurrence, and the module reads it from a
 # closed binomial-sum form.  Rebuild the recurrence and compare.
 memo = {}
 
@@ -48,7 +48,7 @@ assert all(
 print()
 print("recurrence == closed form for all 0 <= s <= r <= 30: OK")
 
-# A table answers up to its r_max; lookups beyond it raise.
-big = BudgetTable(95)
-print("B(23, 3) =", big.B(23, 3), ">= 7/8:",
-      big.B(23, 3) >= Fraction(7, 8))
+# The closed form holds for every r, so no value is out of reach: rwav2
+# and cwav2 price members wanting up to 512 goods each.
+print("B(23, 3) =", B(23, 3), ">= 7/8:", B(23, 3) >= Fraction(7, 8))
+print("B(512, 256) =", float(B(512, 256)))

@@ -1,4 +1,4 @@
-"""Budget and weight tables used by the picking protocols.
+"""Budget and weight functions used by the picking protocols.
 
 The two-group protocols price goods with weights drawn from a *budget
 function* ``B(r, s)``: the guaranteed probability-mass of success for a
@@ -7,14 +7,16 @@ them.  ``B``, its coin-flip variant ``C`` and the impossibility bound
 ``maxh`` are all binomial tails, so this module reads every one of them
 from one exact int sum, :func:`_below`, and every value leaves as a
 :class:`~fractions.Fraction` (a dyadic one for ``B`` and ``C``: its
-denominator is a power of two).
+denominator is a power of two).  The sums are cached once per process, and
+no function bounds ``r``.
 
 Contents:
 
-* :class:`BudgetTable` -- ``B``, ``w``, ``C`` (the coin-flip variant) and
-  ``w_C`` up to a configurable ``r_max``.
-* :func:`B`, :func:`w`, :func:`C`, :func:`B_closed` -- module-level accessors
-  backed by a shared default table.
+* :func:`B`, :func:`w`, :func:`C`, :func:`w_C` -- the budget functions and
+  their marginal weights, for any ``r`` and ``s``; :func:`B_closed` is
+  ``B`` for ``r, s >= 0`` only.
+* :class:`BudgetTable` -- the same four as methods, a seam for callers that
+  swap in other weights.
 * :func:`maxh`, :func:`maxh_finite` -- exact upper bounds on the achievable
   happy fraction for agents who want ``r`` random goods and need ``s``.
 * :class:`KGroupWeights` -- the real-valued weight family of the
@@ -27,7 +29,6 @@ import functools
 import math
 from fractions import Fraction
 
-from .errors import CapExceededError
 
 __all__ = [
     "DEFAULT_TABLE",
@@ -67,111 +68,54 @@ def _coin_tail(r: int, s: int, t: int) -> Fraction:
     return Fraction((1 << r) - _below(r, s, 2) - _below(r, t, 2), 1 << r)
 
 
-class BudgetTable:
-    """The budget functions ``B``, ``w``, ``C``, ``w_C`` up to ``r_max``.
-
-    ``B(r, s)`` is defined by::
+def B(r: int, s: int) -> Fraction:
+    """Budget value ``B(r, s)``, defined by::
 
         B(r, s) = 1                                  if s <= 0
         B(r, s) = 0                                  if 0 < s and r < s
         B(r, s) = min((B(r-1, s) + B(r-1, s-1)) / 2,
                       B(r-2, s-1))                   otherwise
 
-    and ``w(r, s) = B(r, s) - B(r-1, s)`` is the marginal weight of one more
-    wanted good.  ``C`` replaces the min with its first branch (the variant
-    for the coin-flip protocol, where turn order is random) and ``w_C`` is
-    its marginal.  All values are exact ``Fraction`` numbers.
-
-    Both recurrences solve to binomial tails, and the table reads its
-    values from them: for ``1 <= s <= r``, ``C(r, s)`` is the chance that
-    ``r`` fair coin flips show at least ``s`` heads, and ``B(r, s)`` the
-    chance of at least ``s`` heads and at least ``s - 1`` tails.
-
-    Arguments that fall under a base-case rule are answered without a
-    lookup, anything else beyond ``r_max`` raises
-    :class:`~groupfair.errors.CapExceededError`.  A table holds nothing but
-    ``r_max``; the sums it reads are cached, once per process.
-
-    >>> table = BudgetTable(8)
-    >>> str(table.B(5, 2)), str(table.C(5, 2))
-    ('25/32', '13/16')
-    """
-
-    def __init__(self, r_max: int = 64):
-        if r_max < 1:
-            raise ValueError("r_max must be >= 1")
-        self.r_max = r_max
-
-    def _lookup(self, r: int, s: int, tails: int) -> Fraction:
-        if s <= 0:
-            return _ONE
-        if r < s:
-            return _ZERO
-        if r > self.r_max:
-            raise CapExceededError(
-                f"budget table capped at r_max={self.r_max}, got (r={r}, s={s})"
-            )
-        return _coin_tail(r, s, tails)
-
-    def B(self, r: int, s: int) -> Fraction:
-        """Budget value ``B(r, s)``."""
-        return self._lookup(r, s, s - 1)
-
-    def w(self, r: int, s: int) -> Fraction:
-        """Marginal weight ``w(r, s) = B(r, s) - B(r-1, s)``."""
-        return self.B(r, s) - self.B(r - 1, s)
-
-    def C(self, r: int, s: int) -> Fraction:
-        """Coin-flip budget ``C(r, s)``."""
-        return self._lookup(r, s, 0)
-
-    def w_C(self, r: int, s: int) -> Fraction:
-        """Marginal coin-flip weight ``C(r, s) - C(r-1, s)``."""
-        return self.C(r, s) - self.C(r - 1, s)
-
-
-#: Shared table backing the module-level accessors (and the protocols),
-#: capped at ``r_max = 64``; it holds no values of its own.
-DEFAULT_TABLE = BudgetTable()
-
-
-def B(r: int, s: int) -> Fraction:
-    """``B(r, s)`` from the shared default table (r_max=64).
+    The recurrence solves to a binomial tail: for ``1 <= s <= r`` it is the
+    chance that ``r`` fair coin flips show at least ``s`` heads and at
+    least ``s - 1`` tails.
 
     >>> str(B(2, 1)), str(B(4, 2))
     ('3/4', '5/8')
     """
-    return DEFAULT_TABLE.B(r, s)
+    return _ONE if s <= 0 else _coin_tail(r, s, s - 1)
 
 
 def w(r: int, s: int) -> Fraction:
-    """``w(r, s) = B(r, s) - B(r-1, s)`` from the shared default table.
+    """Marginal weight of one more wanted good, ``B(r, s) - B(r-1, s)``.
 
     >>> str(w(1, 1)), str(w(3, 2))
     ('1/2', '3/8')
     """
-    return DEFAULT_TABLE.w(r, s)
+    return B(r, s) - B(r - 1, s)
 
 
 def C(r: int, s: int) -> Fraction:
-    """``C(r, s)`` from the shared default table.
+    """Coin-flip budget ``C(r, s)``: the recurrence of :func:`B` with the
+    min replaced by its first branch (the variant for the coin-flip
+    protocol, where turn order is random).  For ``1 <= s <= r`` it is the
+    chance that ``r`` fair coin flips show at least ``s`` heads.
 
     >>> str(C(2, 1)), str(C(3, 2))
     ('3/4', '1/2')
     """
-    return DEFAULT_TABLE.C(r, s)
+    return _ONE if s <= 0 else _coin_tail(r, s, 0)
 
 
 def w_C(r: int, s: int) -> Fraction:
-    """``w_C(r, s) = C(r, s) - C(r-1, s)`` from the shared default table."""
-    return DEFAULT_TABLE.w_C(r, s)
+    """Marginal coin-flip weight ``C(r, s) - C(r-1, s)``."""
+    return C(r, s) - C(r - 1, s)
 
 
 def B_closed(r: int, s: int) -> Fraction:
-    """``B`` for any ``r, s >= 0``, with no ``r_max``: the closed form
-    ``2**-r * sum(comb(r, i) for i in s..r-s+1)``, read from the same sum
-    as :meth:`BudgetTable.B` (the sum is empty, hence 0, exactly on the
-    zero region ``r <= 2s - 2``).
+    """:func:`B` for ``r, s >= 0`` only: the closed form ``2**-r *
+    sum(comb(r, i) for i in s..r-s+1)``, which is empty, hence 0, exactly
+    on the zero region ``r <= 2s - 2``.
 
     >>> B_closed(3, 2) == B(3, 2)
     True
@@ -180,7 +124,34 @@ def B_closed(r: int, s: int) -> Fraction:
     """
     if r < 0 or s < 0:
         raise ValueError("B_closed needs r >= 0 and s >= 0")
-    return _coin_tail(r, s, s - 1)
+    return B(r, s)
+
+
+class BudgetTable:
+    """:func:`B`, :func:`w`, :func:`C` and :func:`w_C` as methods, so that
+    a caller can hand a protocol other weights by overriding one.
+
+    A table holds nothing and bounds no argument; the constructor accepts
+    and ignores the one bound that older callers pass.
+
+    >>> table = BudgetTable()
+    >>> str(table.B(5, 2)), str(table.C(5, 2))
+    ('25/32', '13/16')
+    >>> table.B(100, 1) == 1 - table.w(100, 1)
+    True
+    """
+
+    def __init__(self, _r_max=None):
+        pass
+
+    B = staticmethod(B)
+    w = staticmethod(w)
+    C = staticmethod(C)
+    w_C = staticmethod(w_C)
+
+
+#: The table the protocols read unless a caller passes their own.
+DEFAULT_TABLE = BudgetTable()
 
 
 def maxh(r: int, s: int, k: int = 2) -> Fraction:

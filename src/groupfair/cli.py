@@ -5,8 +5,8 @@ Machine output is deterministic JSON (same argv + files + seed produce
 byte-identical bytes); ``--trace`` renders the step-by-step audit trail of
 a protocol run in a stable plain-text layout.
 
-Exit codes: 0 success, 2 validation/usage error, 3 enumeration, table or
-member cap exceeded.
+Exit codes: 0 success, 2 validation/usage error, 3 enumeration, table,
+member or wanted-goods cap exceeded.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from .budgets import BudgetTable, KGroupWeights, maxh
+from .budgets import B, C, KGroupWeights, maxh, w
 from .errors import CapExceededError, FormatError
 from .model import (
     DEFAULT_CAP,
@@ -272,10 +272,10 @@ def _grid(title: str, rmax: int, smax: int, cell) -> str:
 
 def _render_table(which: str, rmax: int, smax: int, k: int) -> str:
     if which in ("B", "w", "C"):
-        table = BudgetTable(max(rmax, 1))  # row r = 0 reads base cases only
+        cells = {"B": B, "w": w, "C": C}
         return "\n".join(
             _grid(f"{name}(r,s) for r = 0..{rmax}, s = 0..{smax}", rmax, smax,
-                  getattr(table, name))
+                  cells[name])
             for name in (("B", "w") if which == "B" else (which,))
         )
     if which == "Bk":

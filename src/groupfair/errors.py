@@ -8,8 +8,9 @@ class FormatError(ValueError):
 class CapExceededError(RuntimeError):
     """An exhaustive computation would exceed its configured size cap.
 
-    Raised by the budget tables (r beyond the memo bound), the maximin-share
-    computation (too many goods for the exhaustive path) and the brute-force
-    oracles (search space larger than the cap).  The CLI maps this to exit
+    Raised by the two-group picking protocols (a member wanting more goods
+    than they price), the maximin-share computation (too many goods for the
+    exhaustive path) and the brute-force oracles (search space larger than
+    the cap).  The CLI maps this to exit
     code 3 so callers can tell "too big" apart from "malformed input".
     """

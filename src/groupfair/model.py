@@ -79,6 +79,12 @@ MAX_TABULAR_GOODS = 16
 #: ``2k - 1`` members wanting ``k`` goods each), which caps it at k = 79.
 MAX_MEMBERS = 1_000_000
 
+#: Most goods one member may want in ``rwav2`` and ``cwav2`` (and so in
+#: ``rwav2-enhanced`` and ``best-k``, which call ``rwav2``) while it needs
+#: some of them: such a member's every price is a binomial sum of that
+#: size, kept as a ledger int of about that many bits.
+MAX_WANTED_GOODS = 512
+
 #: Largest allocation space (``k**m``) the brute-force oracles sweep by
 #: default.  It lives here, not in :mod:`groupfair.oracles`, so the CLI can
 #: show it as ``brute --cap``'s default without loading the oracles.

@@ -48,6 +48,7 @@ from fractions import Fraction
 
 from . import budgets
 from .budgets import KGroupWeights
+from .errors import CapExceededError
 from .fairness import (
     EFc,
     FairnessReport,
@@ -60,6 +61,7 @@ from .fairness import (
     propc_holds,
 )
 from .model import (
+    MAX_WANTED_GOODS,
     Allocation,
     BinaryValuation,
     Bundle,
@@ -306,7 +308,8 @@ def _kgroup_price(r: int, s: int, lpow):
 
 
 def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
-                       budget_name: str, d: int = 1, number=Fraction):
+                       budget_name: str, d: int = 1, number=Fraction,
+                       max_wanted=None):
     """The weighted-approval picking loop behind :func:`rwav2`,
     :func:`cwav2` and :func:`rwavk`.
 
@@ -317,6 +320,10 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
     group takes a good it wants and is refunded its weight when another
     group does.  ``number(n, unit)`` turns a ledger int ``n`` into the
     trace's number ``n / unit``, where ``unit`` is the ledger int of 1.
+    If ``max_wanted`` is given, a member wanting more goods than that
+    raises :class:`~groupfair.errors.CapExceededError` before the first
+    turn, unless it needs none of them or more than it wants: those
+    members' prices are base cases, with no binomial sum.
     Returns the allocation, the trace and each group's starting ``(r, s)``
     pairs.
     """
@@ -327,6 +334,13 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
     start = [[(len(goods), sfunc(len(goods))) for goods in grp]
              for sfunc, grp in zip(sfuncs, goods_of)]
     R = max((rj for grp in start for rj, _ in grp), default=0)
+    if max_wanted is not None:
+        summed = max((rj for grp in start for rj, sj in grp if 0 < sj <= rj),
+                     default=0)
+        if summed > max_wanted:
+            raise CapExceededError(
+                f"{kind}: a member wants {summed} goods, above the cap of {max_wanted}"
+            )
     P = -(-R // d)
     # every k-group weight has |2**P * w|_1 <= 2**(P+1) and a good weight
     # sums at most n of them, so H bounds |z|_1 for two goods' difference
@@ -447,7 +461,10 @@ def rwav2(inst: Instance, criterion, first_group: int = 0, table=None) -> RunRes
 
     Claimed bounds: the group playing first is happy for at least
     ``min_j B(r_j, s(r_j))`` of its members, the other for at least
-    ``min_j B(r_j - 1, s(r_j))``.
+    ``min_j B(r_j - 1, s(r_j))``.  A member wanting more than
+    :data:`~groupfair.model.MAX_WANTED_GOODS` goods and needing some of
+    them raises :class:`~groupfair.errors.CapExceededError` before the
+    first turn.
     """
     if inst.k != 2:
         raise ValueError("rwav2 needs exactly two groups")
@@ -460,7 +477,7 @@ def rwav2(inst: Instance, criterion, first_group: int = 0, table=None) -> RunRes
     alloc, trace, start = _weighted_approval(
         inst, crits, "rwav2", order.__next__,
         _table_price(tbl.B, tbl.w, lambda r, s: max(tbl.w(r, s), tbl.w(r - 1, s - 1))),
-        "B",
+        "B", max_wanted=MAX_WANTED_GOODS,
     )
     guarantees = tuple(
         min(tbl.B(r if g == first_group else r - 1, s)
@@ -816,7 +833,7 @@ def cwav2(inst: Instance, criterion, seed: int) -> RunResult:
     run is deterministic given the seed.  Per-run guarantees are 0 (a
     losing coin sequence can starve a group); in expectation each group's
     happy fraction is at least ``min_j C(r_j, s(r_j))``, reported via
-    ``expected_guarantees``.
+    ``expected_guarantees``.  Members are capped as in :func:`rwav2`.
     """
     if inst.k != 2:
         raise ValueError("cwav2 needs exactly two groups")
@@ -826,7 +843,7 @@ def cwav2(inst: Instance, criterion, seed: int) -> RunResult:
     rng = random.Random(seed)
     alloc, trace, start = _weighted_approval(
         inst, crits, "cwav2", lambda: rng.randrange(2),
-        _table_price(tbl.C, tbl.w_C, tbl.w_C), "C",
+        _table_price(tbl.C, tbl.w_C, tbl.w_C), "C", max_wanted=MAX_WANTED_GOODS,
     )
     return RunResult(
         protocol="cwav2",

@@ -1,14 +1,13 @@
 """Slow references for the budget tables and bounds.
 
 :class:`EagerBudgetTable` is the straightforward build of the recurrences
-that :class:`groupfair.budgets.BudgetTable` replaces with binomial tails:
-the constructor fills every cell of ``B`` and ``C`` for
-``-2 <= r, s <= r_max``, row by row, before the first lookup.
+that :func:`groupfair.budgets.B` and :func:`groupfair.budgets.C` replace
+with binomial tails: the constructor fills every cell of ``B`` and ``C``
+for ``-2 <= r, s <= r_max``, row by row, before the first lookup.
 :func:`b_closed_sum` and :func:`maxh_sum` are the direct binomial sums
 that :func:`groupfair.budgets.B_closed` and :func:`groupfair.budgets.maxh`
 replace with one cached tail.  The property tests in ``test_budgets.py``
-require the module to agree with them on every value, every repr and
-every cap error.
+require the module to agree with them on every value and every repr.
 """
 
 from __future__ import annotations

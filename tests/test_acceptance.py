@@ -231,7 +231,7 @@ def _three_decimals(value) -> Decimal:
 
 def test_03_budget_recurrence_matches_closed_form():
     start = time.perf_counter()
-    table = BudgetTable(30)
+    table = BudgetTable()
     for r in range(31):
         for s in range(r + 1):
             assert table.B(r, s) == B_closed(r, s)
@@ -253,7 +253,7 @@ def test_03_budget_recurrence_matches_closed_form():
 
 def test_04_budget_table_property_suite():
     start = time.perf_counter()
-    table = BudgetTable(95)
+    table = BudgetTable()
     for s in range(31):
         for r in range(30):
             assert table.B(r + 1, s) >= table.B(r, s)

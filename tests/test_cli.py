@@ -21,9 +21,9 @@ from pathlib import Path
 import pytest
 
 from groupfair import cli, protocols
-from groupfair.budgets import BudgetTable
+from groupfair.budgets import B_closed, C
 from groupfair.cli import MAX_TABLE_CELLS, MAX_TABLE_RMAX, main
-from groupfair.model import MAX_MEMBERS
+from groupfair.model import MAX_MEMBERS, MAX_WANTED_GOODS, rational_doc
 
 from table_reference import EagerBudgetTable
 
@@ -260,6 +260,46 @@ def test_member_count_cap_exits_3(tmp_path, capsys):
     assert f"more than {MAX_MEMBERS} members" in err
 
 
+@pytest.mark.parametrize("protocol", ["rwav2", "cwav2"])
+def test_wanted_goods_cap_exits_3(protocol, tmp_path, capsys):
+    goods = [f"g{i}" for i in range(MAX_WANTED_GOODS + 1)]
+
+    def path_wanting(wanted: int) -> str:
+        path = tmp_path / f"wants{wanted}.json"
+        path.write_text(json.dumps({"goods": goods, "groups": [
+            [{"type": "binary", "desired": goods[:wanted]}],
+            [{"type": "binary", "desired": goods[-wanted:]}],
+        ]}))
+        return str(path)
+
+    seed = ["--seed", "1"] if protocol == "cwav2" else []
+    # a member wanting MAX_WANTED_GOODS goods runs, at the exact bound
+    code, out, err = run_cli(
+        capsys, "run", "--protocol", protocol, "--criterion", "1-out-of-2-mms",
+        "--instance", path_wanting(MAX_WANTED_GOODS), *seed,
+    )
+    assert (code, err) == (0, "")
+    doc, r, s = json.loads(out), MAX_WANTED_GOODS, MAX_WANTED_GOODS // 2
+    if protocol == "rwav2":
+        assert doc["guarantees"] == [rational_doc(B_closed(r, s)),
+                                     rational_doc(B_closed(r - 1, s))]
+    else:
+        assert doc["expected_guarantees"] == [rational_doc(C(r, s))] * 2
+    # one good more exits 3 before a turn is played
+    over = path_wanting(MAX_WANTED_GOODS + 1)
+    code, out, err = run_cli(
+        capsys, "run", "--protocol", protocol, "--criterion", "1-out-of-2-mms",
+        "--instance", over, *seed,
+    )
+    assert (code, out) == (3, "")
+    assert err == (f"error: {protocol}: a member wants {MAX_WANTED_GOODS + 1}"
+                   f" goods, above the cap of {MAX_WANTED_GOODS}\n")
+    # rwavk prices with shifts, not binomial sums, and has no such cap
+    code, _, err = run_cli(capsys, "run", "--protocol", "rwavk", "--instance",
+                           over, "--criterion", "1-of-best-600")
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("doc", [
     {"goods": [1, "a"],  # the concatenated-key fallback asks each good's length
      "groups": [[{"type": "tabular", "values": {"xy": 0}}]]},
@@ -486,11 +526,16 @@ def test_table_validation(capsys):
     assert code == 2 and "--k" in err
 
 
-def test_table_builds_budget_table_only_for_its_grids(monkeypatch, capsys):
-    def refuse(rmax):
-        raise AssertionError(f"BudgetTable({rmax}) built but never read")
+def refuse_budget_reads(monkeypatch, why: str):
+    def refuse(r, s):
+        raise AssertionError(f"budget value ({r}, {s}) read {why}")
 
-    monkeypatch.setattr(cli, "BudgetTable", refuse)
+    for name in ("B", "w", "C"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+def test_table_builds_budget_table_only_for_its_grids(monkeypatch, capsys):
+    refuse_budget_reads(monkeypatch, "for a grid that prints none")
     code, out, _ = run_cli(capsys, "table", "--which", "Bk", "--rmax", "100")
     assert code == 0 and len(out.splitlines()) == 104
     code, out, _ = run_cli(
@@ -500,10 +545,7 @@ def test_table_builds_budget_table_only_for_its_grids(monkeypatch, capsys):
 
 
 def test_table_size_caps(monkeypatch, capsys):
-    def refuse(rmax):
-        raise AssertionError(f"BudgetTable({rmax}) built for a capped table")
-
-    monkeypatch.setattr(cli, "BudgetTable", refuse)
+    refuse_budget_reads(monkeypatch, "for a capped table")
     for which, rmax in (("B", MAX_TABLE_CELLS), ("maxh", MAX_TABLE_CELLS),
                         ("C", 10**9)):
         code, out, err = run_cli(capsys, "table", "--which", which,
@@ -521,19 +563,24 @@ def test_table_matches_eager_build(monkeypatch, capsys):
     argv = ("table", "--which", "B", "--rmax", "90", "--smax", "40")
     code, lazy, _ = run_cli(capsys, *argv)
     assert code == 0
-    monkeypatch.setattr(cli, "BudgetTable", EagerBudgetTable)
+    eager = EagerBudgetTable(90)
+    monkeypatch.setattr(cli, "B", eager.B)
+    monkeypatch.setattr(cli, "w", eager.w)
     assert run_cli(capsys, *argv)[:2] == (0, lazy)
 
 
 def test_table_builds_only_the_printed_columns(monkeypatch, capsys):
-    built = []
+    read = set()
 
-    class Recording(BudgetTable):
-        def __init__(self, r_max):
-            super().__init__(r_max)
-            built.append(self)
+    def recording(exact):
+        def cell(r, s):
+            read.add(s)
+            return exact(r, s)
 
-    monkeypatch.setattr(cli, "BudgetTable", Recording)
+        return cell
+
+    monkeypatch.setattr(cli, "B", recording(cli.B))
+    monkeypatch.setattr(cli, "w", recording(cli.w))
     code, out, _ = run_cli(
         capsys, "table", "--which", "B", "--rmax", "1200", "--smax", "3"
     )
@@ -542,7 +589,7 @@ def test_table_builds_only_the_printed_columns(monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "fa65326349421d00226c2d87e96559964f48e99fedee3e0bd504295ec66046d1"
     )
-    assert len(built) == 1
+    assert read == {0, 1, 2, 3}
 
 
 def test_table_beyond_default_cap(capsys):

@@ -4,8 +4,9 @@
 ledger in scaled ints.  These tests hold it to the loops in
 ``picking_reference.py`` (``Fraction`` for two groups, exact ``Q(L)``
 vectors for ``k`` groups): same allocation, guarantees, report and trace,
-field by field and type by type, the same ``CapExceededError`` under a
-small budget table, and a ledger check that still fires.
+field by field and type by type, also where members want more goods than
+an older budget table answered for, the same ``CapExceededError`` above
+``MAX_WANTED_GOODS``, and a ledger check that still fires.
 """
 
 import re
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupfair import budgets
-from groupfair.budgets import BudgetTable
+from groupfair.budgets import B_closed, BudgetTable, C
 from groupfair.errors import CapExceededError
 from groupfair.fairness import (
     MMS,
@@ -26,8 +27,20 @@ from groupfair.fairness import (
     PROPc,
 )
 from groupfair import protocols
-from groupfair.model import BinaryValuation, Bundle, Instance, binarize_instance
-from groupfair.protocols import ProtocolInvariantError, cwav2, rwav2, rwavk
+from groupfair.model import (
+    MAX_WANTED_GOODS,
+    BinaryValuation,
+    Bundle,
+    Instance,
+    binarize_instance,
+)
+from groupfair.protocols import (
+    ProtocolInvariantError,
+    cwav2,
+    rwav2,
+    rwav2_enhanced,
+    rwavk,
+)
 
 from picking_reference import reference_cwav2, reference_rwav2, reference_rwavk
 
@@ -98,35 +111,64 @@ def test_cwav2_matches_reference_loop(inst, criterion, seed):
     assert_same_run(cwav2(inst, criterion, seed), reference_cwav2(inst, criterion, seed))
 
 
-@settings(max_examples=60, deadline=None)
-@given(binary_instances(), criteria, st.sampled_from((0, 1)), st.integers(0, 99))
-def test_small_table_behaves_like_reference(inst, criterion, first_group, seed):
-    table = BudgetTable(r_max=2)
-    new = outcome(rwav2, inst, criterion, first_group=first_group, table=table)
-    ref = outcome(reference_rwav2, inst, criterion, first_group=first_group,
-                  table=table)
-    if isinstance(ref, tuple):
-        assert new == ref
-    else:
-        assert_same_run(new, ref)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(budgets, "DEFAULT_TABLE", table)
-        new = outcome(cwav2, inst, criterion, seed)
-        ref = outcome(reference_cwav2, inst, criterion, seed)
-    if isinstance(ref, tuple):
-        assert new == ref
-    else:
-        assert_same_run(new, ref)
+@st.composite
+def wide_instances(draw):
+    """Two groups over 65 to 130 goods, each member wanting 65 to 128."""
+    m = draw(st.integers(65, 130))
+    rng = draw(st.randoms(use_true_random=False))
+    groups = [
+        [
+            BinaryValuation(Bundle.from_indices(
+                rng.sample(range(m), draw(st.integers(65, min(m, 128)))), m))
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        for _ in range(2)
+    ]
+    return Instance.from_valuations(tuple(f"g{i}" for i in range(m)), groups)
 
 
-def test_cap_exceeded_on_both(mixed_two_group, monkeypatch):
-    table = BudgetTable(r_max=3)
-    message = r"^budget table capped at r_max=3, got \(r=4, s=1\)$"
-    with pytest.raises(CapExceededError, match=message):
-        rwav2(mixed_two_group, OneOfBestC(2), table=table)
-    monkeypatch.setattr(budgets, "DEFAULT_TABLE", table)
-    with pytest.raises(CapExceededError, match=message):
-        cwav2(mixed_two_group, OneOfBestC(2), seed=3)
+@settings(max_examples=8, deadline=None)
+@given(wide_instances(), criteria, st.sampled_from((0, 1)), st.integers(0, 99))
+def test_past_the_old_cap_matches_reference(inst, criterion, first_group, seed):
+    # an older budget table stopped at members wanting 64 goods
+    assert_same_run(
+        rwav2(inst, criterion, first_group=first_group),
+        reference_rwav2(inst, criterion, first_group=first_group),
+    )
+    assert_same_run(cwav2(inst, criterion, seed),
+                    reference_cwav2(inst, criterion, seed))
+
+
+def wanting(wanted: int, extra: int = 0) -> Instance:
+    """Two groups whose first members want ``wanted`` goods and whose
+    second members want ``extra`` goods of their own."""
+    m = wanted + extra
+    goods = (range(wanted), range(wanted, m))
+    groups = [[BinaryValuation(Bundle.from_indices(goods[j], m)) for j in range(2)]
+              for _ in range(2)]
+    return Instance.from_valuations(tuple(f"g{i}" for i in range(m)), groups)
+
+
+def test_cap_exceeded_on_both():
+    # at the cap the guarantees are the closed form's values, exactly
+    inst, crit = wanting(MAX_WANTED_GOODS, 2), OneOutOfCMMS(2)
+    r, s = MAX_WANTED_GOODS, MAX_WANTED_GOODS // 2
+    assert rwav2(inst, crit).guarantees == (B_closed(r, s), B_closed(r - 1, s))
+    assert cwav2(inst, crit, seed=3).expected_guarantees == (C(r, s),) * 2
+    # one good more is refused before the first turn, also inside
+    # rwav2-enhanced, whose shortcut no good triggers here
+    inst = wanting(MAX_WANTED_GOODS + 1, 2)
+    message = (f" a member wants {MAX_WANTED_GOODS + 1} goods,"
+               f" above the cap of {MAX_WANTED_GOODS}$")
+    for name, run in (("rwav2", lambda: rwav2(inst, crit)),
+                      ("cwav2", lambda: cwav2(inst, crit, seed=3)),
+                      ("rwav2", lambda: rwav2_enhanced(inst))):
+        with pytest.raises(CapExceededError, match=f"^{name}:{message}"):
+            run()
+    # members needing none of their goods are priced by base cases alone
+    crit = EFc(MAX_WANTED_GOODS + 1)
+    assert rwav2(inst, crit).guarantees == (1, 1)
+    assert cwav2(inst, crit, seed=3).expected_guarantees == (1, 1)
 
 
 class OffByOneUnit(BudgetTable):
