@@ -437,6 +437,8 @@ def _cmd_brute(args) -> int:
         raise _CliError("--workers must be at least 1")
     if args.workers > MAX_WORKERS:
         raise _CliError(f"--workers must be at most {MAX_WORKERS}")
+    if args.cap < 1:
+        raise _CliError("--cap must be at least 1")
     if args.spec:
         spec = oracles.parse_spec(args.spec)
         oracles.check_space(spec, args.cap)

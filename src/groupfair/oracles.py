@@ -288,7 +288,7 @@ def _drop_table(rank, m: int, c: int):
     import numpy as np
 
     cur = rank
-    for _ in range(c):
+    for _ in range(min(c, m)):  # a round past the m-th removes nothing
         nxt = cur.copy()
         for i in range(m):
             # masks as (higher bits, bit i, lower bits): [:, 1] has bit i set

@@ -231,11 +231,24 @@ class ProtocolInvariantError(RuntimeError):
         self.expected, self.actual = expected, actual
 
 
-def _require_binary(inst: Instance, protocol: str):
-    if not inst.is_binary():
+def _require(inst: Instance, protocol: str, two: bool, binary: bool):
+    """Refuse ``inst`` unless it has exactly two groups (``two``) or at
+    least two, and, if ``binary``, only binary members."""
+    if inst.k != 2 if two else inst.k < 2:
+        which = "exactly" if two else "at least"
+        raise ValueError(f"{protocol} needs {which} two groups")
+    if binary and not inst.is_binary():
         raise ValueError(
             f"{protocol} works on binary agents only; binarize explicitly first"
         )
+
+
+def _result(protocol: str, inst: Instance, alloc: Allocation, criteria,
+            guarantees, trace, expected=None) -> RunResult:
+    """``alloc`` as a :class:`RunResult`, with its democratic report under
+    the per-group ``criteria``."""
+    return RunResult(protocol, alloc, democratic_report(inst, alloc, criteria),
+                     guarantees, criteria, trace, expected)
 
 
 def _desired_masks(inst: Instance):
@@ -466,9 +479,7 @@ def rwav2(inst: Instance, criterion, first_group: int = 0, table=None) -> RunRes
     them raises :class:`~groupfair.errors.CapExceededError` before the
     first turn.
     """
-    if inst.k != 2:
-        raise ValueError("rwav2 needs exactly two groups")
-    _require_binary(inst, "rwav2")
+    _require(inst, "rwav2", two=True, binary=True)
     if first_group not in (0, 1):
         raise ValueError("first_group must be 0 or 1")
     crits = per_group_criteria(criterion, 2)
@@ -484,14 +495,7 @@ def rwav2(inst: Instance, criterion, first_group: int = 0, table=None) -> RunRes
             for r, s in dict.fromkeys(start[g]))
         for g in range(2)
     )
-    return RunResult(
-        protocol="rwav2",
-        allocation=alloc,
-        report=democratic_report(inst, alloc, crits),
-        guarantees=guarantees,
-        criteria=crits,
-        trace=trace,
-    )
+    return _result("rwav2", inst, alloc, crits, guarantees, trace)
 
 
 def rwav2_enhanced(inst: Instance, c: int = 2) -> RunResult:
@@ -502,13 +506,17 @@ def rwav2_enhanced(inst: Instance, c: int = 2) -> RunResult:
     of a group's counted members want one common good, that good alone goes
     to the group and the rest to the other group; otherwise plain
     :func:`rwav2` runs.  Either way every group is guaranteed the
-    ``(2^c - 1)/(2^c + 1)`` happy fraction.
+    ``(2^c - 1)/(2^c + 1)`` happy fraction.  A ``c`` above
+    :data:`~groupfair.model.MAX_WANTED_GOODS` raises
+    :class:`~groupfair.errors.CapExceededError`.
     """
-    if inst.k != 2:
-        raise ValueError("rwav2_enhanced needs exactly two groups")
-    _require_binary(inst, "rwav2_enhanced")
+    _require(inst, "rwav2_enhanced", two=True, binary=True)
     if c < 2:
         raise ValueError("rwav2_enhanced needs c >= 2")
+    if c > MAX_WANTED_GOODS:
+        raise CapExceededError(
+            f"rwav2_enhanced: c = {c} is above the cap of {MAX_WANTED_GOODS}"
+        )
     threshold = Fraction(2**c - 1, 2**c + 1)
     criterion = OneOfBestC(c)
     desired = _desired_masks(inst)
@@ -520,25 +528,13 @@ def rwav2_enhanced(inst: Instance, c: int = 2) -> RunResult:
             if desiring * threshold.denominator >= threshold.numerator * len(counted):
                 assignment = [1 - g] * inst.m
                 assignment[good] = g
-                alloc = Allocation(tuple(assignment), 2)
-                report = democratic_report(inst, alloc, (criterion, criterion))
-                return RunResult(
-                    protocol="rwav2-enhanced",
-                    allocation=alloc,
-                    report=report,
-                    guarantees=(threshold, threshold),
-                    criteria=(criterion, criterion),
-                    trace=EnhancedSplit(g, good, desiring, len(counted)),
-                )
+                return _result("rwav2-enhanced", inst, Allocation(tuple(assignment), 2),
+                               (criterion, criterion), (threshold, threshold),
+                               EnhancedSplit(g, good, desiring, len(counted)))
     inner = rwav2(inst, criterion, first_group=0)
-    return RunResult(
-        protocol="rwav2-enhanced",
-        allocation=inner.allocation,
-        report=inner.report,
-        guarantees=(threshold, threshold),
-        criteria=inner.criteria,
-        trace=inner.trace,
-    )
+    # the inner run's report is this run's: the same allocation and criteria
+    return RunResult("rwav2-enhanced", inner.allocation, inner.report,
+                     (threshold, threshold), inner.criteria, inner.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +552,7 @@ def identical_local_search(inst: Instance) -> RunResult:
     least one reduced good; the scan restarts after every move and provably
     stops within ``(n_1 + n_2) / 2`` moves.
     """
-    if inst.k != 2:
-        raise ValueError("identical_local_search needs exactly two groups")
-    _require_binary(inst, "identical_local_search")
+    _require(inst, "identical_local_search", two=True, binary=True)
     full_masks = _desired_masks(inst)
     if sorted(full_masks[0]) != sorted(full_masks[1]):
         raise ValueError("groups are not identical (desired-set multisets differ)")
@@ -588,17 +582,8 @@ def identical_local_search(inst: Instance) -> RunResult:
             raise ProtocolInvariantError(f"local search exceeded {max_moves} moves")
 
     alloc = Allocation.from_bundles([Bundle(own[0], inst.m), Bundle(own[1], inst.m)])
-    criterion = OneOfBestC(2)
-    report = democratic_report(inst, alloc, (criterion, criterion))
-    bound = Fraction(2, 3)
-    return RunResult(
-        protocol="local-search",
-        allocation=alloc,
-        report=report,
-        guarantees=(bound, bound),
-        criteria=(criterion, criterion),
-        trace=SearchTrace("local-search", tuple(moves)),
-    )
+    return _result("local-search", inst, alloc, (OneOfBestC(2),) * 2,
+                   (Fraction(2, 3),) * 2, SearchTrace("local-search", tuple(moves)))
 
 
 # ---------------------------------------------------------------------------
@@ -652,16 +637,8 @@ def _line(inst: Instance, kind: str, criterion, label: str, holds) -> RunResult:
         left.append(right[0])
     last = active[0]
     bundles[last] = Bundle.from_indices(remaining, inst.m)
-    alloc = Allocation.from_bundles(bundles)
-    bound = Fraction(1, k)
-    return RunResult(
-        protocol=kind,
-        allocation=alloc,
-        report=democratic_report(inst, alloc, criterion),
-        guarantees=(bound,) * k,
-        criteria=(criterion,) * k,
-        trace=LineTrace(kind, label, tuple(records), last),
-    )
+    return _result(kind, inst, Allocation.from_bundles(bundles), (criterion,) * k,
+                   (Fraction(1, k),) * k, LineTrace(kind, label, tuple(records), last))
 
 
 def line2(inst: Instance) -> RunResult:
@@ -673,8 +650,7 @@ def line2(inst: Instance) -> RunResult:
     yes (group 1 wins ties), that group takes the left block and the other
     group takes the rest.
     """
-    if inst.k != 2:
-        raise ValueError("line2 needs exactly two groups")
+    _require(inst, "line2", two=True, binary=False)
     return _line(inst, "line2", EFc(1), "EF1",
                  lambda v, left, right: efc_holds(v, left, (right,), 1))
 
@@ -688,9 +664,8 @@ def linek(inst: Instance) -> RunResult:
     group leaves with the block, the block restarts empty, and the last
     active group takes whatever remains.
     """
+    _require(inst, "linek", two=False, binary=False)
     k = inst.k
-    if k < 2:
-        raise ValueError("linek needs at least two groups")
     return _line(inst, "linek", PROPc(k - 1), f"PROP-{k - 1}",
                  lambda v, left, right: propc_holds(v, left, k, k - 1))
 
@@ -709,10 +684,8 @@ def rwavk(inst: Instance, c: int) -> RunResult:
     Group ``i`` (1-based) is guaranteed a happy fraction of
     ``B_k(c - i + 1, 1)``.
     """
+    _require(inst, "rwavk", two=False, binary=True)
     k = inst.k
-    if k < 2:
-        raise ValueError("rwavk needs at least two groups")
-    _require_binary(inst, "rwavk")
     if c < k:
         warnings.warn(
             f"rwavk with c={c} < k={k}: guarantees degenerate to 0 for later groups",
@@ -725,14 +698,8 @@ def rwavk(inst: Instance, c: int) -> RunResult:
         itertools.cycle(range(k)).__next__, _kgroup_price, "B_k", d=k - 1,
         number=operator.truediv,
     )
-    return RunResult(
-        protocol="rwavk",
-        allocation=alloc,
-        report=democratic_report(inst, alloc, criterion),
-        guarantees=tuple(max(0.0, kw.B(c - g, 1)) for g in range(k)),
-        criteria=(criterion,) * k,
-        trace=trace,
-    )
+    return _result("rwavk", inst, alloc, (criterion,) * k,
+                   tuple(max(0.0, kw.B(c - g, 1)) for g in range(k)), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -750,9 +717,8 @@ def best_k_protocol(inst: Instance) -> RunResult:
     if no near-unanimous good exists at three-plus groups, :func:`rwavk`
     does.  Every group is guaranteed a third of its members happy.
     """
+    _require(inst, "best_k_protocol", two=False, binary=False)
     k = inst.k
-    if k < 2:
-        raise ValueError("best_k_protocol needs at least two groups")
     binary = binarize_instance(inst, k)
     masks = _desired_masks(binary)
     criterion = OneOfBestC(k)
@@ -807,18 +773,10 @@ def best_k_protocol(inst: Instance) -> RunResult:
         for local_good, owner in enumerate(base.allocation.assignment):
             assignment[goods_left[local_good]] = active[owner]
 
-    alloc = Allocation(tuple(assignment), k)
-    report = democratic_report(inst, alloc, criterion)
-    bound = Fraction(1, 3)
-    return RunResult(
-        protocol="best-k",
-        allocation=alloc,
-        report=report,
-        guarantees=(bound,) * k,
-        criteria=(criterion,) * k,
-        trace=BestKTrace(tuple(steps), base, tuple(goods_left),
-                         tuple(active) if goods_left else (), sub),
-    )
+    return _result("best-k", inst, Allocation(tuple(assignment), k), (criterion,) * k,
+                   (Fraction(1, 3),) * k,
+                   BestKTrace(tuple(steps), base, tuple(goods_left),
+                              tuple(active) if goods_left else (), sub))
 
 
 # ---------------------------------------------------------------------------
@@ -835,9 +793,7 @@ def cwav2(inst: Instance, criterion, seed: int) -> RunResult:
     happy fraction is at least ``min_j C(r_j, s(r_j))``, reported via
     ``expected_guarantees``.  Members are capped as in :func:`rwav2`.
     """
-    if inst.k != 2:
-        raise ValueError("cwav2 needs exactly two groups")
-    _require_binary(inst, "cwav2")
+    _require(inst, "cwav2", two=True, binary=True)
     crits = per_group_criteria(criterion, 2)
     tbl = budgets.DEFAULT_TABLE
     rng = random.Random(seed)
@@ -845,14 +801,6 @@ def cwav2(inst: Instance, criterion, seed: int) -> RunResult:
         inst, crits, "cwav2", lambda: rng.randrange(2),
         _table_price(tbl.C, tbl.w_C, tbl.w_C), "C", max_wanted=MAX_WANTED_GOODS,
     )
-    return RunResult(
-        protocol="cwav2",
-        allocation=alloc,
-        report=democratic_report(inst, alloc, crits),
-        guarantees=(Fraction(0), Fraction(0)),
-        criteria=crits,
-        trace=trace,
-        expected_guarantees=tuple(
-            min(tbl.C(r, s) for r, s in dict.fromkeys(start[g])) for g in range(2)
-        ),
-    )
+    expected = tuple(min(tbl.C(r, s) for r, s in dict.fromkeys(start[g]))
+                     for g in range(2))
+    return _result("cwav2", inst, alloc, crits, (Fraction(0),) * 2, trace, expected)

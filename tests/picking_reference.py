@@ -32,8 +32,14 @@ from groupfair.protocols import (
     RunResult,
     TurnRecord,
     _desired_masks,
-    _require_binary,
 )
+
+
+def _require_binary(inst: Instance, protocol: str):
+    if not inst.is_binary():
+        raise ValueError(
+            f"{protocol} works on binary agents only; binarize explicitly first"
+        )
 
 
 def reference_rwav2(inst: Instance, criterion, first_group: int = 0, table=None) -> RunResult:

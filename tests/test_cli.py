@@ -15,6 +15,7 @@ import re
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -260,6 +261,22 @@ def test_member_count_cap_exits_3(tmp_path, capsys):
     assert f"more than {MAX_MEMBERS} members" in err
 
 
+def test_rwav2_enhanced_c_cap_exits_3(b1_path, capsys):
+    def run(c):
+        return run_cli(capsys, "run", "--protocol", "rwav2-enhanced",
+                       "--instance", b1_path, "--criterion", f"1-of-best-{c}")
+
+    top = MAX_WANTED_GOODS
+    code, out, err = run(top)
+    assert (code, err) == (0, "")
+    bound = rational_doc(Fraction(2**top - 1, 2**top + 1))
+    assert json.loads(out)["guarantees"] == [bound, bound]
+    # refused before 2**c is built, also where printing it would fail
+    for c in (top + 1, 100_000, 10**10):
+        message = f"error: rwav2_enhanced: c = {c} is above the cap of {top}\n"
+        assert run(c) == (3, "", message)
+
+
 @pytest.mark.parametrize("protocol", ["rwav2", "cwav2"])
 def test_wanted_goods_cap_exits_3(protocol, tmp_path, capsys):
     goods = [f"g{i}" for i in range(MAX_WANTED_GOODS + 1)]
@@ -409,6 +426,40 @@ def test_brute_workers_below_one_exit_2(workers, monkeypatch, capsys):
             "--criterion", "positive-mms", "--workers", workers, *extra,
         )
         assert code == 2 and out == "" and "--workers must be at least 1" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_brute_cap_below_one_exit_2(cap, b1_path, monkeypatch, capsys):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("rejected --cap must not start a sweep")
+
+    monkeypatch.setattr(cli.oracles, "max_h", no_sweep)
+    monkeypatch.setattr(cli.oracles, "exists_h", no_sweep)
+    for source in (("--spec", "three-good-cycle"), ("--instance", b1_path)):
+        for extra in ((), ("--h", "1/2")):
+            code, out, err = run_cli(
+                capsys, "brute", *source, "--criterion", "positive-mms",
+                "--cap", cap, *extra,
+            )
+            assert (code, out, err) == (2, "", "error: --cap must be at least 1\n")
+
+
+def test_brute_ef_c_far_above_m(tmp_path, capsys):
+    # deleting more goods than exist changes nothing: ef-1000000000 on
+    # three goods is ef-3, and its sweep takes three removal rounds
+    path = tmp_path / "additive3.json"
+    path.write_text(json.dumps({"goods": ["a", "b", "c"], "groups": [
+        [{"type": "additive", "values": [5, 3, 1]}],
+        [{"type": "additive", "values": [1, 3, 5]}],
+    ]}))
+    docs = []
+    for c in (3, 10**9):
+        code, out, err = run_cli(capsys, "brute", "--instance", str(path),
+                                 "--criterion", f"ef-{c}")
+        assert (code, err) == (0, "")
+        docs.append(json.loads(out))
+    assert docs[0]["best_h"] == docs[1]["best_h"]
+    assert docs[0]["witness"] == docs[1]["witness"]
 
 
 def test_brute_workers_above_cap_exit_2_without_threads(monkeypatch, capsys):

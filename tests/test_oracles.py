@@ -337,6 +337,15 @@ def test_drop_table_matches_loop_reference(case):
     assert fast.tolist() == reference_drop_table(values, m, c)
 
 
+def test_drop_table_stops_after_m_rounds():
+    # a round past the m-th removes nothing, so a huge c costs m rounds
+    rng = random.Random(5)
+    for m in range(5):
+        rank = np.array([rng.randrange(8) for _ in range(1 << m)], dtype=np.int64)
+        assert (oracles._drop_table(rank, m, 10**9).tolist()
+                == oracles._drop_table(rank, m, m).tolist())
+
+
 def test_binary_rule_blocks_narrower_than_one_row():
     # 2^10 allocations in rows of 2^5 columns: _CHUNK = 7 cuts every row
     # into pieces of 7, 7, 7, 7 and 4 columns

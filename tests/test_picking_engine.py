@@ -171,6 +171,19 @@ def test_cap_exceeded_on_both():
     assert cwav2(inst, crit, seed=3).expected_guarantees == (1, 1)
 
 
+def test_rwav2_enhanced_caps_c():
+    # up to the cap the guarantee is (2^c - 1)/(2^c + 1) exactly, through
+    # the shortcut (first instance) and through rwav2 (second)
+    c = MAX_WANTED_GOODS
+    for inst in (wanting(c, 2), wanting(2, 2)):
+        result = rwav2_enhanced(inst, c=c)
+        assert result.guarantees == (Fraction(2**c - 1, 2**c + 1),) * 2
+        # one more is refused before 2**c is built
+        with pytest.raises(CapExceededError) as info:
+            rwav2_enhanced(inst, c=c + 1)
+        assert str(info.value) == f"rwav2_enhanced: c = {c + 1} is above the cap of {c}"
+
+
 class OffByOneUnit(BudgetTable):
     """``w(2, 1)`` and ``w_C(2, 1)`` are 1/16 too large, one unit of the
     sample run's ledger."""

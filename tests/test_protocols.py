@@ -640,3 +640,42 @@ def test_rwav2_random_runs_meet_guarantees():
         assert isinstance(result, RunResult)
         assert isinstance(result.trace, ProtocolTrace)
         assert len(result.trace.turns) == inst.m
+
+
+# ---------------------------------------------------------------------------
+# refused instances
+
+# each protocol, how it is called, whether it needs exactly two groups (or
+# at least two), and whether it needs binary members
+REFUSING = [
+    ("rwav2", lambda inst: rwav2(inst, OneOfBestC(2)), True, True),
+    ("rwav2_enhanced", rwav2_enhanced, True, True),
+    ("identical_local_search", identical_local_search, True, True),
+    ("line2", line2, True, False),
+    ("cwav2", lambda inst: cwav2(inst, OneOfBestC(2), seed=1), True, True),
+    ("linek", linek, False, False),
+    ("rwavk", lambda inst: rwavk(inst, 2), False, True),
+    ("best_k_protocol", best_k_protocol, False, False),
+]
+
+
+@pytest.mark.parametrize("name, run, two, binary", REFUSING,
+                         ids=[case[0] for case in REFUSING])
+def test_refusal_texts(name, run, two, binary):
+    def additive(k):
+        return Instance.from_valuations(
+            GOODS5, [[addval((1, 2, 3, 4, 5))] for _ in range(k)])
+
+    # a wrong group count is named first, also when members are not binary
+    wrong = additive(3) if two else additive(1)
+    which = "exactly" if two else "at least"
+    with pytest.raises(ValueError) as info:
+        run(wrong)
+    assert str(info.value) == f"{name} needs {which} two groups"
+    if binary:
+        with pytest.raises(ValueError) as info:
+            run(additive(2))
+        assert str(info.value) == (
+            f"{name} works on binary agents only; binarize explicitly first")
+    else:
+        assert run(additive(2)).allocation.k == 2
