@@ -246,9 +246,3 @@ class KGroupWeights:
         if s == 1:
             return (self.L - 1.0) / self.L**r if r >= 1 else 0.0
         raise ValueError("k-group weights are defined for s in {0, 1}")
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

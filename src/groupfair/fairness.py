@@ -509,9 +509,3 @@ def democratic_report(inst: Instance, alloc: Allocation, criterion) -> FairnessR
         for gi, grp in enumerate(inst.groups)
     )
     return FairnessReport(verdicts)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

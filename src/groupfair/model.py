@@ -924,9 +924,3 @@ def binarize_instance(inst: Instance, c: int) -> Instance:
     if not changed:
         return inst
     return Instance.from_valuations(inst.goods, groups, inst.order)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -20,7 +20,7 @@ run in float32 and exact because every partial sum is an integer no
 larger than the group's size (see :func:`_binary_rule`).  Otherwise the
 table rule gathers from per-group count tables over own-bundle masks,
 plus exact rank tables for EF-c members, all compiled from each
-valuation's :func:`groupfair.model.int_table`.  Scores are exact int64
+valuation's :func:`groupfair.model.int_table`.  Counts are exact int64
 throughout.  What each criterion means comes from
 :mod:`groupfair.fairness`.  numpy is imported by the sweep functions
 themselves, and the thread pool by :func:`max_h` only when
@@ -171,8 +171,8 @@ def _binary_rule(inst: Instance, crits, high, low):
     The product runs in float32 and is cast to int64 exactly: ``A``
     holds member counts and ``T`` zeros and ones, and each member adds to
     at most one slot of a row, so every partial sum is an integer no
-    larger than the group's size, below ``MAX_MEMBERS`` < 2**24, and
-    float32 holds every such integer exactly.
+    larger than the group's size, below 2**20 (see :func:`_chunk_counter`),
+    and float32 holds every such integer exactly.
     """
     if not inst.is_binary():
         return None
@@ -415,28 +415,22 @@ def _blocks(total: int, width: int):
     ]
 
 
-def _chunk_scorer(inst: Instance, crits, cap: int):
-    """``(N, bounds, chunk_scores)`` for both sweeps: ``chunk_scores(lo,
-    hi)`` counts each group's happy members over allocation indices
-    [lo, hi) with the binary or the table rule, and returns the integer
-    scores min_g(happy_g * N / n_g), N = lcm(sizes), in index order.
+def _chunk_counter(inst: Instance, crits, cap: int):
+    """``(bounds, chunk_counts)`` for both sweeps: ``chunk_counts(lo, hi)``
+    counts each group's happy members over allocation indices [lo, hi)
+    with the binary or the table rule, one fresh int64 array per group in
+    index order.
 
     Good 0 is the most significant base-``k`` digit.  Each index is a row
     ``h`` of its high ``m - m // 2`` digits and a column ``l`` of its low
     ``m // 2``, so group ``g``'s bundle is ``high[g, h] | low[g, l]``, and
     every range in ``bounds`` is a block of whole rows or part of one row.
     """
-    import numpy as np
-
     total = _space(inst.k, inst.m, cap)
+    if max(inst.sizes) >= 1 << 20:  # for max_h's keys
+        raise CapExceededError(f"the oracle needs groups of fewer than 2^20"
+                               f" members, got {max(inst.sizes)}")
     k, m = inst.k, inst.m
-    N = math.lcm(*inst.sizes)
-    if N >= 1 << 63:  # scores reach N, in int64
-        raise CapExceededError(
-            f"the oracle's exact int64 scores need the lcm of the group sizes"
-            f" ({N}) to be at most 2^63 - 1"
-        )
-    scale = [N // n for n in inst.sizes]
     a = m // 2
     width = k**a
     high, low = _digit_masks(k, 0, m - a), _digit_masks(k, m - a, a)
@@ -444,20 +438,13 @@ def _chunk_scorer(inst: Instance, crits, cap: int):
         inst, crits, high, low
     )
 
-    def chunk_scores(lo, hi):
+    def chunk_counts(lo, hi):
         row, col = divmod(lo, width)
         if hi - lo < width:
-            rows, cols = slice(row, row + 1), slice(col, col + hi - lo)
-        else:
-            rows, cols = slice(row, hi // width), slice(None)
-        # both rules return fresh arrays: scale and reduce them in place,
-        # which spares a sweep a new array per group per block
-        scores = counts(rows, cols)
-        for happy, s in zip(scores, scale):
-            happy *= s
-        return functools.reduce(lambda x, y: np.minimum(x, y, out=x), scores)
+            return counts(slice(row, row + 1), slice(col, col + hi - lo))
+        return counts(slice(row, hi // width), slice(None))
 
-    return N, _blocks(total, width), chunk_scores
+    return _blocks(total, width), chunk_counts
 
 
 def max_h(
@@ -469,14 +456,24 @@ def max_h(
     (good 0 most significant), so the witness is reproducible and
     independent of ``workers``, the number of threads that score chunks.
     Raises :class:`CapExceededError` when the space exceeds ``cap``.
+
+    An allocation's key is min_g floor(happy_g * 2**42 / n_g): two
+    fractions ``j / n`` with ``n < 2**20`` that differ do so by more than
+    ``2**-40``, so these floors order them exactly and keep ties as ties.
     """
+    import numpy as np
+
     crits = per_group_criteria(criterion, inst.k)
-    N, bounds, chunk_scores = _chunk_scorer(inst, crits, cap)
+    bounds, chunk_counts = _chunk_counter(inst, crits, cap)
 
     def best_in(bound):
-        scores = chunk_scores(*bound)
-        pos = int(scores.argmax())
-        return int(scores[pos]), bound[0] + pos
+        keys = chunk_counts(*bound)  # fresh arrays: key them in place
+        for happy, n in zip(keys, inst.sizes):
+            happy <<= 42
+            happy //= n
+        keys = functools.reduce(lambda x, y: np.minimum(x, y, out=x), keys)
+        pos = int(keys.argmax())
+        return int(keys[pos]), bound[0] + pos
 
     if workers > 1 and len(bounds) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -485,10 +482,11 @@ def max_h(
             results = list(pool.map(best_in, bounds))
     else:
         results = map(best_in, bounds)
-    # max keeps the first of equal scores: the smallest index
-    best_score, best_idx = max(results, key=lambda result: result[0])
+    # max keeps the first of equal keys: the smallest index
+    _, best_idx = max(results, key=lambda result: result[0])
+    happy = chunk_counts(best_idx, best_idx + 1)
     return OracleResult(
-        best_h=Fraction(best_score, N),
+        best_h=min(Fraction(int(j[0]), n) for j, n in zip(happy, inst.sizes)),
         witness=_decode(best_idx, inst.k, inst.m),
         allocations_examined=inst.k**inst.m,
     )
@@ -501,11 +499,13 @@ def exists_h(inst: Instance, criterion, h, cap: int = DEFAULT_CAP) -> ExistsResu
     if not 0 <= target <= 1:
         raise ValueError("h must be a rational in [0, 1]")
     crits = per_group_criteria(criterion, inst.k)
-    N, bounds, chunk_scores = _chunk_scorer(inst, crits, cap)
-    # integer score threshold: score/N >= p/q  <=>  score*q >= p*N
-    needed = -((-target.numerator * N) // target.denominator)
+    bounds, chunk_counts = _chunk_counter(inst, crits, cap)
+    # group g needs ceil(h * n_g) happy members
+    p, q = target.numerator, target.denominator
+    need = [-(-p * n // q) for n in inst.sizes]
     for lo, hi in bounds:
-        hits = chunk_scores(lo, hi) >= needed
+        hits = functools.reduce(lambda x, y: x & y, (
+            j >= n for j, n in zip(chunk_counts(lo, hi), need)))
         if hits.any():
             idx = lo + int(hits.argmax())
             return ExistsResult(True, _decode(idx, inst.k, inst.m), idx + 1)
@@ -638,39 +638,33 @@ def parse_spec(text: str):
         raise FormatError(str(exc)) from None
 
 
+def _family(spec):
+    """``spec``, or for an efc-limit spec the all-subsets family it names."""
+    if isinstance(spec, EFcLimit):
+        return AllSubsets(2 * spec.l, spec.l - spec.c // 2, 2, 2 * spec.l)
+    return spec
+
+
 def check_space(spec, cap: int) -> None:
     """Raise :class:`CapExceededError` before :func:`generate` builds an
     instance whose allocation space exceeds ``cap``.  A space of more than
     4,096 bits is left to :func:`generate`: every such spec has over 64
     goods or a million members, which its own caps refuse."""
-    k = getattr(spec, "k", 2)  # additive-third and efc-limit have two groups
+    spec = _family(spec)
+    k = getattr(spec, "k", 2)  # additive-third has two groups
     if isinstance(spec, AllSubsets):
         m = k * spec.m
     elif isinstance(spec, Circle):
         m = 2 * k - 1
-    elif isinstance(spec, EFcLimit):
-        m = 4 * spec.l
     else:  # three-good-cycle and additive-third
         m = 3
     if m * k.bit_length() <= 4096:
         _space(k, m, cap)
 
 
-def _comb_at_most(n: int, r: int, limit: int):
-    """``math.comb(n, r)`` if it is at most ``limit``, else None, found
-    without computing a binomial much larger than ``limit``: ``C(n, i)``
-    grows with ``i`` up to ``min(r, n - r)``, so the running product stops
-    once it passes."""
-    c = 1
-    for i in range(min(r, n - r)):
-        c = c * (n - i) // (i + 1)  # C(n, i + 1), exact
-        if c > limit:
-            return None
-    return c if c <= limit else None
-
-
 def generate(spec) -> Instance:
     """Build the adversarial instance described by ``spec``."""
+    spec = _family(spec)
     if isinstance(spec, ThreeGoodCycle):
         if 3 * spec.k > MAX_MEMBERS:
             raise CapExceededError(
@@ -685,16 +679,16 @@ def generate(spec) -> Instance:
         return Instance.from_valuations(goods, [list(members)] * spec.k)
     if isinstance(spec, AllSubsets):
         n_goods = spec.k * spec.m
-        per_group = _comb_at_most(n_goods, spec.r, MAX_MEMBERS // spec.k)
-        if per_group is None:
-            raise CapExceededError(
-                f"all-subsets instance would have more than {MAX_MEMBERS}"
-                f" members"
-            )
         if n_goods > MAX_SUBSET_GOODS:
             raise CapExceededError(
                 f"all-subsets instance would have {n_goods} goods, which"
                 f" exceeds the cap of {MAX_SUBSET_GOODS}"
+            )
+        per_group = math.comb(n_goods, spec.r)  # at most C(64, 32)
+        if per_group * spec.k > MAX_MEMBERS:
+            raise CapExceededError(
+                f"all-subsets instance would have more than {MAX_MEMBERS}"
+                f" members"
             )
         entries = per_group * spec.k * spec.r
         if entries > MAX_SUBSET_ENTRIES:
@@ -730,16 +724,12 @@ def generate(spec) -> Instance:
             AdditiveValuation(tuple(Fraction(v) for v in row)) for row in rows
         ]
         return Instance.from_valuations(goods, [list(members), list(members)])
-    if isinstance(spec, EFcLimit):
-        inner = AllSubsets(
-            r=2 * spec.l, s=spec.l - spec.c // 2, k=2, m=2 * spec.l
-        )
-        return generate(inner)
     raise TypeError(f"unknown generator spec {spec!r}")
 
 
 def negative_bound(spec) -> Fraction:
     """The impossibility bound the generated instance witnesses."""
+    spec = _family(spec)
     if isinstance(spec, ThreeGoodCycle):
         return Fraction(2, 3)
     if isinstance(spec, AllSubsets):
@@ -748,8 +738,6 @@ def negative_bound(spec) -> Fraction:
         return Fraction(spec.k, 2 * spec.k - 1)
     if isinstance(spec, AdditiveThird):
         return Fraction(1, 3)
-    if isinstance(spec, EFcLimit):
-        return maxh_finite(2 * spec.l, spec.l - spec.c // 2, 2, 2 * spec.l)
     raise TypeError(f"unknown generator spec {spec!r}")
 
 

@@ -67,6 +67,7 @@ from .model import (
     Bundle,
     Instance,
     Record,
+    TabularValuation,
     binarize_instance,
 )
 
@@ -663,8 +664,14 @@ def linek(inst: Instance) -> RunResult:
     goods and the original k, lowest group index wins ties).  A claiming
     group leaves with the block, the block restarts empty, and the last
     active group takes whatever remains.
+
+    Members must be additive or binary: the guarantee needs each member's
+    PROP(k-1) verdict to turn only from no to yes as the block grows,
+    which a tabular valuation need not do.
     """
     _require(inst, "linek", two=False, binary=False)
+    if any(isinstance(a.valuation, TabularValuation) for a in inst.agents()):
+        raise ValueError("linek works on additive and binary agents only")
     k = inst.k
     return _line(inst, "linek", PROPc(k - 1), f"PROP-{k - 1}",
                  lambda v, left, right: propc_holds(v, left, k, k - 1))

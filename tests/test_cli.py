@@ -24,7 +24,15 @@ import pytest
 from groupfair import cli, protocols
 from groupfair.budgets import B_closed, C
 from groupfair.cli import MAX_TABLE_CELLS, MAX_TABLE_RMAX, main
-from groupfair.model import MAX_MEMBERS, MAX_WANTED_GOODS, rational_doc
+from groupfair.fairness import PROPc, democratic_report, per_group_criteria
+from groupfair.model import (
+    MAX_MEMBERS,
+    MAX_WANTED_GOODS,
+    parse_allocation,
+    parse_instance,
+    rational_doc,
+)
+from groupfair.oracles import exists_h
 
 from table_reference import EagerBudgetTable
 
@@ -486,9 +494,10 @@ def test_brute_workers_at_cap_runs(capsys):
     assert code == 0 and json.loads(out)["best_h"] == "2/3"
 
 
-def test_brute_lcm_beyond_int64_exits_3(tmp_path, capsys):
-    # four prime group sizes: lcm(sizes) ~ 1.8e19 > 2^63 - 1, where the
-    # int64 scores used to wrap and print best_h 7319191239917883/...
+def test_brute_four_prime_group_sizes(tmp_path, capsys):
+    # four prime group sizes: lcm(sizes) ~ 1.8e19 > 2^63 - 1, which an
+    # oracle scoring happy_g * lcm / n_g in int64 cannot hold; per-group
+    # counts need no common denominator
     sizes = (65537, 65539, 65543, 65551)
     doc = {
         "goods": ["a", "b"],
@@ -501,7 +510,15 @@ def test_brute_lcm_beyond_int64_exits_3(tmp_path, capsys):
     code, out, err = run_cli(
         capsys, "brute", "--instance", str(path), "--criterion", "prop-1",
     )
-    assert code == 3 and out == "" and "2^63" in err
+    assert code == 0 and err == ""
+    result = json.loads(out)
+    assert result["allocations_examined"] == 16
+    inst = parse_instance(path.read_text())
+    witness = parse_allocation(json.dumps(result["witness"]), inst)
+    crits = per_group_criteria(PROPc(1), inst.k)
+    best_h = Fraction(result["best_h"])
+    assert democratic_report(inst, witness, crits).h == best_h
+    assert exists_h(inst, PROPc(1), best_h).witness == witness
 
 
 def test_brute_spec_checks_the_space_before_generating(monkeypatch, capsys):
@@ -693,19 +710,25 @@ def test_gen_member_cap(capsys):
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, message",
     [
-        # C(399996, 199998) has 120,000 digits: printing it raised
-        "efc-limit:c=0,l=99999",
+        # C(399996, 199998) has 120,000 digits: printing it raised; the
+        # goods cap, checked first, refuses the family without it
+        pytest.param("efc-limit:c=0,l=99999", "399996 goods, which exceeds",
+                     id="efc-limit:c=0,l=99999"),
         # computing C(4000000, 2000000) took minutes
-        "all-subsets:r=2000000,s=1,k=2,m=2000000",
-        "three-good-cycle:k=100000000000000000000",
+        pytest.param("all-subsets:r=2000000,s=1,k=2,m=2000000",
+                     "4000000 goods, which exceeds",
+                     id="all-subsets:r=2000000,s=1,k=2,m=2000000"),
+        pytest.param("three-good-cycle:k=100000000000000000000",
+                     f"more than {MAX_MEMBERS} members",
+                     id="three-good-cycle:k=100000000000000000000"),
     ],
 )
-def test_gen_member_cap_needs_no_big_binomial(spec, capsys):
+def test_gen_member_cap_needs_no_big_binomial(spec, message, capsys):
     code, out, err = run_cli(capsys, "gen", "--spec", spec)
     assert code == 3 and out == ""
-    assert f"more than {MAX_MEMBERS} members" in err
+    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -719,18 +742,6 @@ def test_gen_member_cap_needs_no_big_binomial(spec, capsys):
 def test_gen_all_subsets_size_caps(spec, message, capsys):
     code, out, err = run_cli(capsys, "gen", "--spec", spec)
     assert code == 3 and out == "" and message in err
-
-
-def test_comb_at_most_matches_math_comb():
-    from math import comb
-
-    from groupfair.oracles import _comb_at_most
-
-    for n in range(12):
-        for r in range(n + 1):
-            for limit in range(0, 500, 7):
-                expected = comb(n, r) if comb(n, r) <= limit else None
-                assert _comb_at_most(n, r, limit) == expected, (n, r, limit)
 
 
 def test_gen_circle_cap(capsys):

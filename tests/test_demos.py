@@ -1,4 +1,5 @@
-"""Every script in ``demos/`` runs to completion against this checkout."""
+"""Every script in ``demos/`` runs to completion against this checkout
+and prints exactly its golden, ``tests/data/demo_<name>.out``."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DATA = ROOT / "tests" / "data"
 
 
 def test_demos_found():
@@ -28,3 +30,4 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
+    assert result.stdout == (DATA / f"demo_{demo.stem}.out").read_text()

@@ -10,6 +10,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -155,6 +156,34 @@ def test_max_h_cap():
     inst = generate(ThreeGoodCycle(2))
     with pytest.raises(CapExceededError):
         max_h(inst, PositiveMMS(), cap=7)
+
+
+def test_sweeps_refuse_groups_of_2_pow_20_members():
+    # the sweeps check group sizes before reading any member, so a stand-in
+    # with only the shape will do; 2^20 real members take seconds to build
+    stand_in = SimpleNamespace(k=2, m=1, sizes=(1, 1 << 20))
+    for sweep in (max_h, lambda inst, crit: exists_h(inst, crit, 1)):
+        with pytest.raises(CapExceededError, match=r"2\^20 members, got 1048576"):
+            sweep(stand_in, EFc(1))
+
+
+@given(st.integers(1, (1 << 20) - 1) | st.integers((1 << 20) - 99, (1 << 20) - 1),
+       st.data())
+def test_max_h_keys_order_fractions_exactly(n, data):
+    def key(j, n):  # max_h's key for j happy members of a group of n
+        return (j << 42) // n
+
+    a, b = Fraction(data.draw(st.integers(0, n - 1)), n).as_integer_ratio()
+    # c / d, the next fraction up with a denominator below 2^20: the
+    # nearest pair the keys must tell apart (c * b - a * d = 1)
+    most = (1 << 20) - 1
+    d = -pow(a, -1, b) % b if b > 1 else most
+    d += (most - d) // b * b
+    c = (1 + a * d) // b
+    assert Fraction(c, d) - Fraction(a, b) == Fraction(1, b * d)
+    assert key(a, b) < key(c, d)
+    t = most // b  # the same fraction over a larger group keys the same
+    assert key(a * t, b * t) == key(a, b)
 
 
 @st.composite

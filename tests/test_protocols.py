@@ -5,6 +5,7 @@ instances (see conftest fixtures); random instances then exercise the
 built-in balance invariants and the guarantee bounds.
 """
 
+import operator
 import random
 from fractions import Fraction
 
@@ -13,10 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from groupfair.budgets import C, KGroupWeights
 from groupfair.fairness import (
+    MMS,
     EFc,
     FractionMMS,
     OneOfBestC,
     OneOutOfCMMS,
+    PROPc,
     democratic_report,
 )
 from groupfair.model import (
@@ -360,9 +363,9 @@ def test_linek_on_two_groups_matches_prop1(additive_three_groups):
 
 
 @st.composite
-def _valuations(draw, m):
-    kinds = ["additive", "binary"] + (["tabular"] if m <= 5 else [])
-    kind = draw(st.sampled_from(kinds))
+def _valuations(draw, m, kinds=("additive", "binary", "tabular")):
+    # tabular members only up to 5 goods
+    kind = draw(st.sampled_from([x for x in kinds if x != "tabular" or m <= 5]))
     if kind == "binary":
         return BinaryValuation(Bundle(draw(st.integers(0, (1 << m) - 1)), m))
     if kind == "additive":
@@ -413,7 +416,92 @@ def _line_outcome(protocol, inst):
 def test_line_protocols_match_reference_loops(inst):
     if inst.k == 2:
         assert _line_outcome(line2, inst) == _line_outcome(reference_line2, inst)
-    assert _line_outcome(linek, inst) == _line_outcome(reference_linek, inst)
+    if any(isinstance(a.valuation, TabularValuation) for a in inst.agents()):
+        with pytest.raises(ValueError, match="additive and binary agents only"):
+            linek(inst)
+    else:
+        assert _line_outcome(linek, inst) == _line_outcome(reference_linek, inst)
+
+
+def test_linek_refuses_tabular_members():
+    # with these two members the claimed 1/2 of PROP-1 was missed: group 2
+    # ended with no happy member
+    goods = ("x", "y", "z")
+
+    def tabular(*values):  # by mask: {}, x, y, xy, z, xz, yz, xyz
+        return TabularValuation(tuple(Fraction(v) for v in values), 3)
+
+    inst = Instance.from_valuations(goods, [
+        [tabular(0, 0, 3, 3, 2, 2, 3, 3)], [tabular(0, 0, 0, 2, 0, 2, 1, 2)],
+    ])
+    with pytest.raises(ValueError) as info:
+        linek(inst)
+    assert str(info.value) == "linek works on additive and binary agents only"
+    assert line2(inst).report.h >= Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# guarantee audit: every protocol meets the guarantees it reports
+
+BINARY = ("binary",)
+ANY = ("additive", "binary", "tabular")
+PICKING_CRITERIA = st.sampled_from([
+    EFc(1), PROPc(1), MMS(), OneOfBestC(1), OneOfBestC(2), OneOutOfCMMS(2),
+])
+
+
+def _audit_instance(data, kinds, k, identical=False):
+    # members all of one accepted kind, or mixed
+    kinds = data.draw(st.sampled_from([kinds, *((x,) for x in kinds)]))
+    m = data.draw(st.integers(1, 5))
+    groups = [
+        [data.draw(_valuations(m, kinds)) for _ in range(data.draw(st.integers(1, 4)))]
+        for _ in range(k)
+    ]
+    if identical:
+        groups[1] = data.draw(st.permutations(groups[0]))
+    return Instance.from_valuations(tuple(f"g{i}" for i in range(m)), groups)
+
+
+def _rwavk(data):
+    k = data.draw(st.integers(2, 4))
+    return rwavk(_audit_instance(data, BINARY, k), data.draw(st.integers(k, k + 2)))
+
+
+# each protocol run on small random instances of every kind it accepts
+AUDIT = {
+    "rwav2": lambda data: rwav2(
+        _audit_instance(data, BINARY, 2),
+        data.draw(PICKING_CRITERIA | st.tuples(PICKING_CRITERIA, PICKING_CRITERIA)),
+        first_group=data.draw(st.integers(0, 1)),
+    ),
+    "rwav2_enhanced": lambda data: rwav2_enhanced(
+        _audit_instance(data, BINARY, 2), c=data.draw(st.integers(2, 4))),
+    "cwav2": lambda data: cwav2(
+        _audit_instance(data, BINARY, 2), data.draw(PICKING_CRITERIA),
+        seed=data.draw(st.integers(0, 99))),
+    "identical_local_search": lambda data: identical_local_search(
+        _audit_instance(data, BINARY, 2, identical=True)),
+    "line2": lambda data: line2(_audit_instance(data, ANY, 2)),
+    "linek": lambda data: linek(_audit_instance(
+        data, ("additive", "binary"), data.draw(st.integers(2, 4)))),
+    "rwavk": _rwavk,
+    "best_k_protocol": lambda data: best_k_protocol(
+        _audit_instance(data, ANY, data.draw(st.integers(2, 4)))),
+}
+
+
+@pytest.mark.parametrize("name", AUDIT)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_guarantee_audit(name, data):
+    result = AUDIT[name](data)
+    fractions = result.report.fractions
+    if name == "rwavk":  # its guarantees are floats: check B_k(c - g, 1) exactly
+        c, k = result.criteria[0].c, len(fractions)
+        assert all(meets_bk(f, c - g, k) for g, f in enumerate(fractions))
+    else:
+        assert all(map(operator.ge, fractions, result.guarantees))
 
 
 # ---------------------------------------------------------------------------
