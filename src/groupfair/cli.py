@@ -12,9 +12,7 @@ member or wanted-goods cap exceeded.
 from __future__ import annotations
 
 import argparse
-import functools
 import importlib.util
-import itertools
 import json
 import sys
 from decimal import ROUND_HALF_UP, Decimal
@@ -23,18 +21,6 @@ from pathlib import Path
 
 from .budgets import B, C, KGroupWeights, maxh, w
 from .errors import CapExceededError, FormatError
-from .model import (
-    DEFAULT_CAP,
-    Instance,
-    allocation_doc,
-    binarize_instance,
-    bundles_of,
-    parse_allocation,
-    parse_instance,
-    parse_rational,
-    rational_doc,
-    serialize_instance,
-)
 
 __all__ = ["main"]
 
@@ -43,6 +29,9 @@ def _lazy_submodule(name: str):
     """``groupfair.<name>``, registered in ``sys.modules`` and on the
     package as an import would, but compiled and run only on its first
     attribute access, so each command loads only the modules it uses.
+    ``model``, ``fairness``, ``protocols`` and ``oracles`` come this way;
+    the CLI imports only ``errors`` and ``budgets`` up front, and
+    ``--help`` and ``table`` load nothing more.
 
     Python 3.11's lazy loader is not thread-safe: every command touches its
     modules on the main thread before any thread pool starts.
@@ -59,9 +48,20 @@ def _lazy_submodule(name: str):
     return module
 
 
+model = _lazy_submodule("model")
 fairness = _lazy_submodule("fairness")
 protocols = _lazy_submodule("protocols")
 oracles = _lazy_submodule("oracles")
+
+
+def __getattr__(name: str):
+    # ``cli.parse_instance`` was bound here while this module imported
+    # ``model`` eagerly, and bench/test_bench.py still reads it; it resolves
+    # through ``model`` on every read, so a wrapper set there shows here too
+    if name == "parse_instance":
+        return model.parse_instance
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _FIXED_CRITERION = {
     "line2": "EF1 (built in)",
@@ -90,11 +90,6 @@ class _CliError(Exception):
 # formatting helpers
 
 
-def _fmt_weight(x) -> str:
-    x = float(x)
-    return "0" if x == 0 else str(x)
-
-
 def _fmt_cell(x) -> str:
     """Three-decimal table cell (half-up), integers printed bare."""
     f = Fraction(repr(x)) if isinstance(x, float) else Fraction(x)
@@ -104,152 +99,10 @@ def _fmt_cell(x) -> str:
     return str(d.quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 
-def _bundle_text(inst: Instance, bundle) -> str:
-    labels = inst.labels(bundle)
-    if not labels:
-        return "set()"
-    return "{" + ", ".join(repr(lab) for lab in labels) + "}"
-
-
 def _guarantee_doc(x):
     if isinstance(x, float):
         return x
-    return rational_doc(Fraction(x))
-
-
-# ---------------------------------------------------------------------------
-# trace renderers
-
-
-def _render_turns(trace, inst: Instance, out: list):
-    # each live mask's labels and each weight's text, made once per render
-    weight_of = functools.cache(_fmt_weight)
-
-    @functools.cache
-    def labels_of(live: int) -> str:
-        names = []
-        while live:
-            bit = live & -live
-            names.append(inst.goods[bit.bit_length() - 1])
-            live ^= bit
-        return ",".join(names)
-
-    for rec in trace.turns:
-        remaining = [inst.goods[i] for i in rec.remaining]
-        out.append(
-            f"Turn #{rec.turn}: Group {rec.group + 1}'s turn to pick a good"
-            f" from {remaining}:"
-        )
-        out.append("Calculating member weights:")
-        out.append(
-            "".ljust(12) + "Desired set".ljust(12) + "r".ljust(3)
-            + "s".ljust(3) + "weight".ljust(9)
-        )
-        remaining_mask = 0
-        for i in rec.remaining:
-            remaining_mask |= 1 << i
-        rows = [
-            (labels_of(agent.valuation.desired.mask & remaining_mask), r, s, weight_of(w))
-            for agent, (r, s, w) in zip(inst.groups[rec.group], rec.member_states)
-        ]
-        for (labels, r, s, w), run in itertools.groupby(rows):
-            count = sum(1 for _ in run)
-            label = f"{count} member" + ("s" if count != 1 else "")
-            out.append(
-                label.ljust(12) + labels.ljust(12) + str(r).ljust(3)
-                + str(s).ljust(3) + w.ljust(9)
-            )
-        out.append("Calculating remaining good weights:")
-        out.append("".ljust(6) + "Weight".ljust(9))
-        for good, w in rec.good_weights:
-            out.append(inst.goods[good].ljust(6) + weight_of(w).ljust(9))
-        out.append(f"Group {rec.group + 1} picks {inst.goods[rec.pick]}")
-        out.append("")
-
-
-def _render_final(result, inst: Instance, out: list, order=None):
-    out.append("Final allocation:")
-    bundles = bundles_of(result.allocation)
-    report = result.report
-    for g in order if order is not None else range(inst.k):
-        out.append(
-            f" *  Group {g + 1}: allocated bundle = "
-            f"{_bundle_text(inst, bundles[g])}, happy members = "
-            f"{report.happy[g]}/{report.sizes[g]}"
-        )
-
-
-def _render_line(trace, inst: Instance, out: list):
-    for rec in trace.records:
-        left = [inst.goods[i] for i in rec.left]
-        right = [inst.goods[i] for i in rec.right]
-        out.append(f"Current partition:  {left} | {right}:")
-        for g, yes, size in rec.counts:
-            out.append(
-                f"   Group {g + 1}: {yes}/{size} members think the left"
-                f" bundle is {trace.criterion_label}"
-            )
-        if rec.claimed_by is not None:
-            out.append(f"   Group {rec.claimed_by + 1} gets the left bundle")
-    out.append(
-        f"   Group {trace.remainder_group + 1} gets the remaining bundle"
-    )
-    out.append("")
-
-
-def _render_trace(result, inst: Instance) -> str:
-    out: list = []
-    trace = result.trace
-    order = None
-    if isinstance(trace, protocols.ProtocolTrace):
-        _render_turns(trace, inst, out)
-        if inst.k == 2 and trace.turns:
-            first = trace.turns[0].group
-            order = [first, 1 - first]
-    elif isinstance(trace, protocols.LineTrace):
-        _render_line(trace, inst, out)
-    elif isinstance(trace, protocols.SearchTrace):
-        for i, mv in enumerate(trace.moves, 1):
-            out.append(
-                f"Move #{i}: good {inst.goods[mv.good]} moves from Group"
-                f" {mv.from_group + 1} to Group {mv.to_group + 1}"
-            )
-        out.append("")
-    elif isinstance(trace, protocols.EnhancedSplit):
-        out.append(
-            f"Group {trace.group + 1} takes its commonly-desired good"
-            f" {inst.goods[trace.good]}"
-            f" ({trace.desiring}/{trace.counted} counted members want it)"
-        )
-        out.append(f"All remaining goods go to Group {2 - trace.group}")
-        out.append("")
-    elif isinstance(trace, protocols.BestKTrace):
-        for i, step in enumerate(trace.steps, 1):
-            out.append(
-                f"Step #{i}: Group {step.group + 1} takes good"
-                f" {inst.goods[step.good]} ({step.desiring}/{step.size}"
-                f" members want it)"
-            )
-        if trace.base is not None:
-            groups = ", ".join(str(g + 1) for g in trace.base_groups)
-            goods = [inst.goods[i] for i in trace.base_goods]
-            out.append(
-                f"Remaining groups {groups} split the remaining goods"
-                f" {goods} with {trace.base.protocol}"
-            )
-            renum = ", ".join(
-                f"sub-group {i + 1} = group {g + 1}"
-                for i, g in enumerate(trace.base_groups)
-            )
-            out.append(f"(sub-run groups renumbered: {renum})")
-            out.append("")
-            sub = _render_trace(trace.base, trace.base_instance)
-            out.append(sub.rstrip("\n"))
-            out.append("")
-        else:
-            out.append("")
-    _render_final(result, inst, out, order)
-    return "\n".join(out) + "\n"
+    return model.rational_doc(Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +179,7 @@ def _emit(text: str, out_path):
 
 
 def _cmd_run(args) -> int:
-    inst = parse_instance(_read(args.instance))
+    inst = model.parse_instance(_read(args.instance))
     name = args.protocol
     if name in _FIXED_CRITERION and args.criterion:
         raise _CliError(
@@ -373,7 +226,7 @@ def _cmd_run(args) -> int:
                 "--binarize needs a single 1-of-best-c criterion to pick"
                 " the c best goods"
             )
-        inst = binarize_instance(inst, c)
+        inst = model.binarize_instance(inst, c)
 
     if name == "rwav2":
         first = (args.first_group or 1) - 1
@@ -403,7 +256,7 @@ def _cmd_run(args) -> int:
         doc["first_group"] = args.first_group or 1
     if name == "cwav2":
         doc["seed"] = args.seed
-    doc["allocation"] = allocation_doc(result.allocation, inst)
+    doc["allocation"] = model.allocation_doc(result.allocation, inst)
     doc.update(result.report.to_doc())
     doc["guarantees"] = [_guarantee_doc(x) for x in result.guarantees]
     if result.expected_guarantees is not None:
@@ -414,18 +267,18 @@ def _cmd_run(args) -> int:
     if args.out or not args.trace:  # with --trace, the document needs --out
         _emit(machine, args.out)
     if args.trace:
-        sys.stdout.write(_render_trace(result, inst))
+        sys.stdout.write(protocols._render_trace(result, inst))
     return 0
 
 
 def _cmd_check(args) -> int:
-    inst = parse_instance(_read(args.instance))
-    alloc = parse_allocation(_read(args.allocation), inst)
+    inst = model.parse_instance(_read(args.instance))
+    alloc = model.parse_allocation(_read(args.allocation), inst)
     crits = fairness.parse_criteria(args.criterion, inst.k)
     report = fairness.democratic_report(inst, alloc, crits)
     doc = {
         "criteria": [c.name for c in crits],
-        "allocation": allocation_doc(alloc, inst),
+        "allocation": model.allocation_doc(alloc, inst),
     }
     doc.update(report.to_doc())
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
@@ -437,32 +290,33 @@ def _cmd_brute(args) -> int:
         raise _CliError("--workers must be at least 1")
     if args.workers > MAX_WORKERS:
         raise _CliError(f"--workers must be at most {MAX_WORKERS}")
-    if args.cap < 1:
+    cap = model.DEFAULT_CAP if args.cap is None else args.cap
+    if cap < 1:
         raise _CliError("--cap must be at least 1")
     if args.spec:
         spec = oracles.parse_spec(args.spec)
-        oracles.check_space(spec, args.cap)
+        oracles.check_space(spec, cap)
         inst = oracles.generate(spec)
         source = {"spec": oracles.spec_name(spec)}
     else:
-        inst = parse_instance(_read(args.instance))
+        inst = model.parse_instance(_read(args.instance))
         source = {"instance": args.instance}
     crits = fairness.parse_criteria(args.criterion, inst.k)
     doc = dict(source)
     doc["criteria"] = [c.name for c in crits]
     if args.h is not None:
-        target = parse_rational(args.h)
-        res = oracles.exists_h(inst, crits, target, cap=args.cap)
-        doc["h"] = rational_doc(target)
+        target = model.parse_rational(args.h)
+        res = oracles.exists_h(inst, crits, target, cap=cap)
+        doc["h"] = model.rational_doc(target)
         doc["found"] = res.found
         doc["witness"] = (
-            allocation_doc(res.witness, inst) if res.witness is not None else None
+            model.allocation_doc(res.witness, inst) if res.witness is not None else None
         )
         doc["allocations_examined"] = res.allocations_examined
     else:
-        res = oracles.max_h(inst, crits, cap=args.cap, workers=args.workers)
-        doc["best_h"] = rational_doc(res.best_h)
-        doc["witness"] = allocation_doc(res.witness, inst)
+        res = oracles.max_h(inst, crits, cap=cap, workers=args.workers)
+        doc["best_h"] = model.rational_doc(res.best_h)
+        doc["witness"] = model.allocation_doc(res.witness, inst)
         doc["allocations_examined"] = res.allocations_examined
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
@@ -490,7 +344,7 @@ def _cmd_table(args) -> int:
 def _cmd_gen(args) -> int:
     spec = oracles.parse_spec(args.spec)
     inst = oracles.generate(spec)
-    _emit(serialize_instance(inst) + "\n", args.out)
+    _emit(model.serialize_instance(inst) + "\n", args.out)
     return 0
 
 
@@ -555,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     brute.add_argument(
         "--h", help="decision mode: is some allocation h-democratic fair?"
     )
-    brute.add_argument("--cap", type=int, default=DEFAULT_CAP,
+    brute.add_argument("--cap", type=int, default=None,
                        help="allocation-space cap (default 2^24)")
     brute.add_argument("--workers", type=int, default=1,
                        help="threads that score chunks (max-h mode only)")

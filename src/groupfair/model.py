@@ -825,25 +825,55 @@ def _valuation_doc(v: Valuation, inst: Instance) -> dict:
     raise TypeError(f"unknown valuation {v!r}")
 
 
+_valuation_of = operator.attrgetter("valuation")
+
+
+def _dumped(value, depth: int) -> str:
+    """``json.dumps(value, indent=2)`` as it reads nested ``depth`` levels
+    deep (a JSON string holds no raw newline)."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _joined(items: list, depth: int, brackets: str = "[]") -> str:
+    """A JSON list (or, with ``brackets="{}"``, object) of already-rendered
+    ``items``, at least one, laid out as ``json.dumps(..., indent=2)`` lays
+    it out ``depth`` levels deep."""
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+
+
 def serialize_instance(inst: Instance) -> str:
     """Serialize an instance to JSON; parse_instance round-trips it.
 
     Consecutive identical agents compress into one entry with a count.
+    The text is what ``json.dumps(..., indent=2)`` makes of the document,
+    put together from each distinct group encoded once (the generators give
+    every group the same valuation objects).
     """
-    groups_doc = []
+    distinct = {}  # ids of a group's valuations, in order -> its entries
+    groups = []
     for grp in inst.groups:
-        entries = []
-        for v, run in itertools.groupby(agent.valuation for agent in grp):
-            doc = _valuation_doc(v, inst)
-            count = sum(1 for _ in run)
-            if count > 1:
-                doc["count"] = count
-            entries.append(doc)
-        groups_doc.append(entries)
-    doc = {"goods": list(inst.goods), "groups": groups_doc}
+        key = tuple(map(id, map(_valuation_of, grp)))
+        entries = distinct.get(key)
+        if entries is None:
+            entries = distinct[key] = []
+            for v, run in itertools.groupby(map(_valuation_of, grp)):
+                entry = _valuation_doc(v, inst)
+                count = sum(1 for _ in run)
+                if count > 1:
+                    entry["count"] = count
+                entries.append(entry)
+        groups.append(entries)
+    # Every distinct group in one encoder pass, at the depth groups sit, 2.
+    # Each is a list and only its closing line starts 4 spaces in, so
+    # ",\n" + 4 spaces + "[" is where one group ends and the next begins.
+    first, *rest = _dumped(list(distinct.values()), 1)[6:-4].split(",\n    [")
+    text_of = dict(zip(map(id, distinct.values()), [first, *("[" + t for t in rest)]))
+    fields = [f'"goods": {_dumped(list(inst.goods), 1)}',
+              f'"groups": {_joined([text_of[id(group)] for group in groups], 1)}']
     if inst.order != tuple(range(inst.m)):
-        doc["order"] = [inst.goods[i] for i in inst.order]
-    return json.dumps(doc, indent=2)
+        fields.append(f'"order": {_dumped([inst.goods[i] for i in inst.order], 1)}')
+    return _joined(fields, 0, "{}")
 
 
 # ---------------------------------------------------------------------------

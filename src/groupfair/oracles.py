@@ -22,10 +22,11 @@ table rule gathers from per-group count tables over own-bundle masks,
 plus exact rank tables for EF-c members, all compiled from each
 valuation's :func:`groupfair.model.int_table`.  Counts are exact int64
 throughout.  What each criterion means comes from
-:mod:`groupfair.fairness`.  numpy is imported by the sweep functions
-themselves, and the thread pool by :func:`max_h` only when
-``workers > 1``, so importing this module (and running any CLI command
-but ``brute``) loads neither.
+:mod:`groupfair.fairness`, which the sweep functions read through the
+module when they run, so a CLI ``gen`` that only generates never loads it.
+numpy is imported by the sweep functions themselves, and the thread pool
+by :func:`max_h` only when ``workers > 1``, so importing this module (and
+running any CLI command but ``brute``) loads neither.
 
 The generators build the small adversarial instances used to show that the
 protocol guarantees cannot be improved: cycles of disapproval, all-subsets
@@ -41,15 +42,9 @@ import re
 from collections import Counter
 from fractions import Fraction
 
+from . import fairness
 from .budgets import maxh_finite
 from .errors import CapExceededError, FormatError
-from .fairness import (
-    EFc,
-    PROPc,
-    _binary_threshold,
-    _own_bar,
-    per_group_criteria,
-)
 from .model import (
     AdditiveValuation,
     Allocation,
@@ -189,7 +184,8 @@ def _binary_rule(inst: Instance, crits, high, low):
         tally = Counter(agent.valuation.desired.mask for agent in grp)
         desired = np.array(list(tally), dtype=np.uint64)
         sizes = np.bitwise_count(desired).astype(np.int64)
-        bars = {r: _binary_threshold(crits[g], r, k) for r in set(sizes.tolist())}
+        bars = {r: fairness._binary_threshold(crits[g], r, k)
+                for r in set(sizes.tolist())}
         if None in bars.values():
             return None
         # distinct sets sorted by low half: each piece's sets are one run
@@ -336,17 +332,17 @@ def _table_rule(inst: Instance, crits, high, low):
         pairs = []
         for v, count in Counter(a.valuation for a in grp).items():
             values = int_table(v, (1 << m) - 1)
-            if isinstance(crit, EFc):
+            if isinstance(crit, fairness.EFc):
                 # each dropped value is the value of some mask: ranks suffice
                 order = {x: i for i, x in enumerate(sorted(set(values)))}
                 rank = np.array([order[x] for x in values], dtype=np.int64)
                 pairs.append((count, rank, _drop_table(rank, m, crit.c)))
                 continue
-            if isinstance(crit, PROPc):
+            if isinstance(crit, fairness.PROPc):
                 bench = _prop_benchmark_table(values, m, crit.c)
                 ok = [k * x >= b for x, b in zip(values, bench)]
             else:
-                bar = _own_bar(v, crit, k)
+                bar = fairness._own_bar(v, crit, k)
                 ok = [x >= bar for x in values]
             tally += count * np.array(ok, dtype=np.int64)
         own.append(tally)
@@ -463,7 +459,7 @@ def max_h(
     """
     import numpy as np
 
-    crits = per_group_criteria(criterion, inst.k)
+    crits = fairness.per_group_criteria(criterion, inst.k)
     bounds, chunk_counts = _chunk_counter(inst, crits, cap)
 
     def best_in(bound):
@@ -498,7 +494,7 @@ def exists_h(inst: Instance, criterion, h, cap: int = DEFAULT_CAP) -> ExistsResu
     target = Fraction(h)
     if not 0 <= target <= 1:
         raise ValueError("h must be a rational in [0, 1]")
-    crits = per_group_criteria(criterion, inst.k)
+    crits = fairness.per_group_criteria(criterion, inst.k)
     bounds, chunk_counts = _chunk_counter(inst, crits, cap)
     # group g needs ceil(h * n_g) happy members
     p, q = target.numerator, target.denominator

@@ -35,6 +35,9 @@ A turn applies them to the members wanting the pick, checks each balance,
 and sums each group's change once.  The loop keeps per-turn snapshots of
 the ledger, and :class:`ProtocolTrace` builds its ``turns`` from them on
 first read: a run whose trace is never read makes no :class:`TurnRecord`.
+
+:func:`_render_trace` prints a run's trace records as the stable plain text
+of ``run --trace``, one layout per trace kind.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from .model import (
     Record,
     TabularValuation,
     binarize_instance,
+    bundles_of,
 )
 
 __all__ = [
@@ -811,3 +815,151 @@ def cwav2(inst: Instance, criterion, seed: int) -> RunResult:
     expected = tuple(min(tbl.C(r, s) for r, s in dict.fromkeys(start[g]))
                      for g in range(2))
     return _result("cwav2", inst, alloc, crits, (Fraction(0),) * 2, trace, expected)
+
+
+# ---------------------------------------------------------------------------
+# trace text
+
+
+def _fmt_weight(x) -> str:
+    x = float(x)
+    return "0" if x == 0 else str(x)
+
+
+def _bundle_text(inst: Instance, bundle) -> str:
+    labels = inst.labels(bundle)
+    if not labels:
+        return "set()"
+    return "{" + ", ".join(repr(lab) for lab in labels) + "}"
+
+
+def _render_turns(trace, inst: Instance, out: list):
+    # each live mask's labels and each weight's text, made once per render
+    weight_of = functools.cache(_fmt_weight)
+
+    @functools.cache
+    def labels_of(live: int) -> str:
+        names = []
+        while live:
+            bit = live & -live
+            names.append(inst.goods[bit.bit_length() - 1])
+            live ^= bit
+        return ",".join(names)
+
+    for rec in trace.turns:
+        remaining = [inst.goods[i] for i in rec.remaining]
+        out.append(
+            f"Turn #{rec.turn}: Group {rec.group + 1}'s turn to pick a good"
+            f" from {remaining}:"
+        )
+        out.append("Calculating member weights:")
+        out.append(
+            "".ljust(12) + "Desired set".ljust(12) + "r".ljust(3)
+            + "s".ljust(3) + "weight".ljust(9)
+        )
+        remaining_mask = 0
+        for i in rec.remaining:
+            remaining_mask |= 1 << i
+        rows = [
+            (labels_of(agent.valuation.desired.mask & remaining_mask), r, s, weight_of(w))
+            for agent, (r, s, w) in zip(inst.groups[rec.group], rec.member_states)
+        ]
+        for (labels, r, s, w), run in itertools.groupby(rows):
+            count = sum(1 for _ in run)
+            label = f"{count} member" + ("s" if count != 1 else "")
+            out.append(
+                label.ljust(12) + labels.ljust(12) + str(r).ljust(3)
+                + str(s).ljust(3) + w.ljust(9)
+            )
+        out.append("Calculating remaining good weights:")
+        out.append("".ljust(6) + "Weight".ljust(9))
+        for good, w in rec.good_weights:
+            out.append(inst.goods[good].ljust(6) + weight_of(w).ljust(9))
+        out.append(f"Group {rec.group + 1} picks {inst.goods[rec.pick]}")
+        out.append("")
+
+
+def _render_final(result, inst: Instance, out: list, order=None):
+    out.append("Final allocation:")
+    bundles = bundles_of(result.allocation)
+    report = result.report
+    for g in order if order is not None else range(inst.k):
+        out.append(
+            f" *  Group {g + 1}: allocated bundle = "
+            f"{_bundle_text(inst, bundles[g])}, happy members = "
+            f"{report.happy[g]}/{report.sizes[g]}"
+        )
+
+
+def _render_line(trace, inst: Instance, out: list):
+    for rec in trace.records:
+        left = [inst.goods[i] for i in rec.left]
+        right = [inst.goods[i] for i in rec.right]
+        out.append(f"Current partition:  {left} | {right}:")
+        for g, yes, size in rec.counts:
+            out.append(
+                f"   Group {g + 1}: {yes}/{size} members think the left"
+                f" bundle is {trace.criterion_label}"
+            )
+        if rec.claimed_by is not None:
+            out.append(f"   Group {rec.claimed_by + 1} gets the left bundle")
+    out.append(
+        f"   Group {trace.remainder_group + 1} gets the remaining bundle"
+    )
+    out.append("")
+
+
+def _render_trace(result, inst: Instance) -> str:
+    """The plain-text audit trail of a run, as ``run --trace`` prints it."""
+    out: list = []
+    trace = result.trace
+    order = None
+    if isinstance(trace, ProtocolTrace):
+        _render_turns(trace, inst, out)
+        if inst.k == 2 and trace.turns:
+            first = trace.turns[0].group
+            order = [first, 1 - first]
+    elif isinstance(trace, LineTrace):
+        _render_line(trace, inst, out)
+    elif isinstance(trace, SearchTrace):
+        for i, mv in enumerate(trace.moves, 1):
+            out.append(
+                f"Move #{i}: good {inst.goods[mv.good]} moves from Group"
+                f" {mv.from_group + 1} to Group {mv.to_group + 1}"
+            )
+        out.append("")
+    elif isinstance(trace, EnhancedSplit):
+        out.append(
+            f"Group {trace.group + 1} takes its commonly-desired good"
+            f" {inst.goods[trace.good]}"
+            f" ({trace.desiring}/{trace.counted} counted members want it)"
+        )
+        out.append(f"All remaining goods go to Group {2 - trace.group}")
+        out.append("")
+    elif isinstance(trace, BestKTrace):
+        for i, step in enumerate(trace.steps, 1):
+            out.append(
+                f"Step #{i}: Group {step.group + 1} takes good"
+                f" {inst.goods[step.good]} ({step.desiring}/{step.size}"
+                f" members want it)"
+            )
+        if trace.base is not None:
+            groups = ", ".join(str(g + 1) for g in trace.base_groups)
+            goods = [inst.goods[i] for i in trace.base_goods]
+            out.append(
+                f"Remaining groups {groups} split the remaining goods"
+                f" {goods} with {trace.base.protocol}"
+            )
+            renum = ", ".join(
+                f"sub-group {i + 1} = group {g + 1}"
+                for i, g in enumerate(trace.base_groups)
+            )
+            out.append(f"(sub-run groups renumbered: {renum})")
+            out.append("")
+            sub = _render_trace(trace.base, trace.base_instance)
+            out.append(sub.rstrip("\n"))
+            out.append("")
+        else:
+            out.append("")
+    _render_final(result, inst, out, order)
+    return "\n".join(out) + "\n"

@@ -25,7 +25,6 @@ from groupfair.budgets import (
 )
 from groupfair.budgets import B as budget_B
 from groupfair.budgets import w as budget_w
-from groupfair.cli import _render_trace
 from groupfair.fairness import (
     EFc,
     FractionMMS,
@@ -60,6 +59,7 @@ from groupfair.oracles import (
     verify_negative,
 )
 from groupfair.protocols import (
+    _render_trace,
     best_k_protocol,
     cwav2,
     identical_local_search,

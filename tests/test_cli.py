@@ -84,6 +84,28 @@ def test_run_trace_matches_golden(b1_path, capsys):
     assert out == (DATA / "b1_trace.txt").read_text()
 
 
+# one run per trace kind: (golden, protocol, instance, extra arguments)
+TRACE_KINDS = [
+    ("line2", "line2", "inst_line.json", ()),  # LineTrace, with an order
+    ("linek", "linek", "inst_linek.json", ()),
+    ("local_search", "local-search", "inst_identical.json", ()),  # SearchTrace
+    ("rwav2_enhanced", "rwav2-enhanced", "inst_shortcut.json", ()),  # EnhancedSplit
+    ("best_k", "best-k", "inst_bestk.json", ()),  # BestKTrace around rwav2 turns
+    ("cwav2", "cwav2", "inst_shortcut.json",
+     ("--criterion", "1-of-best-2,ef-1", "--seed", "7")),
+]
+
+
+@pytest.mark.parametrize("golden, protocol, instance, extra", TRACE_KINDS,
+                         ids=[kind[0] for kind in TRACE_KINDS])
+def test_run_trace_of_each_kind_matches_golden(golden, protocol, instance, extra,
+                                               capsys):
+    code, out, _ = run_cli(capsys, "run", "--protocol", protocol, "--instance",
+                           str(DATA / instance), *extra, "--trace")
+    assert code == 0
+    assert out == (DATA / f"trace_{golden}.txt").read_text()
+
+
 def test_run_builds_turn_records_only_for_trace(b1_path, capsys, monkeypatch):
     # the picking loop keeps ledger snapshots and makes TurnRecords only
     # when the trace is read, which run does for --trace alone
@@ -900,7 +922,7 @@ def _imported_modules(*args) -> set:
 )
 def test_startup_skips_dataclasses_and_inspect(args):
     imported = _imported_modules(*args)
-    assert "groupfair.model" in imported  # the listing is complete
+    assert "groupfair.budgets" in imported  # the listing is complete
     assert not imported & {"dataclasses", "inspect"}
 
 
@@ -911,7 +933,7 @@ from groupfair.cli import main
 
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-names = ("fairness", "protocols", "oracles")
+names = ("model", "fairness", "protocols", "oracles")
 unloaded = [n for n in names if type(sys.modules["groupfair." + n]) is not ModuleType]
 print(json.dumps({"code": code, "unloaded": unloaded, "numpy": "numpy" in sys.modules}))
 """
@@ -920,13 +942,13 @@ print(json.dumps({"code": code, "unloaded": unloaded, "numpy": "numpy" in sys.mo
 @pytest.mark.parametrize(
     "command, unloaded",
     [
-        (["--help"], ["fairness", "protocols", "oracles"]),
-        (["table", "--which", "maxh"], ["fairness", "protocols", "oracles"]),
+        (["--help"], ["model", "fairness", "protocols", "oracles"]),
+        (["table", "--which", "maxh"], ["model", "fairness", "protocols", "oracles"]),
         (["check", "--instance", "B1", "--allocation", "ALLOC", "--criterion",
           "ef-1"], ["protocols", "oracles"]),
         (["run", "--protocol", "rwav2", "--instance", "B1", *B1_ARGS, "--trace"],
          ["oracles"]),
-        (["gen", "--spec", "efc-limit:c=1,l=2"], ["protocols"]),
+        (["gen", "--spec", "efc-limit:c=1,l=2"], ["fairness", "protocols"]),
         (["brute", "--instance", "B1", "--criterion", "ef-1"], ["protocols"]),
         # four blocks of 2^16 allocations: the pool runs after every load
         (["brute", "--spec", "all-subsets:r=2,s=1,k=2,m=9", "--criterion",

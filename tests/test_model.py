@@ -1,5 +1,6 @@
 """Model-layer tests: bundles, valuations, instances, JSON round-trips."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from groupfair.model import (
     Bundle,
     Instance,
     TabularValuation,
+    _valuation_doc,
     binarize_instance,
     bundles_of,
     parse_allocation,
@@ -426,6 +428,61 @@ def test_instance_json_round_trip(inst):
     text = serialize_instance(inst)
     assert parse_instance(text) == inst
     assert repr(reference_parse_instance(text)) == repr(inst)
+
+
+def _reference_serialize_instance(inst):
+    """The whole document through ``json.dumps(doc, indent=2)``."""
+    groups = []
+    for grp in inst.groups:
+        entries = []
+        for v, run in itertools.groupby(agent.valuation for agent in grp):
+            doc = _valuation_doc(v, inst)
+            count = sum(1 for _ in run)
+            if count > 1:
+                doc["count"] = count
+            entries.append(doc)
+        groups.append(entries)
+    doc = {"goods": list(inst.goods), "groups": groups}
+    if inst.order != tuple(range(inst.m)):
+        doc["order"] = [inst.goods[i] for i in inst.order]
+    return json.dumps(doc, indent=2)
+
+
+# non-ASCII, escaped and multi-character labels
+_TEXT_LABELS = ["v", "é", "日本", "\U0001f600", "x y", 'q"t', "b\\s", "t\tab", "\x7f"]
+
+
+@st.composite
+def _repetitive_instances(draw):
+    goods = draw(st.lists(st.sampled_from(_TEXT_LABELS), min_size=1, max_size=3,
+                          unique=True))
+    m = len(goods)
+    values = st.fractions(min_value=0, max_value=3, max_denominator=3)
+    kinds = [
+        st.builds(BinaryValuation, st.integers(0, (1 << m) - 1).map(
+            lambda mask: Bundle(mask, m))),
+        st.tuples(*[values] * m).map(AdditiveValuation),
+        # worth its best good: monotone, and not additive
+        st.tuples(*[values] * m).map(lambda best: TabularValuation(
+            tuple(max((best[i] for i in range(m) if mask >> i & 1), default=0)
+                  for mask in range(1 << m)), m)),
+    ]
+    # groups of one size over a few valuations, with runs of equal members,
+    # that repeat as the generators repeat them: the same valuation objects
+    pool = draw(st.lists(st.one_of(kinds), min_size=1, max_size=3))
+    n = draw(st.integers(1, 5))
+    members = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    distinct = draw(st.lists(members, min_size=1, max_size=3))
+    groups = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=4))
+    order = draw(st.none() | st.permutations(range(m)))
+    return Instance.from_valuations(goods, groups, order)
+
+
+@given(_repetitive_instances())
+def test_serialize_instance_matches_json_dumps(inst):
+    text = serialize_instance(inst)
+    assert text == _reference_serialize_instance(inst)
+    assert parse_instance(text) == inst
 
 
 # ---------------------------------------------------------------------------

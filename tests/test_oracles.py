@@ -27,6 +27,7 @@ from groupfair.fairness import (
     OneOutOfCMMS,
     PROPc,
     PositiveMMS,
+    _binary_threshold,
     check,
     democratic_report,
 )
@@ -45,7 +46,6 @@ from groupfair.oracles import (
     Circle,
     EFcLimit,
     ThreeGoodCycle,
-    _binary_threshold,
     check_space,
     exists_h,
     generate,

@@ -85,11 +85,15 @@ def test_import_runs_no_submodule():
 
 
 def test_exports_resolve_through_the_cli_lazy_modules():
-    # importing the CLI registers fairness, protocols and oracles unloaded
+    # importing the CLI registers model, fairness, protocols and oracles unloaded
     script = """
 import groupfair, groupfair.cli, sys
 from types import ModuleType
+assert type(sys.modules["groupfair.model"]) is not ModuleType
 assert type(sys.modules["groupfair.protocols"]) is not ModuleType
+parse = groupfair.parse_instance
+assert type(sys.modules["groupfair.model"]) is ModuleType
+assert parse is groupfair.model.parse_instance is groupfair.cli.model.parse_instance
 rwav2 = groupfair.rwav2
 assert type(sys.modules["groupfair.protocols"]) is ModuleType
 assert rwav2 is groupfair.protocols.rwav2 is groupfair.cli.protocols.rwav2
