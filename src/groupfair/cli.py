@@ -6,7 +6,8 @@ byte-identical bytes); ``--trace`` renders the step-by-step audit trail of
 a protocol run in a stable plain-text layout.
 
 Exit codes: 0 success, 2 validation/usage error, 3 enumeration, table,
-member or wanted-goods cap exceeded.
+member or wanted-goods cap exceeded.  A warning raised during a command
+prints as one ``warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import importlib.util
 import json
 import sys
+import warnings
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -63,11 +65,25 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-_FIXED_CRITERION = {
-    "line2": "EF1 (built in)",
-    "linek": "PROP-(k-1) (built in)",
-    "local-search": "1-of-best-2 (built in)",
-    "best-k": "1-of-best-k (built in)",
+#: ``run --protocol``'s choices, in ``--help`` order.  Each row gives the
+#: criterion the protocol fixes itself, or None when ``--criterion`` names
+#: it (one 1-of-best-c criterion when the row has a ``c``, else one per
+#: group); the ``c`` that ``--binarize`` falls back to; and the call, which
+#: takes the instance and any of ``crits``, ``c`` and ``args`` by keyword.
+_PROTOCOLS = {
+    "rwav2": (None, None, lambda inst, crits, args, **_: protocols.rwav2(
+        inst, crits, first_group=(args.first_group or 1) - 1)),
+    "rwav2-enhanced": (None, 2, lambda inst, c, **_:
+                       protocols.rwav2_enhanced(inst, c=c)),
+    "cwav2": (None, None, lambda inst, crits, args, **_: protocols.cwav2(
+        inst, crits, seed=args.seed)),
+    "local-search": ("1-of-best-2 (built in)", 2,
+                     lambda inst, **_: protocols.identical_local_search(inst)),
+    "line2": ("EF1 (built in)", None, lambda inst, **_: protocols.line2(inst)),
+    "linek": ("PROP-(k-1) (built in)", None, lambda inst, **_: protocols.linek(inst)),
+    "rwavk": (None, 2, lambda inst, c, **_: protocols.rwavk(inst, c=c)),
+    "best-k": ("1-of-best-k (built in)", None,
+               lambda inst, **_: protocols.best_k_protocol(inst)),
 }
 
 
@@ -141,20 +157,18 @@ def _render_table(which: str, rmax: int, smax: int, k: int) -> str:
                 + _fmt_cell(kw.w(r, 1)).ljust(9)
             )
         return "\n".join(line.rstrip() for line in lines) + "\n"
-    if which == "maxh":
 
-        def cell(r, s):
-            if s == 0:
-                return Fraction(1)
-            if r < s:
-                return Fraction(0)
-            return maxh(r, s, k)
+    def cell(r, s):  # maxh, the last of the parser's choices
+        if s == 0:
+            return Fraction(1)
+        if r < s:
+            return Fraction(0)
+        return maxh(r, s, k)
 
-        return _grid(
-            f"MaxH(r,s) for k = {k}, r = 0..{rmax}, s = 0..{smax}",
-            rmax, smax, cell,
-        )
-    raise _CliError(f"unknown table {which!r}")
+    return _grid(
+        f"MaxH(r,s) for k = {k}, r = 0..{rmax}, s = 0..{smax}",
+        rmax, smax, cell,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -181,77 +195,52 @@ def _emit(text: str, out_path):
 def _cmd_run(args) -> int:
     inst = model.parse_instance(_read(args.instance))
     name = args.protocol
-    if name in _FIXED_CRITERION and args.criterion:
+    fixed, c, call = _PROTOCOLS[name]
+    if fixed and args.criterion:
         raise _CliError(
-            f"{name} decides its own criterion, {_FIXED_CRITERION[name]};"
-            " drop --criterion"
+            f"{name} decides its own criterion, {fixed}; drop --criterion"
         )
-    if name not in ("rwav2",) and args.first_group is not None:
+    if name != "rwav2" and args.first_group is not None:
         raise _CliError("--first-group applies to rwav2 only")
     if name != "cwav2" and args.seed is not None:
         raise _CliError("--seed applies to cwav2 only")
 
     crits = None
-    best_c = None
-    if name in ("rwav2", "cwav2"):
+    if fixed is None and c is None:  # per-group criteria
         if not args.criterion:
             raise _CliError(f"{name} needs --criterion")
         crits = fairness.parse_criteria(args.criterion, inst.k)
-    elif name in ("rwav2-enhanced", "rwavk"):
+    elif fixed is None:  # one 1-of-best-c criterion, or the fallback c
         if name == "rwavk" and not args.criterion:
             raise _CliError("rwavk needs --criterion 1-of-best-c")
         if args.criterion:
             crit = fairness.parse_criterion(args.criterion)
             if not isinstance(crit, fairness.OneOfBestC):
                 raise _CliError(f"{name} needs a 1-of-best-c criterion")
-            best_c = crit.c
-        else:
-            best_c = 2
+            c = crit.c
 
     if args.binarize:
-        if name in ("line2", "linek", "best-k"):
+        if fixed and c is None:
             raise _CliError(f"--binarize does not apply to {name}")
-        if best_c is not None:
-            c = best_c
-        elif name == "local-search":
-            c = 2
-        elif (
+        if (
             crits
             and all(isinstance(cr, fairness.OneOfBestC) for cr in crits)
             and len({cr.c for cr in crits}) == 1
         ):
             c = crits[0].c
-        else:
+        if c is None:
             raise _CliError(
                 "--binarize needs a single 1-of-best-c criterion to pick"
                 " the c best goods"
             )
         inst = model.binarize_instance(inst, c)
 
-    if name == "rwav2":
-        first = (args.first_group or 1) - 1
-        result = protocols.rwav2(inst, crits, first_group=first)
-    elif name == "cwav2":
-        if args.seed is None:
-            raise _CliError("cwav2 needs --seed")
-        result = protocols.cwav2(inst, crits, seed=args.seed)
-    elif name == "rwav2-enhanced":
-        result = protocols.rwav2_enhanced(inst, c=best_c)
-    elif name == "rwavk":
-        result = protocols.rwavk(inst, c=best_c)
-    elif name == "local-search":
-        result = protocols.identical_local_search(inst)
-    elif name == "line2":
-        result = protocols.line2(inst)
-    elif name == "linek":
-        result = protocols.linek(inst)
-    elif name == "best-k":
-        result = protocols.best_k_protocol(inst)
-    else:  # pragma: no cover - argparse choices guard this
-        raise _CliError(f"unknown protocol {name!r}")
+    if name == "cwav2" and args.seed is None:
+        raise _CliError("cwav2 needs --seed")
+    result = call(inst, crits=crits, c=c, args=args)
 
     doc = {"protocol": result.protocol,
-           "criteria": [c.name for c in result.criteria]}
+           "criteria": [cr.name for cr in result.criteria]}
     if name == "rwav2":
         doc["first_group"] = args.first_group or 1
     if name == "cwav2":
@@ -365,10 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--protocol",
         required=True,
-        choices=[
-            "rwav2", "rwav2-enhanced", "cwav2", "local-search",
-            "line2", "linek", "rwavk", "best-k",
-        ],
+        choices=list(_PROTOCOLS),
     )
     run.add_argument("--instance", required=True, help="instance JSON path")
     run.add_argument(
@@ -434,20 +420,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, *_):
+    """A warning raised during a command, as one ``warning:`` line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits itself; keep main() returning
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (_CliError, FormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.handler(args)
+        except CapExceededError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except (_CliError, FormatError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -685,8 +685,6 @@ def _parse_subset_key(key: str, inst_goods: Sequence[str], find) -> int:
 
 
 def _parse_valuation(doc, goods: Sequence[str], find, bits: dict) -> Valuation:
-    if not isinstance(doc, dict):
-        raise FormatError(f"agent entry must be an object, got {doc!r}")
     kind = doc.get("type")
     m = len(goods)
     if kind == "binary":
@@ -850,27 +848,23 @@ def serialize_instance(inst: Instance) -> str:
     put together from each distinct group encoded once (the generators give
     every group the same valuation objects).
     """
-    distinct = {}  # ids of a group's valuations, in order -> its entries
+    distinct = {}  # ids of a group's valuations, in order -> its text
     groups = []
     for grp in inst.groups:
         key = tuple(map(id, map(_valuation_of, grp)))
-        entries = distinct.get(key)
-        if entries is None:
-            entries = distinct[key] = []
+        text = distinct.get(key)
+        if text is None:
+            entries = []
             for v, run in itertools.groupby(map(_valuation_of, grp)):
                 entry = _valuation_doc(v, inst)
                 count = sum(1 for _ in run)
                 if count > 1:
                     entry["count"] = count
                 entries.append(entry)
-        groups.append(entries)
-    # Every distinct group in one encoder pass, at the depth groups sit, 2.
-    # Each is a list and only its closing line starts 4 spaces in, so
-    # ",\n" + 4 spaces + "[" is where one group ends and the next begins.
-    first, *rest = _dumped(list(distinct.values()), 1)[6:-4].split(",\n    [")
-    text_of = dict(zip(map(id, distinct.values()), [first, *("[" + t for t in rest)]))
+            text = distinct[key] = _dumped(entries, 2)  # groups sit 2 deep
+        groups.append(text)
     fields = [f'"goods": {_dumped(list(inst.goods), 1)}',
-              f'"groups": {_joined([text_of[id(group)] for group in groups], 1)}']
+              f'"groups": {_joined(groups, 1)}']
     if inst.order != tuple(range(inst.m)):
         fields.append(f'"order": {_dumped([inst.goods[i] for i in inst.order], 1)}')
     return _joined(fields, 0, "{}")

@@ -30,7 +30,8 @@ running any CLI command but ``brute``) loads neither.
 
 The generators build the small adversarial instances used to show that the
 protocol guarantees cannot be improved: cycles of disapproval, all-subsets
-families, circular blocks, and the additive rotation example.
+families, circular blocks, and the additive rotation example.  Each is a
+spec record that states its goods, groups, members and bound.
 """
 
 from __future__ import annotations
@@ -517,11 +518,25 @@ class ThreeGoodCycle(Record):
     distinct good (so each desires the other two)."""
 
     k: int = 2
+    name = "three-good-cycle"
+    n_goods = 3
+    bound = Fraction(2, 3)
 
     def __init__(self, k: int = 2):
         if k < 2:
             raise ValueError("three-good-cycle needs k >= 2")
         self._init(k)
+
+    def members(self):
+        if 3 * self.k > MAX_MEMBERS:
+            raise CapExceededError(
+                f"three-good-cycle instance would have more than {MAX_MEMBERS}"
+                f" members"
+            )
+        return ("x", "y", "z"), [
+            BinaryValuation(Bundle.from_indices([j for j in range(3) if j != i], 3))
+            for i in range(3)
+        ]
 
 
 class AllSubsets(Record):
@@ -531,6 +546,7 @@ class AllSubsets(Record):
     s: int
     k: int
     m: int
+    name = "all-subsets"
 
     def __init__(self, r: int, s: int, k: int, m: int):
         if not (s >= 1 and r >= s):
@@ -541,21 +557,85 @@ class AllSubsets(Record):
             raise ValueError("all-subsets needs r <= k*m goods")
         self._init(r, s, k, m)
 
+    @property
+    def n_goods(self) -> int:
+        return self.k * self.m
+
+    @property
+    def bound(self) -> Fraction:
+        return maxh_finite(self.r, self.s, self.k, self.m)
+
+    def members(self):
+        n_goods = self.n_goods
+        if n_goods > MAX_SUBSET_GOODS:
+            raise CapExceededError(
+                f"all-subsets instance would have {n_goods} goods, which"
+                f" exceeds the cap of {MAX_SUBSET_GOODS}"
+            )
+        per_group = math.comb(n_goods, self.r)  # at most C(64, 32)
+        if per_group * self.k > MAX_MEMBERS:
+            raise CapExceededError(
+                f"all-subsets instance would have more than {MAX_MEMBERS}"
+                f" members"
+            )
+        entries = per_group * self.k * self.r
+        if entries > MAX_SUBSET_ENTRIES:
+            raise CapExceededError(
+                f"all-subsets instance would have {entries} desired entries,"
+                f" which exceeds the cap of {MAX_SUBSET_ENTRIES}"
+            )
+        return tuple(f"g{i + 1}" for i in range(n_goods)), [
+            BinaryValuation(Bundle.from_indices(subset, n_goods))
+            for subset in itertools.combinations(range(n_goods), self.r)
+        ]
+
 
 class Circle(Record):
     """``2k - 1`` goods in a circle; every group has ``2k - 1`` members,
     each desiring a distinct window of ``k`` consecutive goods."""
 
     k: int
+    name = "circle"
 
     def __init__(self, k: int):
         if k < 2:
             raise ValueError("circle needs k >= 2")
         self._init(k)
 
+    @property
+    def n_goods(self) -> int:
+        return 2 * self.k - 1
+
+    @property
+    def bound(self) -> Fraction:
+        return Fraction(self.k, self.n_goods)
+
+    def members(self):
+        k, n = self.k, self.n_goods
+        if k * n * k > MAX_MEMBERS:
+            raise CapExceededError(
+                f"circle instance would have {k * n * k} desired"
+                f" entries, which exceeds the cap of {MAX_MEMBERS}"
+            )
+        return tuple(f"g{i + 1}" for i in range(n)), [
+            BinaryValuation(Bundle.from_indices([(start + j) % n for j in range(k)], n))
+            for start in range(n)
+        ]
+
 
 class AdditiveThird(Record):
     """Two groups of three additive agents valuing (2,1,1) rotations."""
+
+    name = "additive-third"
+    n_goods = 3
+    k = 2
+    bound = Fraction(1, 3)
+
+    def members(self):
+        rows = [(2, 1, 1), (1, 2, 1), (1, 1, 2)]
+        return ("x", "y", "z"), [
+            AdditiveValuation(tuple(Fraction(v) for v in row)) for row in rows
+        ]
 
 
 class EFcLimit(Record):
@@ -564,6 +644,7 @@ class EFcLimit(Record):
 
     c: int
     l: int
+    name = "efc-limit"
 
     def __init__(self, c: int, l: int):
         if c < 0 or l < 1:
@@ -573,28 +654,17 @@ class EFcLimit(Record):
         self._init(c, l)
 
 
-#: Each generator's spec record; its parameters are the record's fields,
-#: and those with a default may be left out.
-_SPECS = {
-    "three-good-cycle": ThreeGoodCycle,
-    "all-subsets": AllSubsets,
-    "circle": Circle,
-    "additive-third": AdditiveThird,
-    "efc-limit": EFcLimit,
-}
+#: Each generator's spec record by its name; its parameters are the
+#: record's fields, and those with a default may be left out.
+_SPECS = {cls.name: cls for cls in (ThreeGoodCycle, AllSubsets, Circle,
+                                    AdditiveThird, EFcLimit)}
 
 
 def spec_name(spec) -> str:
     """Canonical textual form, re-parsable by :func:`parse_spec`."""
-    for name, cls in _SPECS.items():
-        if isinstance(spec, cls):
-            if not cls._fields:
-                return name
-            args = ",".join(
-                f"{p}={getattr(spec, p)}" for p in sorted(cls._fields)
-            )
-            return f"{name}:{args}"
-    raise TypeError(f"unknown generator spec {spec!r}")
+    _family(spec)  # a TypeError for anything but a spec
+    args = ",".join(f"{p}={getattr(spec, p)}" for p in sorted(spec._fields))
+    return f"{spec.name}:{args}" if args else spec.name
 
 
 def parse_spec(text: str):
@@ -635,7 +705,10 @@ def parse_spec(text: str):
 
 
 def _family(spec):
-    """``spec``, or for an efc-limit spec the all-subsets family it names."""
+    """The generator family ``spec`` names: ``spec`` itself, or for an
+    efc-limit spec its all-subsets family.  A TypeError for a non-spec."""
+    if not isinstance(spec, tuple(_SPECS.values())):
+        raise TypeError(f"unknown generator spec {spec!r}")
     if isinstance(spec, EFcLimit):
         return AllSubsets(2 * spec.l, spec.l - spec.c // 2, 2, 2 * spec.l)
     return spec
@@ -646,95 +719,21 @@ def check_space(spec, cap: int) -> None:
     instance whose allocation space exceeds ``cap``.  A space of more than
     4,096 bits is left to :func:`generate`: every such spec has over 64
     goods or a million members, which its own caps refuse."""
-    spec = _family(spec)
-    k = getattr(spec, "k", 2)  # additive-third has two groups
-    if isinstance(spec, AllSubsets):
-        m = k * spec.m
-    elif isinstance(spec, Circle):
-        m = 2 * k - 1
-    else:  # three-good-cycle and additive-third
-        m = 3
-    if m * k.bit_length() <= 4096:
-        _space(k, m, cap)
+    family = _family(spec)
+    if family.n_goods * family.k.bit_length() <= 4096:
+        _space(family.k, family.n_goods, cap)
 
 
 def generate(spec) -> Instance:
     """Build the adversarial instance described by ``spec``."""
-    spec = _family(spec)
-    if isinstance(spec, ThreeGoodCycle):
-        if 3 * spec.k > MAX_MEMBERS:
-            raise CapExceededError(
-                f"three-good-cycle instance would have more than {MAX_MEMBERS}"
-                f" members"
-            )
-        goods = ("x", "y", "z")
-        members = [
-            BinaryValuation(Bundle.from_indices([j for j in range(3) if j != i], 3))
-            for i in range(3)
-        ]
-        return Instance.from_valuations(goods, [list(members)] * spec.k)
-    if isinstance(spec, AllSubsets):
-        n_goods = spec.k * spec.m
-        if n_goods > MAX_SUBSET_GOODS:
-            raise CapExceededError(
-                f"all-subsets instance would have {n_goods} goods, which"
-                f" exceeds the cap of {MAX_SUBSET_GOODS}"
-            )
-        per_group = math.comb(n_goods, spec.r)  # at most C(64, 32)
-        if per_group * spec.k > MAX_MEMBERS:
-            raise CapExceededError(
-                f"all-subsets instance would have more than {MAX_MEMBERS}"
-                f" members"
-            )
-        entries = per_group * spec.k * spec.r
-        if entries > MAX_SUBSET_ENTRIES:
-            raise CapExceededError(
-                f"all-subsets instance would have {entries} desired entries,"
-                f" which exceeds the cap of {MAX_SUBSET_ENTRIES}"
-            )
-        goods = tuple(f"g{i + 1}" for i in range(n_goods))
-        members = [
-            BinaryValuation(Bundle.from_indices(subset, n_goods))
-            for subset in itertools.combinations(range(n_goods), spec.r)
-        ]
-        return Instance.from_valuations(goods, [list(members)] * spec.k)
-    if isinstance(spec, Circle):
-        n = 2 * spec.k - 1
-        if spec.k * n * spec.k > MAX_MEMBERS:
-            raise CapExceededError(
-                f"circle instance would have {spec.k * n * spec.k} desired"
-                f" entries, which exceeds the cap of {MAX_MEMBERS}"
-            )
-        goods = tuple(f"g{i + 1}" for i in range(n))
-        members = [
-            BinaryValuation(
-                Bundle.from_indices([(start + j) % n for j in range(spec.k)], n)
-            )
-            for start in range(n)
-        ]
-        return Instance.from_valuations(goods, [list(members)] * spec.k)
-    if isinstance(spec, AdditiveThird):
-        goods = ("x", "y", "z")
-        rows = [(2, 1, 1), (1, 2, 1), (1, 1, 2)]
-        members = [
-            AdditiveValuation(tuple(Fraction(v) for v in row)) for row in rows
-        ]
-        return Instance.from_valuations(goods, [list(members), list(members)])
-    raise TypeError(f"unknown generator spec {spec!r}")
+    family = _family(spec)
+    goods, members = family.members()
+    return Instance.from_valuations(goods, [members] * family.k)
 
 
 def negative_bound(spec) -> Fraction:
     """The impossibility bound the generated instance witnesses."""
-    spec = _family(spec)
-    if isinstance(spec, ThreeGoodCycle):
-        return Fraction(2, 3)
-    if isinstance(spec, AllSubsets):
-        return maxh_finite(spec.r, spec.s, spec.k, spec.m)
-    if isinstance(spec, Circle):
-        return Fraction(spec.k, 2 * spec.k - 1)
-    if isinstance(spec, AdditiveThird):
-        return Fraction(1, 3)
-    raise TypeError(f"unknown generator spec {spec!r}")
+    return _family(spec).bound
 
 
 def verify_negative(

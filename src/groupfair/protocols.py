@@ -958,8 +958,6 @@ def _render_trace(result, inst: Instance) -> str:
             out.append("")
             sub = _render_trace(trace.base, trace.base_instance)
             out.append(sub.rstrip("\n"))
-            out.append("")
-        else:
-            out.append("")
+        out.append("")
     _render_final(result, inst, out, order)
     return "\n".join(out) + "\n"

@@ -317,3 +317,31 @@ def test_kgroup_rejects_larger_s():
         KGroupWeights(3).B(4, 2)
     with pytest.raises(ValueError):
         KGroupWeights(1)
+
+
+# ---------------------------------------------------------------------------
+# argument errors
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: maxh(1, 2, 2), "maxh needs r >= s >= 1"),
+    (lambda: maxh(2, 0, 2), "maxh needs r >= s >= 1"),
+    (lambda: maxh(2, 1, 1), "maxh needs k >= 2"),
+    (lambda: maxh_finite(1, 2, 2, 2), "maxh_finite needs r >= s >= 1"),
+    (lambda: maxh_finite(2, 1, 1, 2), "maxh_finite needs k >= 2 and m >= 1"),
+    (lambda: maxh_finite(2, 1, 2, 0), "maxh_finite needs k >= 2 and m >= 1"),
+    (lambda: maxh_finite(5, 1, 2, 2), "cannot draw 5 goods from 4"),
+    (lambda: KGroupWeights(1), "KGroupWeights needs k >= 2"),
+    (lambda: KGroupWeights(3).B(4, 2), r"k-group weights are defined for s in \{0, 1\}"),
+    (lambda: KGroupWeights(3).w(4, 3), r"k-group weights are defined for s in \{0, 1\}"),
+], ids=["maxh-s0", "maxh-r-below-s", "maxh-k1", "finite-r-below-s", "finite-k1",
+        "finite-m0", "finite-draw", "kgroup-k1", "kgroup-B-s2", "kgroup-w-s3"])
+def test_budget_argument_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_kgroup_weights_at_s_zero():
+    kw = KGroupWeights(3)
+    for r in (0, 1, 5):
+        assert kw.B(r, 0) == 1.0 and kw.w(r, 0) == 0.0

@@ -28,9 +28,11 @@ from groupfair.fairness import PROPc, democratic_report, per_group_criteria
 from groupfair.model import (
     MAX_MEMBERS,
     MAX_WANTED_GOODS,
+    binarize_instance,
     parse_allocation,
     parse_instance,
     rational_doc,
+    serialize_instance,
 )
 from groupfair.oracles import exists_h
 
@@ -231,6 +233,66 @@ def test_run_binarize(tmp_path, capsys):
         "--binarize",
     )
     assert code == 2
+
+
+ADDITIVE3 = (
+    '{"goods": ["a", "b", "c", "d"], "groups": ['
+    '[{"type": "additive", "values": [4, 3, 2, 1]}],'
+    ' [{"type": "additive", "values": [1, 2, 3, 4]}],'
+    ' [{"type": "additive", "values": [2, 4, 1, 3]}]]}'
+)
+IDENTICAL = (
+    '{"goods": ["a", "b", "c", "d"], "groups": ['
+    '[{"type": "additive", "values": [4, 3, 2, 1]},'
+    ' {"type": "additive", "values": [1, 2, 3, 4]}],'
+    ' [{"type": "additive", "values": [4, 3, 2, 1]},'
+    ' {"type": "additive", "values": [1, 2, 3, 4]}]]}'
+)
+
+
+@pytest.mark.parametrize("protocol, instance, criterion, c", [
+    ("rwav2-enhanced", IDENTICAL, None, 2),
+    ("rwav2-enhanced", IDENTICAL, "1-of-best-3", 3),
+    ("rwavk", ADDITIVE3, "1-of-best-3", 3),
+    ("local-search", IDENTICAL, None, 2),
+])
+def test_run_binarize_takes_c_from_the_protocol(protocol, instance, criterion, c,
+                                                tmp_path, capsys):
+    source, binary = tmp_path / "source.json", tmp_path / "binary.json"
+    source.write_text(instance)
+    binary.write_text(serialize_instance(
+        binarize_instance(parse_instance(instance), c)))
+    argv = ["run", "--protocol", protocol]
+    if criterion:
+        argv += ["--criterion", criterion]
+    plain = run_cli(capsys, *argv, "--instance", str(binary))
+    assert plain[0] == 0
+    assert run_cli(capsys, *argv, "--instance", str(source), "--binarize") == plain
+
+
+def test_run_rwav2_needs_a_criterion(b1_path, capsys):
+    assert run_cli(capsys, "run", "--protocol", "rwav2", "--instance", b1_path) == (
+        2, "", "error: rwav2 needs --criterion\n")
+
+
+def test_run_rwavk_warning_is_one_line(tmp_path):
+    inst = tmp_path / "three.json"
+    inst.write_text(
+        '{"goods": ["a", "b", "c", "d"], "groups": ['
+        '[{"type": "binary", "desired": ["a", "b"]}],'
+        ' [{"type": "binary", "desired": ["c", "d"]}],'
+        ' [{"type": "binary", "desired": ["b", "d"]}]]}'
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "groupfair.cli", "run", "--protocol", "rwavk",
+         "--instance", str(inst), "--criterion", "1-of-best-2"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert result.returncode == 0
+    assert result.stderr == ("warning: rwavk with c=2 < k=3: guarantees"
+                             " degenerate to 0 for later groups\n")
+    assert json.loads(result.stdout)["protocol"] == "rwavk"
 
 
 def test_run_bad_inputs(b1_path, tmp_path, capsys):
@@ -616,6 +678,11 @@ def test_table_validation(capsys):
     assert code == 2 and "--k" in err
 
 
+def test_table_negative_rmax(capsys):
+    assert run_cli(capsys, "table", "--which", "maxh", "--rmax", "-1") == (
+        2, "", "error: --rmax and --smax must be nonnegative\n")
+
+
 def refuse_budget_reads(monkeypatch, why: str):
     def refuse(r, s):
         raise AssertionError(f"budget value ({r}, {s}) read {why}")
@@ -969,6 +1036,14 @@ def test_each_command_loads_only_its_modules(command, unloaded, b1_path, tmp_pat
     assert result.returncode == 0, result.stderr
     doc = json.loads(result.stdout)
     assert doc == {"code": 0, "unloaded": unloaded, "numpy": argv[0] == "brute"}
+
+
+@pytest.mark.parametrize("command", ["", "run", "check", "brute", "table", "gen"])
+def test_help_matches_golden(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    code, out, err = run_cli(capsys, *filter(None, [command]), "--help")
+    assert (code, err) == (0, "")
+    assert out == (DATA / f"help_{command or 'groupfair'}.txt").read_text()
 
 
 def test_package_generates_no_code():

@@ -22,13 +22,16 @@ from groupfair.fairness import (
     PROPc,
     PositiveMMS,
     SFunction,
+    _own_bar,
     check,
     democratic_report,
+    efc_holds,
     is_efc,
     is_propc,
     mms_share,
     parse_criteria,
     parse_criterion,
+    propc_holds,
     s_threshold,
 )
 from groupfair.model import (
@@ -357,3 +360,27 @@ def test_report_validation():
             [EFc(0), EFc(0)],
         )
     assert FairnessReport(((1, 0),)).verdicts == ((True, False),)
+
+
+# ---------------------------------------------------------------------------
+# argument errors
+
+
+def test_negative_c_is_refused():
+    v, own = binval("a", "ab"), Bundle(1, 2)
+    with pytest.raises(ValueError, match="^PROPc needs c >= 0$"):
+        PROPc(-1)
+    with pytest.raises(ValueError, match="^EFc needs c >= 0$"):
+        efc_holds(v, own, [Bundle(2, 2)], -1)
+    with pytest.raises(ValueError, match="^PROPc needs c >= 0$"):
+        propc_holds(v, own, 2, -1)
+
+
+def test_s_threshold_needs_two_groups():
+    with pytest.raises(ValueError, match="^k must be >= 2$"):
+        s_threshold(OneOfBestC(1), 3, k=1)
+
+
+def test_own_bar_refuses_a_criterion_that_is_not_own_value():
+    with pytest.raises(TypeError, match=r"^unknown criterion EFc\(c=1\)$"):
+        _own_bar(binval("a", "ab"), EFc(1), 2)

@@ -2,11 +2,13 @@
 
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from groupfair.cli import main
 from groupfair.errors import CapExceededError, FormatError
 from groupfair.model import (
     MAX_MEMBERS,
@@ -266,6 +268,55 @@ def test_parse_instance_errors():
     for text in bad:
         with pytest.raises(FormatError):
             parse_instance(text)
+
+
+TABULAR = '{"type": "tabular", "values": %s}'
+
+
+@pytest.mark.parametrize("goods, agent, message", [
+    (["v"], '{"type": "additive", "values": [Infinity]}', "not a finite number: inf"),
+    (["vv", "ww"], TABULAR % '{"": 0, "vv": 1, "ww": 1, "vv,zz": 2}',
+     "unknown good 'zz' in bundle key 'vv,zz'"),
+    (["v"], '{"type": "additive", "values": 1}',
+     "additive agent needs a 'values' list or map"),
+    (["v"], '{"type": "tabular", "values": [0, 1]}',
+     "tabular agent needs a 'values' map"),
+    ([f"g{i}" for i in range(17)], TABULAR % "{}",
+     "tabular valuations support at most 16 goods"),
+    (["v", "w"], TABULAR % '{"": 0, "v": 1, "w": 1, "vw": 2, "v,w": 2}',
+     "bundle key 'v,w' listed twice"),
+    (["v", "w"], TABULAR % '{"": 0, "v": 2, "w": 1, "v,w": 1}',
+     "tabular valuation not monotone at mask 0x3"),
+], ids=["non-finite", "unknown-good", "additive-values", "tabular-values",
+        "tabular-17-goods", "key-twice", "non-monotone"])
+def test_parse_instance_error_messages(goods, agent, message, tmp_path, capsys):
+    text = '{"goods": %s, "groups": [[%s], [%s]]}' % (json.dumps(goods), agent, agent)
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_instance(text)
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    assert main(["brute", "--instance", str(path), "--criterion", "ef-1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_allocation_error_messages(tmp_path, capsys):
+    with pytest.raises(ValueError, match="^allocation covers no goods$"):
+        Allocation((), 2)
+    with pytest.raises(FormatError, match="^not a finite number: nan$"):
+        parse_rational(float("nan"))
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"goods": ["v", "w"], "groups": ['
+                    '[{"type": "binary", "desired": ["v"]}],'
+                    ' [{"type": "binary", "desired": ["w"]}]]}')
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text('{"bundles": ["v", ["w"]]}')
+    message = "each bundle must be a list of good labels"
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        parse_allocation(alloc.read_text(), parse_instance(inst.read_text()))
+    argv = ["check", "--instance", str(inst), "--allocation", str(alloc),
+            "--criterion", "ef-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_tabular_keys_accept_both_spellings():

@@ -8,6 +8,7 @@ their advertised impossibility bounds.
 
 import itertools
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from groupfair.budgets import maxh_finite
+from groupfair.cli import main
 from groupfair.errors import CapExceededError, FormatError
 from groupfair.fairness import (
     EFc,
@@ -38,6 +40,7 @@ from groupfair.model import (
     Bundle,
     Instance,
     TabularValuation,
+    serialize_instance,
 )
 from groupfair import oracles
 from groupfair.oracles import (
@@ -512,10 +515,10 @@ def test_parse_spec_errors():
         parse_spec("circle:k=2,k=3")
 
 
-@pytest.mark.parametrize("text", [
+@pytest.mark.parametrize("text", dict.fromkeys([
     "three-good-cycle:k=3", "all-subsets:r=2,s=1,k=2,m=3", "circle:k=3",
-    "additive-third", "efc-limit:c=1,l=2",
-])
+    "additive-third", "efc-limit:c=1,l=2", *map(spec_name, SPEC_EXAMPLES),
+]))
 def test_check_space_matches_the_generated_instance(text):
     spec = parse_spec(text)
     inst = generate(spec)
@@ -523,6 +526,45 @@ def test_check_space_matches_the_generated_instance(text):
     with pytest.raises(CapExceededError, match=f"{inst.k}\\^{inst.m} = {space}"):
         check_space(spec, space - 1)
     assert check_space(spec, space) is None
+
+
+def test_spec_examples_cover_every_family():
+    assert {type(spec) for spec in SPEC_EXAMPLES} == set(oracles._SPECS.values())
+
+
+@pytest.mark.parametrize("text, message", [
+    ("three-good-cycle:k=1", "three-good-cycle needs k >= 2"),
+    ("all-subsets:r=2,s=1,k=1,m=3", "all-subsets needs k >= 2 and m >= 1"),
+    ("all-subsets:r=1,s=1,k=2,m=0", "all-subsets needs k >= 2 and m >= 1"),
+    ("all-subsets:r=7,s=1,k=2,m=3", "all-subsets needs r <= k*m goods"),
+    ("circle:k=1", "circle needs k >= 2"),
+    ("efc-limit:c=0,l=0", "efc-limit needs c >= 0 and l >= 1"),
+    ("efc-limit:c=4,l=1", "efc-limit needs l - floor(c/2) >= 1"),
+])
+def test_family_parameter_errors(text, message, capsys):
+    # parse_spec re-raises the spec record's ValueError with its message
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_spec(text)
+    assert main(["gen", "--spec", text]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_every_spec_function_refuses_a_non_spec():
+    for call in (spec_name, generate, negative_bound, lambda x: check_space(x, 8)):
+        with pytest.raises(TypeError, match="^unknown generator spec 'circle'$"):
+            call("circle")
+
+
+def test_table_rule_caps_goods_at_16(capsys, tmp_path):
+    goods = [f"g{i}" for i in range(17)]
+    inst = Instance.from_valuations(goods, [[addval([1] * 17)]] * 2)
+    message = "generic oracle path supports at most 16 goods, got 17"
+    with pytest.raises(CapExceededError, match=f"^{message}$"):
+        max_h(inst, EFc(1))
+    path = tmp_path / "wide.json"
+    path.write_text(serialize_instance(inst))
+    assert main(["brute", "--instance", str(path), "--criterion", "ef-1"]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_generated_shapes():

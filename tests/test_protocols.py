@@ -41,6 +41,7 @@ from groupfair.protocols import (
     RunResult,
     SearchTrace,
     UnanimousStep,
+    _render_trace,
     best_k_protocol,
     cwav2,
     identical_local_search,
@@ -660,6 +661,22 @@ def test_best_k_rwavk_stage():
     assert result.trace.steps == ()
     assert result.trace.base.protocol == "rwavk"
     assert result.report.h >= Fraction(1, 3)
+
+
+def test_best_k_trace_when_the_steps_take_every_good():
+    inst = Instance.from_valuations(
+        ("a",), ([binval("a", "a")] * 2, [binval("a", "a")], [binval("a", "a")])
+    )
+    result = best_k_protocol(inst)
+    assert result.trace.base is None and result.trace.base_goods == ()
+    assert _render_trace(result, inst) == (
+        "Step #1: Group 1 takes good a (2/2 members want it)\n"
+        "\n"
+        "Final allocation:\n"
+        " *  Group 1: allocated bundle = {'a'}, happy members = 2/2\n"
+        " *  Group 2: allocated bundle = set(), happy members = 1/1\n"
+        " *  Group 3: allocated bundle = set(), happy members = 1/1\n"
+    )
 
 
 def test_best_k_guarantee_random():
