@@ -15,8 +15,8 @@ Contents:
 * :func:`B`, :func:`w`, :func:`C`, :func:`w_C` -- the budget functions and
   their marginal weights, for any ``r`` and ``s``; :func:`B_closed` is
   ``B`` for ``r, s >= 0`` only.
-* :class:`BudgetTable` -- the same four as methods, a seam for callers that
-  swap in other weights.
+* :class:`BudgetTable` -- the same four as methods; the protocols read
+  them from :data:`DEFAULT_TABLE`, a seam for swapping in other weights.
 * :func:`maxh`, :func:`maxh_finite` -- exact upper bounds on the achievable
   happy fraction for agents who want ``r`` random goods and need ``s``.
 * :class:`KGroupWeights` -- the real-valued weight family of the
@@ -128,8 +128,8 @@ def B_closed(r: int, s: int) -> Fraction:
 
 
 class BudgetTable:
-    """:func:`B`, :func:`w`, :func:`C` and :func:`w_C` as methods, so that
-    a caller can hand a protocol other weights by overriding one.
+    """:func:`B`, :func:`w`, :func:`C` and :func:`w_C` as methods.  The
+    protocols read :data:`DEFAULT_TABLE`; set a subclass there to change one.
 
     A table holds nothing and bounds no argument; the constructor accepts
     and ignores the one bound that older callers pass.
@@ -150,7 +150,7 @@ class BudgetTable:
     w_C = staticmethod(w_C)
 
 
-#: The table the protocols read unless a caller passes their own.
+#: The table ``rwav2`` and ``cwav2`` read their weights from.
 DEFAULT_TABLE = BudgetTable()
 
 

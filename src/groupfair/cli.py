@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .budgets import B, C, KGroupWeights, maxh, w
-from .errors import CapExceededError, FormatError
+from .errors import CapExceededError
 
 __all__ = ["main"]
 
@@ -96,10 +96,6 @@ MAX_TABLE_RMAX = 300
 #: Most threads ``brute --workers`` may ask for: ``max_h`` can start one per
 #: block of the allocation space, which is thousands at a large ``--cap``.
 MAX_WORKERS = 64
-
-
-class _CliError(Exception):
-    """Validation failure -> exit 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +175,7 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
 
 
 def _emit(text: str, out_path):
@@ -187,7 +183,7 @@ def _emit(text: str, out_path):
         try:
             Path(out_path).write_text(text)
         except OSError as exc:
-            raise _CliError(f"cannot write {out_path}: {exc}") from None
+            raise ValueError(f"cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -197,31 +193,31 @@ def _cmd_run(args) -> int:
     name = args.protocol
     fixed, c, call = _PROTOCOLS[name]
     if fixed and args.criterion:
-        raise _CliError(
+        raise ValueError(
             f"{name} decides its own criterion, {fixed}; drop --criterion"
         )
     if name != "rwav2" and args.first_group is not None:
-        raise _CliError("--first-group applies to rwav2 only")
+        raise ValueError("--first-group applies to rwav2 only")
     if name != "cwav2" and args.seed is not None:
-        raise _CliError("--seed applies to cwav2 only")
+        raise ValueError("--seed applies to cwav2 only")
 
     crits = None
     if fixed is None and c is None:  # per-group criteria
         if not args.criterion:
-            raise _CliError(f"{name} needs --criterion")
+            raise ValueError(f"{name} needs --criterion")
         crits = fairness.parse_criteria(args.criterion, inst.k)
     elif fixed is None:  # one 1-of-best-c criterion, or the fallback c
         if name == "rwavk" and not args.criterion:
-            raise _CliError("rwavk needs --criterion 1-of-best-c")
+            raise ValueError("rwavk needs --criterion 1-of-best-c")
         if args.criterion:
             crit = fairness.parse_criterion(args.criterion)
             if not isinstance(crit, fairness.OneOfBestC):
-                raise _CliError(f"{name} needs a 1-of-best-c criterion")
+                raise ValueError(f"{name} needs a 1-of-best-c criterion")
             c = crit.c
 
     if args.binarize:
         if fixed and c is None:
-            raise _CliError(f"--binarize does not apply to {name}")
+            raise ValueError(f"--binarize does not apply to {name}")
         if (
             crits
             and all(isinstance(cr, fairness.OneOfBestC) for cr in crits)
@@ -229,14 +225,14 @@ def _cmd_run(args) -> int:
         ):
             c = crits[0].c
         if c is None:
-            raise _CliError(
+            raise ValueError(
                 "--binarize needs a single 1-of-best-c criterion to pick"
                 " the c best goods"
             )
         inst = model.binarize_instance(inst, c)
 
     if name == "cwav2" and args.seed is None:
-        raise _CliError("cwav2 needs --seed")
+        raise ValueError("cwav2 needs --seed")
     result = call(inst, crits=crits, c=c, args=args)
 
     doc = {"protocol": result.protocol,
@@ -276,12 +272,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_brute(args) -> int:
     if args.workers < 1:
-        raise _CliError("--workers must be at least 1")
+        raise ValueError("--workers must be at least 1")
     if args.workers > MAX_WORKERS:
-        raise _CliError(f"--workers must be at most {MAX_WORKERS}")
-    cap = model.DEFAULT_CAP if args.cap is None else args.cap
+        raise ValueError(f"--workers must be at most {MAX_WORKERS}")
+    cap = oracles.DEFAULT_CAP if args.cap is None else args.cap
     if cap < 1:
-        raise _CliError("--cap must be at least 1")
+        raise ValueError("--cap must be at least 1")
     if args.spec:
         spec = oracles.parse_spec(args.spec)
         oracles.check_space(spec, cap)
@@ -313,9 +309,9 @@ def _cmd_brute(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.rmax < 0 or args.smax < 0:
-        raise _CliError("--rmax and --smax must be nonnegative")
+        raise ValueError("--rmax and --smax must be nonnegative")
     if args.k < 2:
-        raise _CliError("--k must be at least 2")
+        raise ValueError("--k must be at least 2")
     cells = (args.rmax + 1) * (args.smax + 1)
     if args.which != "Bk" and cells > MAX_TABLE_CELLS:
         raise CapExceededError(
@@ -438,7 +434,7 @@ def main(argv=None) -> int:
         except CapExceededError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
-        except (_CliError, FormatError, ValueError) as exc:
+        except ValueError as exc:  # a FormatError too
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

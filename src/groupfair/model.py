@@ -31,7 +31,8 @@ The JSON instance document looks like::
       "order": ["z", "y", "x", "w", "v"]
     }
 
-``count`` repeats an agent entry (at most ``MAX_MEMBERS`` members in all);
+``count`` repeats an agent entry (at most ``MAX_MEMBERS`` members in all),
+and binary entries with equal desired sets share one valuation object;
 ``order`` (optional) fixes the traversal order used by the line protocols.
 Rational numbers may be written as ints, decimal strings, ``"p/q"``
 strings, or JSON floats (read with decimal semantics, so ``0.51`` means
@@ -85,11 +86,6 @@ MAX_MEMBERS = 1_000_000
 #: size, kept as a ledger int of about that many bits.  ``rwav2-enhanced``
 #: also refuses a ``c`` above it, before building ``2**c``.
 MAX_WANTED_GOODS = 512
-
-#: Largest allocation space (``k**m``) the brute-force oracles sweep by
-#: default.  It lives here, not in :mod:`groupfair.oracles`, so the CLI can
-#: show it as ``brute --cap``'s default without loading the oracles.
-DEFAULT_CAP = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +680,11 @@ def _parse_subset_key(key: str, inst_goods: Sequence[str], find) -> int:
     return mask
 
 
-def _parse_valuation(doc, goods: Sequence[str], find, bits: dict) -> Valuation:
+def _parse_valuation(doc, goods: Sequence[str], find, bits: dict,
+                     binary: dict) -> Valuation:
+    """The valuation of one agent entry.  ``binary`` maps each desired mask
+    read so far in the document to its valuation, which equal entries then
+    share."""
     kind = doc.get("type")
     m = len(goods)
     if kind == "binary":
@@ -702,7 +702,10 @@ def _parse_valuation(doc, goods: Sequence[str], find, bits: dict) -> Valuation:
                 if index is None:
                     raise FormatError(f"unknown good label {label!r}") from None
                 mask |= 1 << index
-        return BinaryValuation(Bundle(mask, m))
+        v = binary.get(mask)
+        if v is None:
+            v = binary[mask] = BinaryValuation(Bundle(mask, m))
+        return v
     if kind == "additive":
         values = doc.get("values")
         if isinstance(values, dict):
@@ -771,6 +774,7 @@ def parse_instance(text: str) -> Instance:
         raise FormatError("instance needs a non-empty 'groups' list")
     goods = list(goods)
     find, bits = _good_finder(goods)
+    binary: dict = {}
     groups = []
     total = 0
     for grp in groups_doc:
@@ -788,7 +792,7 @@ def parse_instance(text: str) -> Instance:
                 raise CapExceededError(
                     f"instance has more than {MAX_MEMBERS} members"
                 )
-            valuation = _parse_valuation(entry, goods, find, bits)
+            valuation = _parse_valuation(entry, goods, find, bits, binary)
             members.extend([valuation] * count)
         groups.append(members)
     order = None
@@ -845,8 +849,9 @@ def serialize_instance(inst: Instance) -> str:
 
     Consecutive identical agents compress into one entry with a count.
     The text is what ``json.dumps(..., indent=2)`` makes of the document,
-    put together from each distinct group encoded once (the generators give
-    every group the same valuation objects).
+    put together from each distinct group encoded once (the generators, and
+    :func:`parse_instance` for binary entries, give equal groups the same
+    valuation objects).
     """
     distinct = {}  # ids of a group's valuations, in order -> its text
     groups = []

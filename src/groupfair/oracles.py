@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from collections import Counter
 from fractions import Fraction
@@ -51,7 +52,6 @@ from .model import (
     Allocation,
     BinaryValuation,
     Bundle,
-    DEFAULT_CAP,
     Instance,
     MAX_MEMBERS,
     Record,
@@ -75,6 +75,8 @@ __all__ = [
     "DEFAULT_CAP",
 ]
 
+#: Largest allocation space (``k**m``) the oracles sweep by default.
+DEFAULT_CAP = 1 << 24
 _CHUNK = 1 << 16
 #: Most goods, and most desired entries (members times the goods each
 #: desires), of an all-subsets instance.  Past the member cap, these bound
@@ -115,15 +117,6 @@ class ExistsResult(Record):
 
 # ---------------------------------------------------------------------------
 # happiness compilation
-
-
-def _total(terms):
-    """The sum of a non-empty run of arrays, added in place into the first."""
-    terms = iter(terms)
-    total = next(terms)
-    for term in terms:
-        total += term
-    return total
 
 
 def _binary_rule(inst: Instance, crits, high, low):
@@ -262,7 +255,7 @@ def _binary_rule(inst: Instance, crits, high, low):
         """Group ``g``'s happy counts over ``row`` by ``cols``, one float32
         term per piece."""
         for j, (lo, hi, q, e, v) in enumerate(plans[g][4]):
-            held = _total(slot_counts(g, row, lo, hi, q))
+            held = functools.reduce(operator.iadd, slot_counts(g, row, lo, hi, q))
             held = held.reshape(len(row), q + 2)[:, :-1].astype(np.float32)
             if tables is not None:
                 yield held @ tables[g][j][:, cols]
@@ -271,7 +264,8 @@ def _binary_rule(inst: Instance, crits, high, low):
 
     def counts(rows, cols):
         return [
-            _total(products(g, high[g, rows], cols)).astype(np.int64).ravel()
+            functools.reduce(operator.iadd, products(g, high[g, rows], cols))
+            .astype(np.int64).ravel()
             for g in range(len(plans))
         ]
 
@@ -412,17 +406,18 @@ def _blocks(total: int, width: int):
     ]
 
 
-def _chunk_counter(inst: Instance, crits, cap: int):
+def _chunk_counter(inst: Instance, criterion, cap: int):
     """``(bounds, chunk_counts)`` for both sweeps: ``chunk_counts(lo, hi)``
-    counts each group's happy members over allocation indices [lo, hi)
-    with the binary or the table rule, one fresh int64 array per group in
-    index order.
+    counts each group's happy members under ``criterion`` (one, or one per
+    group) over allocation indices [lo, hi) with the binary or the table
+    rule, one fresh int64 array per group in index order.
 
     Good 0 is the most significant base-``k`` digit.  Each index is a row
     ``h`` of its high ``m - m // 2`` digits and a column ``l`` of its low
     ``m // 2``, so group ``g``'s bundle is ``high[g, h] | low[g, l]``, and
     every range in ``bounds`` is a block of whole rows or part of one row.
     """
+    crits = fairness.per_group_criteria(criterion, inst.k)
     total = _space(inst.k, inst.m, cap)
     if max(inst.sizes) >= 1 << 20:  # for max_h's keys
         raise CapExceededError(f"the oracle needs groups of fewer than 2^20"
@@ -460,8 +455,7 @@ def max_h(
     """
     import numpy as np
 
-    crits = fairness.per_group_criteria(criterion, inst.k)
-    bounds, chunk_counts = _chunk_counter(inst, crits, cap)
+    bounds, chunk_counts = _chunk_counter(inst, criterion, cap)
 
     def best_in(bound):
         keys = chunk_counts(*bound)  # fresh arrays: key them in place
@@ -495,8 +489,7 @@ def exists_h(inst: Instance, criterion, h, cap: int = DEFAULT_CAP) -> ExistsResu
     target = Fraction(h)
     if not 0 <= target <= 1:
         raise ValueError("h must be a rational in [0, 1]")
-    crits = fairness.per_group_criteria(criterion, inst.k)
-    bounds, chunk_counts = _chunk_counter(inst, crits, cap)
+    bounds, chunk_counts = _chunk_counter(inst, criterion, cap)
     # group g needs ceil(h * n_g) happy members
     p, q = target.numerator, target.denominator
     need = [-(-p * n // q) for n in inst.sizes]

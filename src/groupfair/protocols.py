@@ -10,7 +10,9 @@ paying its budget ``B(r, s)`` into the group account, pays again when its
 group takes a good it wants, and is refunded when the opponent does.  The
 ledger invariants (member balance always exactly ``-B(r, s)``; final group
 account equal to the number of happy members) are re-checked on every turn
-and raised as errors if violated, so a successful run certifies itself.
+and raised as errors if violated.  Every protocol then checks that each
+group's happy fraction reaches the guarantee it claims, so a successful
+run certifies itself.
 
 The three share one loop, :func:`_weighted_approval`, whose ledger is plain
 ints.  Let ``L = 2**(1/d)``, ``d = 1`` for the two-group tables and ``k - 1``
@@ -37,7 +39,8 @@ the ledger, and :class:`ProtocolTrace` builds its ``turns`` from them on
 first read: a run whose trace is never read makes no :class:`TurnRecord`.
 
 :func:`_render_trace` prints a run's trace records as the stable plain text
-of ``run --trace``, one layout per trace kind.
+of ``run --trace``, one layout per trace kind; an ``rwavk`` run shows each
+member's goods as its loop weighed them, the ``c`` lowest-index ones.
 """
 
 from __future__ import annotations
@@ -202,8 +205,8 @@ class RunResult(Record):
     """Outcome of one protocol run.
 
     ``guarantees[i]`` is the happy-fraction lower bound the protocol claims
-    for group ``i`` on this instance; ``report.fractions[i]`` must reach it
-    whenever the protocol's preconditions held.  ``expected_guarantees`` is
+    for group ``i`` on this instance; ``report.fractions[i]`` reaches it,
+    which every run checks before it returns.  ``expected_guarantees`` is
     set only by the randomized protocol, whose per-run guarantee is 0 but
     whose expectation is bounded.
     """
@@ -222,11 +225,14 @@ class RunResult(Record):
 
 
 class ProtocolInvariantError(RuntimeError):
-    """A runtime ledger/termination invariant failed (protocol bug).
+    """A runtime ledger, termination or guarantee invariant failed
+    (protocol bug).
 
     A failed ledger check says where: ``agent`` (the ``group.member``
     label), ``turn``, and the ``expected`` and ``actual`` balance as exact
-    ``Fraction``s.  Each is None where it does not apply.
+    ``Fraction``s.  A missed guarantee gives the claim as ``expected`` and
+    the group's happy fraction as ``actual``.  Each is None where it does
+    not apply.
     """
 
     def __init__(self, message: str, *, agent=None, turn=None, expected=None,
@@ -249,27 +255,52 @@ def _require(inst: Instance, protocol: str, two: bool, binary: bool):
 
 
 def _result(protocol: str, inst: Instance, alloc: Allocation, criteria,
-            guarantees, trace, expected=None) -> RunResult:
+            guarantees, trace, expected=None, meets=None) -> RunResult:
     """``alloc`` as a :class:`RunResult`, with its democratic report under
-    the per-group ``criteria``."""
-    return RunResult(protocol, alloc, democratic_report(inst, alloc, criteria),
-                     guarantees, criteria, trace, expected)
+    the per-group ``criteria``, checked by :func:`_checked`."""
+    return _checked(RunResult(protocol, alloc, democratic_report(inst, alloc, criteria),
+                              guarantees, criteria, trace, expected), meets)
+
+
+def _checked(result: RunResult, meets=None) -> RunResult:
+    """``result``, once each group's happy fraction is seen to reach its
+    guarantee: ``meets(fraction, g)`` for group ``g``, by default
+    ``fraction >= guarantees[g]``.  The first group that misses raises
+    :class:`ProtocolInvariantError`."""
+    for g, (frac, claim) in enumerate(zip(result.report.fractions, result.guarantees)):
+        if not (meets(frac, g) if meets else frac >= claim):
+            raise ProtocolInvariantError(
+                f"{result.protocol}: group {g + 1} happy fraction {frac} is below"
+                f" its guarantee {claim}", expected=claim, actual=frac,
+            )
+    return result
+
+
+def _reaches_bk(frac: Fraction, r: int, d: int) -> bool:
+    """Whether ``frac = p/q`` reaches ``1 - 2**(-r/d)`` exactly: it does
+    when ``r <= 0`` or ``q**d >= (q - p)**d * 2**r``."""
+    p, q = frac.numerator, frac.denominator
+    return r <= 0 or q**d >= (q - p) ** d << r
 
 
 def _desired_masks(inst: Instance):
     return [[agent.valuation.desired.mask for agent in grp] for grp in inst.groups]
 
 
-def _desire_counts(masks, m: int) -> list:
-    """How many of ``masks`` hold each of the ``m`` goods, in one pass over
-    their set bits."""
-    counts = [0] * m
+def _near_unanimous(masks, candidates: int, share: Fraction):
+    """``(good, desiring)``: the lowest-index good of the mask
+    ``candidates`` that at least ``share`` of ``masks`` want, and how many
+    want it; or None.  One pass over the candidates' set bits."""
+    counts = [0] * candidates.bit_length()
     for mask in masks:
+        mask &= candidates
         while mask:
             low = mask & -mask
             counts[low.bit_length() - 1] += 1
             mask ^= low
-    return counts
+    p, q, n = share.numerator, share.denominator, len(masks)
+    return next(((good, desiring) for good, desiring in enumerate(counts)
+                 if desiring and desiring * q >= p * n), None)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +498,7 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
 # two-group RWAV
 
 
-def rwav2(inst: Instance, criterion, first_group: int = 0, table=None) -> RunResult:
+def rwav2(inst: Instance, criterion, first_group: int = 0) -> RunResult:
     """Round-robin with weighted approval voting for two binary groups.
 
     Groups alternate turns starting with ``first_group``.  On its turn a
@@ -488,7 +519,7 @@ def rwav2(inst: Instance, criterion, first_group: int = 0, table=None) -> RunRes
     if first_group not in (0, 1):
         raise ValueError("first_group must be 0 or 1")
     crits = per_group_criteria(criterion, 2)
-    tbl = table if table is not None else budgets.DEFAULT_TABLE
+    tbl = budgets.DEFAULT_TABLE
     order = itertools.cycle((first_group, 1 - first_group))
     alloc, trace, start = _weighted_approval(
         inst, crits, "rwav2", order.__next__,
@@ -524,22 +555,20 @@ def rwav2_enhanced(inst: Instance, c: int = 2) -> RunResult:
         )
     threshold = Fraction(2**c - 1, 2**c + 1)
     criterion = OneOfBestC(c)
-    desired = _desired_masks(inst)
-    for g in range(2):
-        counted = [mask for mask in desired[g] if mask.bit_count() >= c]
-        if not counted:
-            continue
-        for good, desiring in enumerate(_desire_counts(counted, inst.m)):
-            if desiring * threshold.denominator >= threshold.numerator * len(counted):
-                assignment = [1 - g] * inst.m
-                assignment[good] = g
-                return _result("rwav2-enhanced", inst, Allocation(tuple(assignment), 2),
-                               (criterion, criterion), (threshold, threshold),
-                               EnhancedSplit(g, good, desiring, len(counted)))
+    for g, grp in enumerate(_desired_masks(inst)):
+        counted = [mask for mask in grp if mask.bit_count() >= c]
+        found = _near_unanimous(counted, (1 << inst.m) - 1, threshold)
+        if found:
+            good, desiring = found
+            assignment = [1 - g] * inst.m
+            assignment[good] = g
+            return _result("rwav2-enhanced", inst, Allocation(tuple(assignment), 2),
+                           (criterion, criterion), (threshold, threshold),
+                           EnhancedSplit(g, good, desiring, len(counted)))
     inner = rwav2(inst, criterion, first_group=0)
     # the inner run's report is this run's: the same allocation and criteria
-    return RunResult("rwav2-enhanced", inner.allocation, inner.report,
-                     (threshold, threshold), inner.criteria, inner.trace)
+    return _checked(RunResult("rwav2-enhanced", inner.allocation, inner.report,
+                              (threshold, threshold), inner.criteria, inner.trace))
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +738,10 @@ def rwavk(inst: Instance, c: int) -> RunResult:
         itertools.cycle(range(k)).__next__, _kgroup_price, "B_k", d=k - 1,
         number=operator.truediv,
     )
+    # each guarantee is a float: the check compares with B_k exactly
     return _result("rwavk", inst, alloc, (criterion,) * k,
-                   tuple(max(0.0, kw.B(c - g, 1)) for g in range(k)), trace)
+                   tuple(kw.B(c - g, 1) for g in range(k)), trace,
+                   meets=lambda frac, g: _reaches_bk(frac, c - g, k - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +763,7 @@ def best_k_protocol(inst: Instance) -> RunResult:
     k = inst.k
     binary = binarize_instance(inst, k)
     masks = _desired_masks(binary)
-    criterion = OneOfBestC(k)
-    desiring = [_desire_counts(grp, inst.m) for grp in masks]
+    criterion, third = OneOfBestC(k), Fraction(1, 3)
 
     active = list(range(k))
     remaining_mask = (1 << inst.m) - 1
@@ -742,16 +772,9 @@ def best_k_protocol(inst: Instance) -> RunResult:
     base = None
     while len(active) >= 3:
         # the first group, then good, that a third of the group wants
-        step = next(
-            (
-                UnanimousStep(g, good, desiring[g][good], len(masks[g]))
-                for g in active
-                for good in range(inst.m)
-                if remaining_mask >> good & 1
-                and 3 * desiring[g][good] >= len(masks[g])
-            ),
-            None,
-        )
+        step = next((UnanimousStep(g, *hit, len(masks[g])) for g in active
+                     if (hit := _near_unanimous(masks[g], remaining_mask, third))),
+                    None)
         if step is None:
             break
         assignment[step.good] = step.group
@@ -785,7 +808,7 @@ def best_k_protocol(inst: Instance) -> RunResult:
             assignment[goods_left[local_good]] = active[owner]
 
     return _result("best-k", inst, Allocation(tuple(assignment), k), (criterion,) * k,
-                   (Fraction(1, 3),) * k,
+                   (third,) * k,
                    BestKTrace(tuple(steps), base, tuple(goods_left),
                               tuple(active) if goods_left else (), sub))
 
@@ -915,6 +938,8 @@ def _render_trace(result, inst: Instance) -> str:
     trace = result.trace
     order = None
     if isinstance(trace, ProtocolTrace):
+        if trace.kind == "rwavk":  # its loop weighed each member's c lowest goods
+            inst = binarize_instance(inst, result.criteria[0].c)
         _render_turns(trace, inst, out)
         if inst.k == 2 and trace.turns:
             first = trace.turns[0].group

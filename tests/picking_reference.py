@@ -42,7 +42,7 @@ def _require_binary(inst: Instance, protocol: str):
         )
 
 
-def reference_rwav2(inst: Instance, criterion, first_group: int = 0, table=None) -> RunResult:
+def reference_rwav2(inst: Instance, criterion, first_group: int = 0) -> RunResult:
     """Round-robin with weighted approval voting for two binary groups.
 
     Groups alternate turns starting with ``first_group``.  On its turn a
@@ -63,7 +63,7 @@ def reference_rwav2(inst: Instance, criterion, first_group: int = 0, table=None)
         raise ValueError("first_group must be 0 or 1")
     crits = per_group_criteria(criterion, 2)
     sfuncs = tuple(SFunction(c, 2) for c in crits)
-    tbl = table if table is not None else budgets.DEFAULT_TABLE
+    tbl = budgets.DEFAULT_TABLE
 
     desired = _desired_masks(inst)
     r = [[mask.bit_count() for mask in grp] for grp in desired]

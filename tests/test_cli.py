@@ -95,6 +95,8 @@ TRACE_KINDS = [
     ("best_k", "best-k", "inst_bestk.json", ()),  # BestKTrace around rwav2 turns
     ("cwav2", "cwav2", "inst_shortcut.json",
      ("--criterion", "1-of-best-2,ef-1", "--seed", "7")),
+    # rwavk weighs each member's c lowest desired goods; one member wants 3
+    ("rwavk", "rwavk", "inst_identical.json", ("--criterion", "1-of-best-2")),
 ]
 
 

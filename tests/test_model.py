@@ -13,6 +13,7 @@ from groupfair.errors import CapExceededError, FormatError
 from groupfair.model import (
     MAX_MEMBERS,
     AdditiveValuation,
+    Agent,
     Allocation,
     BinaryValuation,
     Bundle,
@@ -317,6 +318,56 @@ def test_allocation_error_messages(tmp_path, capsys):
             "--criterion", "ef-1"]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+TWO_GROUPS = ('{"goods": ["v", "w"], "groups": [[{"type": "binary", "desired": ["v"]}],'
+              ' [{"type": "binary", "desired": ["w"]}]]%s}')
+
+
+def test_order_that_is_not_a_list_exits_2(tmp_path, capsys):
+    text = TWO_GROUPS % ', "order": "vw"'
+    message = "'order' must be a permutation of the goods"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_instance(text)
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    assert main(["run", "--protocol", "line2", "--instance", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_allocation_without_bundles_exits_2(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(TWO_GROUPS % "")
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text('{"bundle": [["v"], ["w"]]}')
+    message = "allocation document needs a 'bundles' list"
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        parse_allocation(alloc.read_text(), parse_instance(inst.read_text()))
+    argv = ["check", "--instance", str(inst), "--allocation", str(alloc),
+            "--criterion", "ef-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_instance_refuses_a_mislabelled_agent():
+    v = binval("v", "v")
+    with pytest.raises(ValueError, match=r"^agent at position 0\.1 mislabelled as 0\.0$"):
+        Instance(("v",), ((Agent(0, 0, v), Agent(0, 0, v)),))
+
+
+class _Unknown:
+    """A valuation over one good of no type the writer knows."""
+
+    m = 1
+
+    def __repr__(self):
+        return "_Unknown()"
+
+
+def test_serialize_refuses_an_unknown_valuation():
+    inst = Instance.from_valuations(("v",), ((_Unknown(),),))
+    with pytest.raises(TypeError, match=r"^unknown valuation _Unknown\(\)$"):
+        serialize_instance(inst)
 
 
 def test_tabular_keys_accept_both_spellings():

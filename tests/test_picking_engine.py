@@ -197,17 +197,18 @@ class OffByOneUnit(BudgetTable):
         return value + Fraction(1, 2**4) if (r, s) == (2, 1) else value
 
 
-def test_ledger_check_catches_a_wrong_weight(mixed_two_group):
+def test_ledger_check_catches_a_wrong_weight(mixed_two_group, monkeypatch):
     # Agent 1.9 wants {w, z}; group 1 takes w on turn 1 and the member pays
     # the inflated w(2, 1) = 5/16 instead of 1/4.
+    monkeypatch.setattr(budgets, "DEFAULT_TABLE", OffByOneUnit())
     message = r"^agent 1\.9 balance -17/16 != -B\(1, 0\) after turn 1$"
     with pytest.raises(ProtocolInvariantError, match=message) as info:
-        rwav2(mixed_two_group, OneOfBestC(2), table=OffByOneUnit())
+        rwav2(mixed_two_group, OneOfBestC(2))
     exc = info.value
     assert (exc.agent, exc.turn, exc.expected, exc.actual) == (
         "1.9", 1, Fraction(-1), Fraction(-17, 16))
     with pytest.raises(ProtocolInvariantError, match=message):
-        reference_rwav2(mixed_two_group, OneOfBestC(2), table=OffByOneUnit())
+        reference_rwav2(mixed_two_group, OneOfBestC(2))
 
 
 

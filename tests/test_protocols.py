@@ -7,15 +7,18 @@ built-in balance invariants and the guarantee bounds.
 
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from groupfair import protocols
 from groupfair.budgets import C, KGroupWeights
 from groupfair.fairness import (
     MMS,
     EFc,
+    FairnessReport,
     FractionMMS,
     OneOfBestC,
     OneOutOfCMMS,
@@ -41,6 +44,7 @@ from groupfair.protocols import (
     RunResult,
     SearchTrace,
     UnanimousStep,
+    _reaches_bk,
     _render_trace,
     best_k_protocol,
     cwav2,
@@ -441,6 +445,13 @@ def test_linek_refuses_tabular_members():
     assert line2(inst).report.h >= Fraction(1, 2)
 
 
+def test_line_that_no_group_claims_raises(mixed_two_group):
+    # a verdict that never holds leaves the block unclaimed to the last good
+    with pytest.raises(ProtocolInvariantError,
+                       match="^line2 exhausted goods without a claim$"):
+        protocols._line(mixed_two_group, "line2", EFc(1), "EF1", lambda *_: False)
+
+
 # ---------------------------------------------------------------------------
 # guarantee audit: every protocol meets the guarantees it reports
 
@@ -522,6 +533,61 @@ def test_guarantee_audit(name):
             assert all(map(operator.ge, fractions, result.guarantees))
 
     audit()
+
+
+def test_a_run_below_its_guarantee_raises(mixed_two_group, monkeypatch):
+    inst = mixed_two_group
+
+    def report(*args):  # with no member of the last group happy
+        verdicts = democratic_report(*args).verdicts
+        return FairnessReport(verdicts[:-1] + ((False,) * len(verdicts[-1]),))
+
+    monkeypatch.setattr(protocols, "democratic_report", report)
+    for name, run, claim in (
+        ("rwav2", lambda: rwav2(inst, MIXED_CRITERIA), Fraction(1, 2)),
+        ("line2", lambda: line2(inst), Fraction(1, 2)),
+        ("rwavk", lambda: rwavk(inst, c=2), 0.5),
+    ):
+        with pytest.raises(ProtocolInvariantError) as info:
+            run()
+        exc = info.value
+        assert str(exc) == f"{name}: group 2 happy fraction 0 is below its guarantee {claim}"
+        assert (exc.agent, exc.turn, exc.expected, exc.actual) == (None, None, claim, 0)
+    # cwav2 claims 0 per run
+    assert cwav2(inst, MIXED_CRITERIA, seed=3).report.happy[1] == 0
+
+
+def test_rwav2_enhanced_fallback_checks_its_own_guarantee(monkeypatch):
+    # No good is wanted by 3/5 of a group, so rwav2 runs.  One of group 2's
+    # two members happy meets rwav2's claim of B(1, 1) = 1/2, not the 3/5
+    # that rwav2-enhanced claims.
+    inst = Instance.from_valuations(
+        "abcd", ([binval("ab", "abcd"), binval("cd", "abcd")],) * 2)
+    monkeypatch.setattr(protocols, "democratic_report",
+                        lambda *_: FairnessReport(((True, True), (True, False))))
+    with pytest.raises(ProtocolInvariantError) as info:
+        rwav2_enhanced(inst, c=2)
+    assert str(info.value) == (
+        "rwav2-enhanced: group 2 happy fraction 1/2 is below its guarantee 3/5")
+    assert (info.value.expected, info.value.actual) == (Fraction(3, 5), Fraction(1, 2))
+
+
+def test_exact_bk_comparison_matches_meets_bk():
+    # fractions on both sides of 1 - 2**(-r/d), for every small r and k
+    for k in range(2, 6):
+        for r in range(-1, 9):
+            bound = 1 - 2 ** (-r / (k - 1))  # places the grid only
+            for q in range(1, 60):
+                near = int(bound * q)
+                for p in range(max(0, near - 1), min(q, near + 2) + 1):
+                    frac = Fraction(p, q)
+                    assert _reaches_bk(frac, r, k - 1) == meets_bk(frac, r, k)
+    # B_3(1, 1) as a float lies above the exact bound, and this fraction
+    # lies between them: it meets the guarantee, though not its float
+    frac = Fraction("0.2928932188134525")
+    assert _reaches_bk(frac, 1, 2) and meets_bk(frac, 1, 3)
+    assert frac < KGroupWeights(3).B(1, 1)
+    assert not _reaches_bk(frac - Fraction(1, 10**16), 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -739,6 +805,52 @@ def test_cwav2_mean_happiness_near_stake():
         total += sum(result.report.fractions, Fraction(0)) / 2
     mean = total / runs
     assert abs(mean - Fraction(1, 2)) < Fraction(1, 10)
+
+
+# ---------------------------------------------------------------------------
+# trace text
+
+
+@st.composite
+def _one_letter_instances(draw, k):
+    # at most six one-letter goods, so a desired-set label fits its column
+    m = draw(st.integers(1, 6))
+    groups = [
+        [BinaryValuation(Bundle(mask, m))
+         for mask in draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=4))]
+        for _ in range(k)
+    ]
+    return Instance.from_valuations(tuple("abcdef"[:m]), groups)
+
+
+# each picking protocol: its group counts, and its call on a drawn instance
+PICKING_RUNS = {
+    "rwav2": (st.just(2), lambda data, inst: rwav2(
+        inst, data.draw(PICKING_CRITERIA), first_group=data.draw(st.integers(0, 1)))),
+    "cwav2": (st.just(2), lambda data, inst: cwav2(
+        inst, data.draw(PICKING_CRITERIA), seed=data.draw(st.integers(0, 99)))),
+    "rwavk": (st.integers(2, 4), lambda data, inst: rwavk(
+        inst, data.draw(st.integers(1, inst.k + 1)))),
+}
+
+
+@pytest.mark.filterwarnings("ignore:rwavk with c=")
+@pytest.mark.parametrize("name", PICKING_RUNS)
+def test_trace_member_rows_list_r_goods(name):
+    # a member row shows the desired goods that the loop still weighs, and
+    # r counts them
+    groups, run = PICKING_RUNS[name]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        inst = data.draw(_one_letter_instances(data.draw(groups)))
+        for row in _render_trace(run(data, inst), inst).splitlines():
+            if re.match(r"\d+ members? ", row):
+                labels, r = row[12:24].strip(), int(row[24:27])
+                assert len(labels.split(",") if labels else ()) == r, row
+
+    check()
 
 
 # ---------------------------------------------------------------------------
