@@ -162,9 +162,13 @@ def maxh(r: int, s: int, k: int = 2) -> Fraction:
     with ``s`` or more of them.  No allocation can make more than this
     fraction of every group happy::
 
+        maxh(r, s, k) = 1                                      if s <= 0
         maxh(r, s, k) = 0                                      if r <= k*s - 1
         maxh(r, s, k) = k**-r * sum((k-1)**(r-i) * comb(r, i)
                                     for i in s..r)             otherwise
+
+    Like :func:`B` and :func:`C` it answers every ``s``, so 0 for
+    ``r < s``; only ``r < 0`` and ``k < 2`` raise.
 
     >>> maxh(2, 1, 2)
     Fraction(3, 4)
@@ -173,8 +177,8 @@ def maxh(r: int, s: int, k: int = 2) -> Fraction:
     >>> maxh(3, 1, 3)
     Fraction(19, 27)
     """
-    if not (r >= s >= 1):
-        raise ValueError("maxh needs r >= s >= 1")
+    if r < 0:
+        raise ValueError("maxh needs r >= 0")
     if k < 2:
         raise ValueError("maxh needs k >= 2")
     if r <= k * s - 1:
@@ -188,20 +192,22 @@ def maxh_finite(r: int, s: int, k: int, m: int) -> Fraction:
     Each of ``k`` groups holds ``m`` of the ``k*m`` goods; a member wants a
     uniformly random ``r``-subset of all goods and is happy with ``s`` or
     more from its group's block.  This hypergeometric tail is the exact
-    best-possible happy fraction for the all-subsets instance family.
+    best-possible happy fraction for the all-subsets instance family.  Like
+    :func:`maxh` it is 1 for ``s <= 0`` and 0 for ``r < s``; ``r < 0``,
+    ``k < 2``, ``m < 1`` and ``r > k*m`` raise.
 
     >>> maxh_finite(2, 1, 2, 2)
     Fraction(5, 6)
     """
-    if not (r >= s >= 1):
-        raise ValueError("maxh_finite needs r >= s >= 1")
+    if r < 0:
+        raise ValueError("maxh_finite needs r >= 0")
     if k < 2 or m < 1:
         raise ValueError("maxh_finite needs k >= 2 and m >= 1")
     if r > k * m:
         raise ValueError(f"cannot draw {r} goods from {k * m}")
     total = sum(
         math.comb(m, i) * math.comb((k - 1) * m, r - i)
-        for i in range(s, min(r, m) + 1)
+        for i in range(max(s, 0), min(r, m) + 1)
     )
     return Fraction(total, math.comb(k * m, r))
 

@@ -103,9 +103,11 @@ MAX_WORKERS = 64
 
 
 def _fmt_cell(x) -> str:
-    """Three-decimal table cell (half-up), integers printed bare."""
-    f = Fraction(repr(x)) if isinstance(x, float) else Fraction(x)
-    if f.denominator == 1:
+    """Three-decimal table cell (half-up); an exact integer prints bare, a
+    float never does, since it may be rounded."""
+    if isinstance(x, float):
+        f = Fraction(repr(x))
+    elif (f := Fraction(x)).denominator == 1:
         return str(f.numerator)
     d = Decimal(f.numerator) / Decimal(f.denominator)
     return str(d.quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
@@ -147,23 +149,15 @@ def _render_table(which: str, rmax: int, smax: int, k: int) -> str:
         kw = KGroupWeights(k)
         lines = [f"B_k(r,1) and w_k(r,1) for k = {k}", ""]
         lines.append("r".ljust(5) + "B(r,1)".ljust(9) + "w(r,1)".ljust(9))
-        for r in range(rmax + 1):
+        for r in range(rmax + 1):  # both are exactly 0 at r = 0
             lines.append(
-                str(r).ljust(5) + _fmt_cell(kw.B(r, 1)).ljust(9)
-                + _fmt_cell(kw.w(r, 1)).ljust(9)
+                str(r).ljust(5) + _fmt_cell(kw.B(r, 1) if r else 0).ljust(9)
+                + _fmt_cell(kw.w(r, 1) if r else 0).ljust(9)
             )
         return "\n".join(line.rstrip() for line in lines) + "\n"
-
-    def cell(r, s):  # maxh, the last of the parser's choices
-        if s == 0:
-            return Fraction(1)
-        if r < s:
-            return Fraction(0)
-        return maxh(r, s, k)
-
-    return _grid(
+    return _grid(  # maxh, the last of the parser's choices
         f"MaxH(r,s) for k = {k}, r = 0..{rmax}, s = 0..{smax}",
-        rmax, smax, cell,
+        rmax, smax, lambda r, s: maxh(r, s, k),
     )
 
 

@@ -95,31 +95,33 @@ class _Shaped:
         return _PLACEHOLDER.sub(lambda m: str(getattr(self, m[1])), self.shape)
 
 
-class EFc(_Shaped, Record):
-    """Envy-free up to ``c`` goods: envy toward any other group vanishes
-    after removing at most ``c`` goods from that group's bundle."""
+class _Counted(_Shaped):
+    """A record counted by its one field, the int ``c``, of at least
+    ``least``; ``label`` names it when a smaller ``c`` is refused."""
 
-    shape = "ef-<c>"
-    c: int
+    least = 1
 
     def __init__(self, c: int):
-        if c < 0:
-            raise ValueError("EFc needs c >= 0")
+        if c < self.least:
+            raise ValueError(f"{self.label} needs c >= {self.least}")
         self._init(c)
 
 
-class PROPc(_Shaped, Record):
+class EFc(_Counted, Record):
+    """Envy-free up to ``c`` goods: envy toward any other group vanishes
+    after removing at most ``c`` goods from that group's bundle."""
+
+    shape, label, least = "ef-<c>", "EFc", 0
+    c: int
+
+
+class PROPc(_Counted, Record):
     """Proportional except ``c`` goods: the agent's group gets at least
     ``1/k`` of the agent's value for all goods minus some ``c`` unowned
     goods."""
 
-    shape = "prop-<c>"
+    shape, label, least = "prop-<c>", "PROPc", 0
     c: int
-
-    def __init__(self, c: int):
-        if c < 0:
-            raise ValueError("PROPc needs c >= 0")
-        self._init(c)
 
 
 class MMS(_Shaped, Record):
@@ -128,16 +130,11 @@ class MMS(_Shaped, Record):
     shape = "mms"
 
 
-class OneOutOfCMMS(_Shaped, Record):
+class OneOutOfCMMS(_Counted, Record):
     """Maximin share computed with ``c`` parts (a relaxation for c > k)."""
 
-    shape = "1-out-of-<c>-mms"
+    shape, label = "1-out-of-<c>-mms", "1-out-of-c MMS"
     c: int
-
-    def __init__(self, c: int):
-        if c < 1:
-            raise ValueError("1-out-of-c MMS needs c >= 1")
-        self._init(c)
 
 
 class FractionMMS(_Shaped, Record):
@@ -153,16 +150,11 @@ class FractionMMS(_Shaped, Record):
         self._init(q)
 
 
-class OneOfBestC(_Shaped, Record):
+class OneOfBestC(_Counted, Record):
     """The agent's bundle is worth at least its c-th best single good."""
 
-    shape = "1-of-best-<c>"
+    shape, label = "1-of-best-<c>", "1-of-best-c"
     c: int
-
-    def __init__(self, c: int):
-        if c < 1:
-            raise ValueError("1-of-best-c needs c >= 1")
-        self._init(c)
 
 
 class PositiveMMS(_Shaped, Record):
@@ -420,11 +412,9 @@ def s_threshold(criterion: FairnessCriterion, r: int, k: int = 2) -> int:
     """How many of its ``r`` desired goods a binary agent needs.
 
     A binary agent with ``r`` desired goods satisfies ``criterion`` exactly
-    when its group holds ``s_threshold(criterion, r, k)`` of them.  PROPc
-    and MMS have such an own-count threshold for every ``k`` and EFc for
-    ``k = 2``, but this map, which drives the two-group picking protocols,
-    accepts EFc, PROPc and MMS only for ``k = 2`` and never accepts
-    fraction-mms.
+    when its group holds ``s_threshold(criterion, r, k)`` of them.  Every
+    criterion has such an own-count threshold for every ``k`` except EFc,
+    which has one only for ``k = 2``; EFc with more groups raises.
 
     >>> s_threshold(EFc(1), 7)
     3
@@ -437,11 +427,10 @@ def s_threshold(criterion: FairnessCriterion, r: int, k: int = 2) -> int:
         raise ValueError("r must be >= 0")
     if k < 2:
         raise ValueError("k must be >= 2")
-    if isinstance(criterion, FractionMMS):
-        raise ValueError(f"{criterion.name} has no binary-agent threshold")
-    if k != 2 and isinstance(criterion, (EFc, PROPc, MMS)):
+    s = _binary_threshold(criterion, r, k)
+    if s is None:
         raise ValueError(f"{criterion.name} has a threshold only for k=2")
-    return _binary_threshold(criterion, r, k)
+    return s
 
 
 class SFunction(Record):

@@ -80,13 +80,6 @@ MAX_TABULAR_GOODS = 16
 #: ``2k - 1`` members wanting ``k`` goods each), which caps it at k = 79.
 MAX_MEMBERS = 1_000_000
 
-#: Most goods one member may want in ``rwav2`` and ``cwav2`` (and so in
-#: ``rwav2-enhanced`` and ``best-k``, which call ``rwav2``) while it needs
-#: some of them: such a member's every price is a binomial sum of that
-#: size, kept as a ledger int of about that many bits.  ``rwav2-enhanced``
-#: also refuses a ``c`` above it, before building ``2**c``.
-MAX_WANTED_GOODS = 512
-
 
 # ---------------------------------------------------------------------------
 # records

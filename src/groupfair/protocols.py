@@ -67,7 +67,6 @@ from .fairness import (
     propc_holds,
 )
 from .model import (
-    MAX_WANTED_GOODS,
     Allocation,
     BinaryValuation,
     Bundle,
@@ -98,6 +97,13 @@ __all__ = [
     "best_k_protocol",
     "cwav2",
 ]
+
+#: Most goods one member may want in ``rwav2`` and ``cwav2`` (and so in
+#: ``rwav2-enhanced`` and ``best-k``, which call ``rwav2``) while it needs
+#: some of them: such a member's every price is a binomial sum of that
+#: size, kept as a ledger int of about that many bits.  ``rwav2-enhanced``
+#: also refuses a ``c`` above it, before building ``2**c``.
+MAX_WANTED_GOODS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +517,8 @@ def rwav2(inst: Instance, criterion, first_group: int = 0) -> RunResult:
     Claimed bounds: the group playing first is happy for at least
     ``min_j B(r_j, s(r_j))`` of its members, the other for at least
     ``min_j B(r_j - 1, s(r_j))``.  A member wanting more than
-    :data:`~groupfair.model.MAX_WANTED_GOODS` goods and needing some of
-    them raises :class:`~groupfair.errors.CapExceededError` before the
-    first turn.
+    :data:`MAX_WANTED_GOODS` goods and needing some of them raises
+    :class:`~groupfair.errors.CapExceededError` before the first turn.
     """
     _require(inst, "rwav2", two=True, binary=True)
     if first_group not in (0, 1):
@@ -543,8 +548,7 @@ def rwav2_enhanced(inst: Instance, c: int = 2) -> RunResult:
     to the group and the rest to the other group; otherwise plain
     :func:`rwav2` runs.  Either way every group is guaranteed the
     ``(2^c - 1)/(2^c + 1)`` happy fraction.  A ``c`` above
-    :data:`~groupfair.model.MAX_WANTED_GOODS` raises
-    :class:`~groupfair.errors.CapExceededError`.
+    :data:`MAX_WANTED_GOODS` raises :class:`~groupfair.errors.CapExceededError`.
     """
     _require(inst, "rwav2_enhanced", two=True, binary=True)
     if c < 2:
@@ -635,42 +639,39 @@ def _line(inst: Instance, kind: str, criterion, label: str, holds) -> RunResult:
     The block then restarts empty, and the last active group takes what
     remains.
     """
-    k = inst.k
-    remaining = list(inst.order)
+    k, m = inst.k, inst.m
+    remaining = list(inst.order)  # the unclaimed goods, in order
+    rest = (1 << m) - 1  # and their mask
+    cut = block = 0  # the block is remaining[:cut], with mask block
     active = list(range(k))
     bundles = [None] * k
-    left: list = []
     records = []
     while len(active) > 1:
-        left_bundle = Bundle.from_indices(left, inst.m)
-        right = remaining[len(left):]  # the block is a prefix of remaining
-        right_bundle = Bundle.from_indices(right, inst.m)
+        left, right = Bundle(block, m), Bundle(rest ^ block, m)
         counts = []
         claimed = None
         for g in active:
             grp = inst.groups[g]
-            yes = sum(
-                1 for agent in grp
-                if holds(agent.valuation, left_bundle, right_bundle)
-            )
+            yes = sum(1 for agent in grp if holds(agent.valuation, left, right))
             counts.append((g, yes, len(grp)))
             if k * yes >= len(grp):
                 claimed = g
                 break
-        records.append(
-            PrefixRecord(tuple(left), tuple(right), tuple(counts), claimed)
-        )
+        records.append(PrefixRecord(tuple(remaining[:cut]), tuple(remaining[cut:]),
+                                    tuple(counts), claimed))
         if claimed is not None:
-            bundles[claimed] = left_bundle
+            bundles[claimed] = left
             active.remove(claimed)
-            remaining = right
-            left = []
-            continue
-        if not right:
+            del remaining[:cut]
+            rest ^= block
+            cut = block = 0
+        elif cut == len(remaining):
             raise ProtocolInvariantError(f"{kind} exhausted goods without a claim")
-        left.append(right[0])
+        else:
+            block |= 1 << remaining[cut]
+            cut += 1
     last = active[0]
-    bundles[last] = Bundle.from_indices(remaining, inst.m)
+    bundles[last] = Bundle(rest, m)
     return _result(kind, inst, Allocation.from_bundles(bundles), (criterion,) * k,
                    (Fraction(1, k),) * k, LineTrace(kind, label, tuple(records), last))
 

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import reject, strategies as st
 
+from groupfair import fairness
 from groupfair.model import (
     AdditiveValuation,
     BinaryValuation,
@@ -45,6 +47,22 @@ def meets_bk(frac: Fraction, r: int, k: int) -> bool:
     d = k - 1
     p, q = frac.numerator, frac.denominator
     return r <= 0 or q**d >= (q - p) ** d << r
+
+
+#: Small values for each ``<field>`` of a criterion's shape.
+_FIELD_VALUES = {"c": st.integers(0, 5), "q": st.fractions(0, 1, max_denominator=10)}
+
+
+@st.composite
+def criteria(draw):
+    """A criterion of any shape with small fields; a draw whose fields its
+    class refuses, such as ``1-of-best-0`` or ``fraction-mms:0``, is
+    rejected."""
+    cls = draw(st.sampled_from(fairness._CRITERIA))
+    try:
+        return cls(**{field: draw(_FIELD_VALUES[field]) for field in cls._fields})
+    except ValueError:
+        reject()
 
 
 GOODS5 = ("v", "w", "x", "y", "z")

@@ -287,6 +287,26 @@ def test_maxh_finite_is_hypergeometric_tail():
     assert maxh_finite(r, s, k, m) == Fraction(good, total)
 
 
+@pytest.mark.parametrize("call, value", [
+    (lambda: maxh(2, 0, 2), 1),
+    (lambda: maxh(1, 2, 2), 0),
+    (lambda: maxh_finite(1, 2, 2, 2), 0),
+], ids=["maxh-s0", "maxh-r-below-s", "finite-r-below-s"])
+def test_bound_edge_values(call, value):
+    assert call() == value
+
+
+def test_bounds_answer_the_edges_as_the_budgets_do():
+    # 1 for s <= 0 and 0 for 0 <= r < s, the answers of B and C there
+    for r in range(7):
+        for s in [*range(-2, 1), *range(r + 1, 9)]:
+            edge = B(r, s)
+            assert edge == C(r, s) == (1 if s <= 0 else 0)
+            for k in (2, 3, 5):
+                assert maxh(r, s, k) == edge
+                assert maxh_finite(r, s, k, 3) == edge
+
+
 # ---------------------------------------------------------------------------
 # k-group weights
 
@@ -324,17 +344,16 @@ def test_kgroup_rejects_larger_s():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: maxh(1, 2, 2), "maxh needs r >= s >= 1"),
-    (lambda: maxh(2, 0, 2), "maxh needs r >= s >= 1"),
+    (lambda: maxh(-1, 0, 2), "maxh needs r >= 0"),
     (lambda: maxh(2, 1, 1), "maxh needs k >= 2"),
-    (lambda: maxh_finite(1, 2, 2, 2), "maxh_finite needs r >= s >= 1"),
+    (lambda: maxh_finite(-1, 0, 2, 2), "maxh_finite needs r >= 0"),
     (lambda: maxh_finite(2, 1, 1, 2), "maxh_finite needs k >= 2 and m >= 1"),
     (lambda: maxh_finite(2, 1, 2, 0), "maxh_finite needs k >= 2 and m >= 1"),
     (lambda: maxh_finite(5, 1, 2, 2), "cannot draw 5 goods from 4"),
     (lambda: KGroupWeights(1), "KGroupWeights needs k >= 2"),
     (lambda: KGroupWeights(3).B(4, 2), r"k-group weights are defined for s in \{0, 1\}"),
     (lambda: KGroupWeights(3).w(4, 3), r"k-group weights are defined for s in \{0, 1\}"),
-], ids=["maxh-s0", "maxh-r-below-s", "maxh-k1", "finite-r-below-s", "finite-k1",
+], ids=["maxh-r-negative", "maxh-k1", "finite-r-negative", "finite-k1",
         "finite-m0", "finite-draw", "kgroup-k1", "kgroup-B-s2", "kgroup-w-s3"])
 def test_budget_argument_errors(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

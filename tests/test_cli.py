@@ -27,7 +27,6 @@ from groupfair.cli import MAX_TABLE_CELLS, MAX_TABLE_RMAX, main
 from groupfair.fairness import PROPc, democratic_report, per_group_criteria
 from groupfair.model import (
     MAX_MEMBERS,
-    MAX_WANTED_GOODS,
     binarize_instance,
     parse_allocation,
     parse_instance,
@@ -35,6 +34,7 @@ from groupfair.model import (
     serialize_instance,
 )
 from groupfair.oracles import exists_h
+from groupfair.protocols import MAX_WANTED_GOODS
 
 from table_reference import EagerBudgetTable
 
@@ -661,6 +661,16 @@ def test_table_kgroup(capsys):
     assert lines[2] == "r    B(r,1)   w(r,1)"
     assert lines[4] == "1    0.293    0.293"
     assert lines[6] == "3    0.646    0.146"
+
+
+def test_table_kgroup_never_prints_a_float_bare(capsys):
+    # B_2(r,1) = 1 - 2**-r stays below 1, though its float is 1.0 from r = 54
+    code, out, _ = run_cli(
+        capsys, "table", "--which", "Bk", "--k", "2", "--rmax", "56"
+    )
+    assert code == 0
+    assert out.splitlines()[3] == "0    0        0"
+    assert out.splitlines()[56:] == [f"{r}   1.000    0.000" for r in range(53, 57)]
 
 
 def test_table_maxh(capsys):

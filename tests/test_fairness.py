@@ -32,6 +32,7 @@ from groupfair.fairness import (
     parse_criteria,
     parse_criterion,
     propc_holds,
+    _binary_threshold,
     s_threshold,
 )
 from groupfair.model import (
@@ -44,7 +45,7 @@ from groupfair.model import (
     TabularValuation,
 )
 
-from conftest import addval, binval
+from conftest import addval, binval, criteria
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +306,10 @@ def test_threshold_spot_values():
 
 
 def test_threshold_validation():
-    with pytest.raises(ValueError):
-        s_threshold(FractionMMS(Fraction(1, 2)), 4)
-    with pytest.raises(ValueError):
+    assert s_threshold(FractionMMS(Fraction(1, 2)), 4) == 1
+    with pytest.raises(ValueError, match=r"^ef-1 has a threshold only for k=2$"):
         s_threshold(EFc(1), 4, k=3)
-    with pytest.raises(ValueError):
-        s_threshold(MMS(), 4, k=3)
+    assert s_threshold(MMS(), 4, k=3) == 1
     with pytest.raises(ValueError):
         s_threshold(EFc(1), -1)
 
@@ -318,12 +317,31 @@ def test_threshold_validation():
 def test_s_function():
     s = SFunction(EFc(1))
     assert [s(r) for r in range(6)] == [0, 0, 1, 1, 2, 2]
-    with pytest.raises(ValueError):
-        SFunction(FractionMMS(Fraction(1, 2)))
+    half = SFunction(FractionMMS(Fraction(1, 2)))
+    assert [half(r) for r in range(6)] == [0, 0, 1, 1, 1, 1]
     with pytest.raises(ValueError):
         SFunction(EFc(1), k=3)
     with pytest.raises(ValueError, match=r"1-out-of-1-mms needs c >= k \(k=2\)"):
         SFunction(OneOutOfCMMS(1))
+
+
+def _outcome(function, *args):
+    """``function(*args)``, or the message of the ``ValueError`` it raises."""
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(criteria(), st.integers(0, 12), st.integers(2, 4))
+def test_s_threshold_is_the_binary_threshold(criterion, r, k):
+    # one rule: s_threshold answers wherever the threshold exists, and
+    # raises where it does not (EF-c with three or more groups)
+    threshold = _outcome(_binary_threshold, criterion, r, k)
+    if threshold is None:
+        threshold = f"{criterion.name} has a threshold only for k=2"
+    assert _outcome(s_threshold, criterion, r, k) == threshold
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,17 @@ def test_order_that_is_not_a_list_exits_2(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_agent_entry_that_is_not_an_object_exits_2(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"goods": ["a"], "groups": [[1]]}')
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text('{"bundles": [["a"]]}')
+    argv = ["check", "--instance", str(inst), "--allocation", str(alloc),
+            "--criterion", "ef-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: agent entry must be an object, got 1\n")
+
+
 def test_allocation_without_bundles_exits_2(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(TWO_GROUPS % "")

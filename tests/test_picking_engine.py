@@ -28,13 +28,13 @@ from groupfair.fairness import (
 )
 from groupfair import protocols
 from groupfair.model import (
-    MAX_WANTED_GOODS,
     BinaryValuation,
     Bundle,
     Instance,
     binarize_instance,
 )
 from groupfair.protocols import (
+    MAX_WANTED_GOODS,
     ProtocolInvariantError,
     cwav2,
     rwav2,

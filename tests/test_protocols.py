@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from groupfair import protocols
 from groupfair.budgets import C, KGroupWeights
@@ -24,6 +24,8 @@ from groupfair.fairness import (
     OneOutOfCMMS,
     PROPc,
     democratic_report,
+    efc_holds,
+    propc_holds,
 )
 from groupfair.model import (
     AdditiveValuation,
@@ -57,7 +59,7 @@ from groupfair.protocols import (
 )
 
 from conftest import (
-    GOODS5, addval, binval, meets_bk, random_binary_instance,
+    GOODS5, addval, binval, criteria, meets_bk, random_binary_instance,
 )
 from line_reference import reference_line2, reference_linek
 
@@ -139,8 +141,9 @@ def test_rwav2_validation(mixed_two_group):
     inst = mixed_two_group
     with pytest.raises(ValueError):
         rwav2(inst, MIXED_CRITERIA, first_group=2)
-    with pytest.raises(ValueError):
-        rwav2(inst, FractionMMS(Fraction(1, 2)))  # no binary threshold
+    # every member needs one good: a maximin share of 1 or 2, halved and rounded up
+    half = rwav2(inst, FractionMMS(Fraction(1, 2)))
+    assert half.guarantees == (Fraction(3, 4), Fraction(1, 2))
     three = Instance.from_valuations(
         ("a",), ((binval("a", "a"),),) * 3
     )
@@ -152,6 +155,30 @@ def test_rwav2_validation(mixed_two_group):
     )
     with pytest.raises(ValueError):
         rwav2(additive, OneOfBestC(2))
+
+
+@st.composite
+def _two_binary_groups(draw):
+    """Two groups of 1-7 binary members over 1-9 goods."""
+    m = draw(st.integers(1, 9))
+    member = st.integers(0, (1 << m) - 1).map(lambda mask: BinaryValuation(Bundle(mask, m)))
+    groups = [draw(st.lists(member, min_size=1, max_size=7)) for _ in range(2)]
+    return Instance.from_valuations(tuple(f"g{i}" for i in range(m)), groups)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_two_binary_groups(), criteria(), criteria(), st.integers(0, 99))
+def test_two_group_picking_runs_under_every_criterion_check_accepts(
+    inst, first, second, seed
+):
+    try:  # check refuses 1-out-of-1-mms with two groups
+        democratic_report(inst, Allocation((0,) * inst.m, 2), (first, second))
+    except ValueError:
+        reject()
+    # each run checks its own ledger and guarantee, and raises on a miss
+    for crits in ((first, second), first):
+        assert rwav2(inst, crits).report.sizes == inst.sizes
+        assert cwav2(inst, crits, seed=seed).report.sizes == inst.sizes
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +470,55 @@ def test_linek_refuses_tabular_members():
         linek(inst)
     assert str(info.value) == "linek works on additive and binary agents only"
     assert line2(inst).report.h >= Fraction(1, 2)
+
+
+@st.composite
+def _line_runs(draw):
+    """``line2`` on binary, additive or tabular members, or ``linek`` on
+    binary or additive ones, over 1-7 goods in a random order."""
+    m = draw(st.integers(1, 7))
+    protocol = draw(st.sampled_from([line2, linek]))
+    k = 2 if protocol is line2 else draw(st.integers(2, 4))
+    kinds = ("additive", "binary") + (("tabular",) if protocol is line2 else ())
+    groups = [[draw(_valuations(m, kinds)) for _ in range(draw(st.integers(1, 4)))]
+              for _ in range(k)]
+    order = draw(st.permutations(range(m)))
+    goods = tuple(f"g{i}" for i in range(m))
+    return protocol, Instance.from_valuations(goods, groups, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_line_runs())
+def test_line_verdicts_turn_only_from_no_to_yes(run):
+    # the 1/k guarantee needs it: a block that once had a member's yes keeps it
+    protocol, inst = run
+    k, m = inst.k, inst.m
+    if protocol is line2:
+        def holds(v, left, right):
+            return efc_holds(v, left, (right,), 1)
+    else:
+        def holds(v, left, right):
+            return propc_holds(v, left, k, k - 1)
+    said_yes = set()  # the members that said yes earlier in this block
+    for rec in protocol(inst).trace.records:
+        left, right = Bundle.from_indices(rec.left, m), Bundle.from_indices(rec.right, m)
+        for agent in inst.agents():
+            member = agent.group, agent.index
+            if holds(agent.valuation, left, right):
+                said_yes.add(member)
+            else:
+                assert member not in said_yes, (member, rec.left)
+        if rec.claimed_by is not None:
+            said_yes = set()
+
+
+def test_a_tabular_prop1_verdict_turns_back_to_no():
+    # why linek refuses tabular members: along the order (0, 2, 1) this
+    # member's PROP-1 verdict reads yes, no, yes, yes
+    v = TabularValuation(tuple(map(Fraction, (0, 0, 0, 1, 0, 2, 0, 4))), 3)
+    blocks = [(), (0,), (0, 2), (0, 2, 1)]
+    assert [propc_holds(v, Bundle.from_indices(block, 3), 2, 1)
+            for block in blocks] == [True, False, True, True]
 
 
 def test_line_that_no_group_claims_raises(mixed_two_group):
