@@ -149,9 +149,11 @@ def _render_table(which: str, rmax: int, smax: int, k: int) -> str:
         kw = KGroupWeights(k)
         lines = [f"B_k(r,1) and w_k(r,1) for k = {k}", ""]
         lines.append("r".ljust(5) + "B(r,1)".ljust(9) + "w(r,1)".ljust(9))
-        for r in range(rmax + 1):  # both are exactly 0 at r = 0
+        for r in range(rmax + 1):
+            # B is 1 - 2**-(r/(k-1)), exact when k - 1 divides r; w is 0 at r = 0
+            b = 1 - Fraction(1, 1 << r // (k - 1)) if r % (k - 1) == 0 else kw.B(r, 1)
             lines.append(
-                str(r).ljust(5) + _fmt_cell(kw.B(r, 1) if r else 0).ljust(9)
+                str(r).ljust(5) + _fmt_cell(b).ljust(9)
                 + _fmt_cell(kw.w(r, 1) if r else 0).ljust(9)
             )
         return "\n".join(line.rstrip() for line in lines) + "\n"
@@ -288,15 +290,13 @@ def _cmd_brute(args) -> int:
         res = oracles.exists_h(inst, crits, target, cap=cap)
         doc["h"] = model.rational_doc(target)
         doc["found"] = res.found
-        doc["witness"] = (
-            model.allocation_doc(res.witness, inst) if res.witness is not None else None
-        )
-        doc["allocations_examined"] = res.allocations_examined
     else:
         res = oracles.max_h(inst, crits, cap=cap, workers=args.workers)
         doc["best_h"] = model.rational_doc(res.best_h)
-        doc["witness"] = model.allocation_doc(res.witness, inst)
-        doc["allocations_examined"] = res.allocations_examined
+    doc["witness"] = (
+        model.allocation_doc(res.witness, inst) if res.witness is not None else None
+    )
+    doc["allocations_examined"] = res.allocations_examined
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 

@@ -191,7 +191,7 @@ def parse_criterion(text: str) -> FairnessCriterion:
             try:
                 return cls(**{field: _FIELD_SYNTAX[field][1](value)
                               for field, value in match.groupdict().items()})
-            except (ValueError, FormatError) as exc:
+            except ValueError as exc:  # a FormatError too
                 raise FormatError(f"bad criterion {text!r}: {exc}") from None
     import difflib
 

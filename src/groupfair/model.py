@@ -814,7 +814,7 @@ def _valuation_doc(v: Valuation, inst: Instance) -> dict:
     if isinstance(v, TabularValuation):
         values = {}
         for mask in range(1 << v.m):
-            key = ",".join(inst.goods[i] for i in Bundle(mask, v.m))
+            key = ",".join(inst.labels(Bundle(mask, v.m)))
             values[key] = rational_doc(v.table[mask])
         return {"type": "tabular", "values": values}
     raise TypeError(f"unknown valuation {v!r}")

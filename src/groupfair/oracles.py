@@ -167,12 +167,10 @@ def _binary_rule(inst: Instance, crits, high, low):
         return None
     import numpy as np
 
-    k, m = inst.k, inst.m
-    a = m // 2
-    width = k**a
-    most_rows = min(k ** (m - a), max(1, _CHUNK // width))  # in one block
+    k, width = inst.k, low.shape[1]
+    most_rows = min(high.shape[1], max(1, _CHUNK // width))  # in one block
     per_piece = max(1, _PIECE // max(most_rows, min(width, _CHUNK)))
-    low_goods = np.uint64(((1 << a) - 1) << (m - a))
+    low_goods = low[0, 0]  # column 0 gives group 0 every low good
     plans = []
     for g, grp in enumerate(inst.groups):
         tally = Counter(agent.valuation.desired.mask for agent in grp)

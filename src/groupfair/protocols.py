@@ -440,11 +440,12 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
 
     remaining = list(range(m))
     assignment = [None] * m
-    log = []  # per turn: group, pick, and the trace's ledger snapshots
+    opening = tuple(map(tuple, state))  # the ledger before turn 1
+    log = []  # per turn: group, pick, good weights before, balances and ledger after
     for turn in range(1, m + 1):
         g = next_group()
         weights = good_weight[g]
-        before = tuple(state[g]), tuple(weights)
+        before = tuple(weights)
         pick = max(remaining, key=weights.__getitem__)
         for gg, members in enumerate(wanted_by[pick]):
             side = gg != g
@@ -457,10 +458,11 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
                 b[j] = balance = b[j] + move
                 change += move
                 if balance != new.neg_budget:
+                    agent = inst.groups[gg][j].label
                     raise ProtocolInvariantError(
-                        f"agent {gg + 1}.{j + 1} balance {traced(balance)} != "
+                        f"agent {agent} balance {traced(balance)} != "
                         f"-{budget_name}({new.r}, {new.s}) after turn {turn}",
-                        agent=f"{gg + 1}.{j + 1}", turn=turn,
+                        agent=agent, turn=turn,
                         expected=Fraction(new.neg_budget, 1 << shift),
                         actual=Fraction(balance, 1 << shift),
                     )
@@ -471,7 +473,7 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
                         gw[i] += delta
             group_bal[gg] -= change
         assignment[pick] = g
-        log.append((g, pick, *before, tuple(group_bal), tuple(map(tuple, state))))
+        log.append((g, pick, before, tuple(group_bal), tuple(map(tuple, state))))
         remaining.remove(pick)
 
     for g in range(k):
@@ -483,15 +485,16 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
             )
 
     def turns() -> tuple:
-        left, records = list(range(m)), []
-        for turn, (g, pick, members, weights, gbal, states) in enumerate(log, 1):
+        left, records, states = list(range(m)), [], opening
+        for turn, (g, pick, weights, gbal, after) in enumerate(log, 1):
             records.append(TurnRecord(
-                turn, g, tuple(left), tuple(map(_ENTRY, members)),
+                turn, g, tuple(left), tuple(map(_ENTRY, states[g])),
                 tuple((i, traced(weights[i])) for i in left), pick,
                 tuple(map(traced, gbal)),
-                tuple(tuple(map(_BALANCE, grp)) for grp in states),
+                tuple(tuple(map(_BALANCE, grp)) for grp in after),
             ))
             left.remove(pick)
+            states = after
         return tuple(records)
 
     trace = ProtocolTrace.__new__(ProtocolTrace)
@@ -863,12 +866,7 @@ def _render_turns(trace, inst: Instance, out: list):
 
     @functools.cache
     def labels_of(live: int) -> str:
-        names = []
-        while live:
-            bit = live & -live
-            names.append(inst.goods[bit.bit_length() - 1])
-            live ^= bit
-        return ",".join(names)
+        return ",".join(inst.labels(Bundle(live, inst.m)))
 
     for rec in trace.turns:
         remaining = [inst.goods[i] for i in rec.remaining]
@@ -881,9 +879,7 @@ def _render_turns(trace, inst: Instance, out: list):
             "".ljust(12) + "Desired set".ljust(12) + "r".ljust(3)
             + "s".ljust(3) + "weight".ljust(9)
         )
-        remaining_mask = 0
-        for i in rec.remaining:
-            remaining_mask |= 1 << i
+        remaining_mask = Bundle.from_indices(rec.remaining, inst.m).mask
         rows = [
             (labels_of(agent.valuation.desired.mask & remaining_mask), r, s, weight_of(w))
             for agent, (r, s, w) in zip(inst.groups[rec.group], rec.member_states)

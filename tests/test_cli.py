@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from groupfair import cli, protocols
-from groupfair.budgets import B_closed, C
+from groupfair.budgets import B_closed, C, KGroupWeights
 from groupfair.cli import MAX_TABLE_CELLS, MAX_TABLE_RMAX, main
 from groupfair.fairness import PROPc, democratic_report, per_group_criteria
 from groupfair.model import (
@@ -673,6 +673,24 @@ def test_table_kgroup_never_prints_a_float_bare(capsys):
     assert out.splitlines()[56:] == [f"{r}   1.000    0.000" for r in range(53, 57)]
 
 
+def test_table_kgroup_rounds_exact_cells_from_the_exact_value(capsys):
+    # B_k(4(k-1), 1) = 15/16 rounds half-up to 0.938, though for these k
+    # its float 1 - L**-r falls just below 0.9375
+    ks = (8, 10, 11, 17, 20, 23, 30, 32, 33, 36, 38, 40, 41, 43, 45, 48, 51,
+          56, 57, 62, 64, 72, 74)
+    for k in ks:
+        code, out, _ = run_cli(
+            capsys, "table", "--which", "Bk", "--k", str(k), "--rmax", "300"
+        )
+        assert code == 0
+        kw = KGroupWeights(k)
+        got = [line.split()[1] for line in out.splitlines()[3:]]
+        want = ["0"] + [cli._fmt_cell(kw.B(r, 1)) for r in range(1, 301)]
+        assert want[4 * (k - 1)] == "0.937"
+        want[4 * (k - 1)] = "0.938"
+        assert got == want, k
+
+
 def test_table_maxh(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--which", "maxh", "--rmax", "4", "--smax", "2"
@@ -1018,24 +1036,34 @@ print(json.dumps({"code": code, "unloaded": unloaded, "numpy": "numpy" in sys.mo
 """
 
 
+#: per command, what it loads beyond ``errors`` and ``budgets``, in
+#: README's start-up table's order
+COMMAND_LOADS = {
+    "--help": [],
+    "table": [],
+    "check": ["model", "fairness"],
+    "run": ["model", "fairness", "protocols"],
+    "gen": ["model", "oracles"],
+    "brute": ["model", "fairness", "oracles", "numpy"],
+}
+
+
 @pytest.mark.parametrize(
-    "command, unloaded",
+    "command",
     [
-        (["--help"], ["model", "fairness", "protocols", "oracles"]),
-        (["table", "--which", "maxh"], ["model", "fairness", "protocols", "oracles"]),
-        (["check", "--instance", "B1", "--allocation", "ALLOC", "--criterion",
-          "ef-1"], ["protocols", "oracles"]),
-        (["run", "--protocol", "rwav2", "--instance", "B1", *B1_ARGS, "--trace"],
-         ["oracles"]),
-        (["gen", "--spec", "efc-limit:c=1,l=2"], ["fairness", "protocols"]),
-        (["brute", "--instance", "B1", "--criterion", "ef-1"], ["protocols"]),
+        ["--help"],
+        ["table", "--which", "maxh"],
+        ["check", "--instance", "B1", "--allocation", "ALLOC", "--criterion", "ef-1"],
+        ["run", "--protocol", "rwav2", "--instance", "B1", *B1_ARGS, "--trace"],
+        ["gen", "--spec", "efc-limit:c=1,l=2"],
+        ["brute", "--instance", "B1", "--criterion", "ef-1"],
         # four blocks of 2^16 allocations: the pool runs after every load
-        (["brute", "--spec", "all-subsets:r=2,s=1,k=2,m=9", "--criterion",
-          "1-out-of-2-mms", "--workers", "2"], ["protocols"]),
+        ["brute", "--spec", "all-subsets:r=2,s=1,k=2,m=9", "--criterion",
+         "1-out-of-2-mms", "--workers", "2"],
     ],
     ids=["help", "table", "check", "run", "gen", "brute", "brute-workers"],
 )
-def test_each_command_loads_only_its_modules(command, unloaded, b1_path, tmp_path):
+def test_each_command_loads_only_its_modules(command, b1_path, tmp_path):
     alloc = tmp_path / "alloc.json"
     alloc.write_text('{"bundles": [["w", "x", "y"], ["v", "z"]]}')
     argv = [{"B1": b1_path, "ALLOC": str(alloc)}.get(a, a) for a in command]
@@ -1047,7 +1075,24 @@ def test_each_command_loads_only_its_modules(command, unloaded, b1_path, tmp_pat
     )
     assert result.returncode == 0, result.stderr
     doc = json.loads(result.stdout)
-    assert doc == {"code": 0, "unloaded": unloaded, "numpy": argv[0] == "brute"}
+    loads = COMMAND_LOADS[argv[0]]
+    assert doc == {
+        "code": 0,
+        "unloaded": [n for n in ("model", "fairness", "protocols", "oracles")
+                     if n not in loads],
+        "numpy": "numpy" in loads,
+    }
+
+
+def test_readme_startup_table_matches_the_loader_test():
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("| command | also loads |\n|---|---|\n")[1].split("\n\n")[0]
+    listed = {}
+    for row in table.splitlines():
+        commands, loads = row.strip("| ").split(" | ")
+        for command in re.findall(r"`(.*?)`", commands):
+            listed[command] = [] if loads == "nothing" else re.findall(r"[\w.]+", loads)
+    assert listed == COMMAND_LOADS
 
 
 @pytest.mark.parametrize("command", ["", "run", "check", "brute", "table", "gen"])

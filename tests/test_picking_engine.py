@@ -6,7 +6,8 @@ ledger in scaled ints.  These tests hold it to the loops in
 vectors for ``k`` groups): same allocation, guarantees, report and trace,
 field by field and type by type, also where members want more goods than
 an older budget table answered for, the same ``CapExceededError`` above
-``MAX_WANTED_GOODS``, and a ledger check that still fires.
+``MAX_WANTED_GOODS``, and ledger checks that still fire: per member, on the
+final group balance and on the ledger unit.
 """
 
 import re
@@ -221,6 +222,53 @@ def test_cwav2_ledger_check_catches_a_wrong_weight(mixed_two_group, monkeypatch)
         "agent 1.9 balance -17/16 != -C(1, 0) after turn 1",
     )
     assert new == outcome(reference_cwav2, mixed_two_group, OneOfBestC(2), 3)
+
+
+class RaisedBudget(BudgetTable):
+    """``B`` and ``C`` raised by ``shift``.  A member's starting balance and
+    every budget it is checked against move together, so each per-member
+    check still passes."""
+
+    def __init__(self, shift):
+        self.shift = shift
+
+    def B(self, r, s):
+        return super().B(r, s) + self.shift
+
+    def C(self, r, s):
+        return super().C(r, s) + self.shift
+
+
+# group 1's two members and group 2's one all want {a, b} and need one
+WANT_BOTH = BinaryValuation(Bundle(0b11, 2))
+BOTH_TWICE = Instance.from_valuations(("a", "b"), [[WANT_BOTH] * 2, [WANT_BOTH]])
+# seed 1's coin gives group 1 a good, as rwav2's first turn does
+PICKING_RUNS = [(rwav2, reference_rwav2, ()), (cwav2, reference_cwav2, (1,))]
+
+
+@pytest.mark.parametrize("run, reference, args", PICKING_RUNS, ids=["rwav2", "cwav2"])
+def test_final_balance_check_catches_a_raised_budget(run, reference, args,
+                                                     monkeypatch):
+    # both of group 1's members end happy, so its balance should be 2; each
+    # holds an extra 1/2
+    monkeypatch.setattr(budgets, "DEFAULT_TABLE", RaisedBudget(Fraction(1, 2)))
+    with pytest.raises(ProtocolInvariantError) as info:
+        run(BOTH_TWICE, OneOfBestC(1), *args)
+    assert str(info.value) == "group 1 final balance 3 != happy 2"
+    assert (info.value.expected, info.value.actual) == (2, 3)
+    assert outcome(reference, BOTH_TWICE, OneOfBestC(1), *args) == (
+        ProtocolInvariantError, str(info.value))
+
+
+@pytest.mark.parametrize("run, args", [(run, args) for run, _, args in PICKING_RUNS],
+                         ids=["rwav2", "cwav2"])
+def test_pricing_refuses_a_value_finer_than_the_ledger_unit(run, args, monkeypatch):
+    # no member wants more than 2 goods, so the ledger unit is L^-2 = 1/4
+    monkeypatch.setattr(budgets, "DEFAULT_TABLE", RaisedBudget(Fraction(1, 2**9)))
+    assert outcome(run, BOTH_TWICE, OneOfBestC(1), *args) == (
+        ProtocolInvariantError,
+        f"{run.__name__}: L^-9 is finer than the ledger unit L^-2",
+    )
 
 
 # ---------------------------------------------------------------------------
