@@ -6,11 +6,11 @@ allocation leaves at least ``h`` of every group happy), together with the
 lexicographically-smallest witness.  :func:`exists_h` is its short-circuit
 decision form.
 
-Both sweep the index space in blocks with one decode: an index is a row
-of its high base-``k`` digits and a column of its low ones, each group's
-bundle is the OR of a row mask and a column mask from two small tables,
-and a block is a run of whole rows (or part of one row).  One of two
-scoring rules then counts each group's happy members over the block.
+Both sweep the index space in blocks with one decode, which also gives
+the witness: an index is a row of its high base-``k`` digits and a column
+of its low ones, each group's bundle is the OR of a row mask and a column
+mask from two small tables, and a block is a run of whole rows (or part of
+one row).  One of two scoring rules counts each group's happy members.
 When every member is binary and its criterion is an own-count threshold,
 the binary rule counts desired goods per half -- ``popcount(d & bundle)``
 is a row count plus a column count -- folds a group's desired sets by
@@ -370,13 +370,6 @@ def _space(k: int, m: int, cap: int) -> int:
     return total
 
 
-def _decode(idx: int, k: int, m: int) -> Allocation:
-    digits = []
-    for i in range(m):
-        digits.append((idx // k ** (m - 1 - i)) % k)
-    return Allocation(tuple(digits), k)
-
-
 def _digit_masks(k: int, first: int, d: int):
     """Row ``g``, column ``j``: the mask of goods ``first .. first+d-1``
     whose digit in the ``d``-digit base-``k`` numeral ``j`` (most
@@ -391,29 +384,32 @@ def _digit_masks(k: int, first: int, d: int):
 
 
 def _blocks(total: int, width: int):
-    """Index ranges [lo, hi) of about ``_CHUNK`` allocations each: whole
-    rows of ``width`` low-digit columns, or pieces of one row when a row
-    is wider than ``_CHUNK``."""
+    """Blocks of about ``_CHUNK`` allocations each, as ``(lo, rows, cols)``,
+    the first index and the row and column slices: whole rows of ``width``
+    low-digit columns, or a piece of one row when a row is wider than
+    ``_CHUNK``."""
+    height = total // width
     if width <= _CHUNK:
-        step = _CHUNK // width * width
-        return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+        step = _CHUNK // width
+        return [(row * width, slice(row, min(row + step, height)), slice(None))
+                for row in range(0, height, step)]
     return [
-        (lo, min(lo + _CHUNK, row + width))
-        for row in range(0, total, width)
-        for lo in range(row, row + width, _CHUNK)
+        (row * width + col, slice(row, row + 1), slice(col, min(col + _CHUNK, width)))
+        for row in range(height)
+        for col in range(0, width, _CHUNK)
     ]
 
 
 def _chunk_counter(inst: Instance, criterion, cap: int):
-    """``(bounds, chunk_counts)`` for both sweeps: ``chunk_counts(lo, hi)``
+    """``(blocks, counts, at)`` for both sweeps: ``counts(rows, cols)``
     counts each group's happy members under ``criterion`` (one, or one per
-    group) over allocation indices [lo, hi) with the binary or the table
-    rule, one fresh int64 array per group in index order.
+    group) over a block of :func:`_blocks` with the binary or the table
+    rule, one fresh int64 array per group in index order, and ``at(idx)``
+    gives the allocation at index ``idx`` and each group's happy count there.
 
     Good 0 is the most significant base-``k`` digit.  Each index is a row
     ``h`` of its high ``m - m // 2`` digits and a column ``l`` of its low
-    ``m // 2``, so group ``g``'s bundle is ``high[g, h] | low[g, l]``, and
-    every range in ``bounds`` is a block of whole rows or part of one row.
+    ``m // 2``, so group ``g``'s bundle is ``high[g, h] | low[g, l]``.
     """
     crits = fairness.per_group_criteria(criterion, inst.k)
     total = _space(inst.k, inst.m, cap)
@@ -428,13 +424,13 @@ def _chunk_counter(inst: Instance, criterion, cap: int):
         inst, crits, high, low
     )
 
-    def chunk_counts(lo, hi):
-        row, col = divmod(lo, width)
-        if hi - lo < width:
-            return counts(slice(row, row + 1), slice(col, col + hi - lo))
-        return counts(slice(row, hi // width), slice(None))
+    def at(idx):
+        row, col = divmod(idx, width)
+        happy = counts(slice(row, row + 1), slice(col, col + 1))
+        bundles = [Bundle(int(b), m) for b in high[:, row] | low[:, col]]
+        return Allocation.from_bundles(bundles), [int(j[0]) for j in happy]
 
-    return _blocks(total, width), chunk_counts
+    return _blocks(total, width), counts, at
 
 
 def max_h(
@@ -453,30 +449,30 @@ def max_h(
     """
     import numpy as np
 
-    bounds, chunk_counts = _chunk_counter(inst, criterion, cap)
+    blocks, counts, at = _chunk_counter(inst, criterion, cap)
 
-    def best_in(bound):
-        keys = chunk_counts(*bound)  # fresh arrays: key them in place
+    def best_in(block):
+        keys = counts(*block[1:])  # fresh arrays: key them in place
         for happy, n in zip(keys, inst.sizes):
             happy <<= 42
             happy //= n
         keys = functools.reduce(lambda x, y: np.minimum(x, y, out=x), keys)
         pos = int(keys.argmax())
-        return int(keys[pos]), bound[0] + pos
+        return int(keys[pos]), block[0] + pos
 
-    if workers > 1 and len(bounds) > 1:
+    if workers > 1 and len(blocks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(best_in, bounds))
+            results = list(pool.map(best_in, blocks))
     else:
-        results = map(best_in, bounds)
+        results = map(best_in, blocks)
     # max keeps the first of equal keys: the smallest index
     _, best_idx = max(results, key=lambda result: result[0])
-    happy = chunk_counts(best_idx, best_idx + 1)
+    witness, happy = at(best_idx)
     return OracleResult(
-        best_h=min(Fraction(int(j[0]), n) for j, n in zip(happy, inst.sizes)),
-        witness=_decode(best_idx, inst.k, inst.m),
+        best_h=min(Fraction(j, n) for j, n in zip(happy, inst.sizes)),
+        witness=witness,
         allocations_examined=inst.k**inst.m,
     )
 
@@ -487,16 +483,16 @@ def exists_h(inst: Instance, criterion, h, cap: int = DEFAULT_CAP) -> ExistsResu
     target = Fraction(h)
     if not 0 <= target <= 1:
         raise ValueError("h must be a rational in [0, 1]")
-    bounds, chunk_counts = _chunk_counter(inst, criterion, cap)
+    blocks, counts, at = _chunk_counter(inst, criterion, cap)
     # group g needs ceil(h * n_g) happy members
     p, q = target.numerator, target.denominator
     need = [-(-p * n // q) for n in inst.sizes]
-    for lo, hi in bounds:
+    for lo, rows, cols in blocks:
         hits = functools.reduce(lambda x, y: x & y, (
-            j >= n for j, n in zip(chunk_counts(lo, hi), need)))
+            j >= n for j, n in zip(counts(rows, cols), need)))
         if hits.any():
             idx = lo + int(hits.argmax())
-            return ExistsResult(True, _decode(idx, inst.k, inst.m), idx + 1)
+            return ExistsResult(True, at(idx)[0], idx + 1)
     return ExistsResult(False, None, inst.k**inst.m)
 
 

@@ -61,10 +61,9 @@ from .fairness import (
     OneOfBestC,
     PROPc,
     SFunction,
+    _holds,
     democratic_report,
-    efc_holds,
     per_group_criteria,
-    propc_holds,
 )
 from .model import (
     Allocation,
@@ -104,6 +103,11 @@ __all__ = [
 #: size, kept as a ledger int of about that many bits.  ``rwav2-enhanced``
 #: also refuses a ``c`` above it, before building ``2**c``.
 MAX_WANTED_GOODS = 512
+
+#: Most groups ``rwavk`` (and so ``best-k``, which falls back to it) runs:
+#: its exact ledger takes ``k - 1`` integer ``(k - 1)``-th roots, whose
+#: cost grows about as ``k**5``: about a second at this cap, minutes at 150.
+MAX_RWAVK_GROUPS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -631,14 +635,15 @@ def identical_local_search(inst: Instance) -> RunResult:
 # line protocols
 
 
-def _line(inst: Instance, kind: str, criterion, label: str, holds) -> RunResult:
+def _line(inst: Instance, kind: str, criterion, label: str) -> RunResult:
     """The block-claiming loop behind :func:`line2` and :func:`linek`.
 
     A left block grows one good at a time along the instance's ``order``
     over the goods still unclaimed.  After every step the active groups are
-    polled in index order: a member says yes when ``holds(valuation, left,
-    right)`` does, with ``right`` the unclaimed goods outside the block, and
-    the first group where ``k * yes >= size`` claims the block and leaves.
+    polled in index order: a member says yes when ``check``'s rule for
+    ``criterion`` holds with its group holding the block and every other
+    group the unclaimed goods outside it, and the first group where
+    ``k * yes >= size`` claims the block and leaves.
     The block then restarts empty, and the last active group takes what
     remains.
     """
@@ -655,7 +660,8 @@ def _line(inst: Instance, kind: str, criterion, label: str, holds) -> RunResult:
         claimed = None
         for g in active:
             grp = inst.groups[g]
-            yes = sum(1 for agent in grp if holds(agent.valuation, left, right))
+            split = [left if h == g else right for h in range(k)]
+            yes = sum(1 for agent in grp if _holds(agent, split, criterion))
             counts.append((g, yes, len(grp)))
             if k * yes >= len(grp):
                 claimed = g
@@ -689,8 +695,7 @@ def line2(inst: Instance) -> RunResult:
     group takes the rest.
     """
     _require(inst, "line2", two=True, binary=False)
-    return _line(inst, "line2", EFc(1), "EF1",
-                 lambda v, left, right: efc_holds(v, left, (right,), 1))
+    return _line(inst, "line2", EFc(1), "EF1")
 
 
 def linek(inst: Instance) -> RunResult:
@@ -710,8 +715,7 @@ def linek(inst: Instance) -> RunResult:
     if any(isinstance(a.valuation, TabularValuation) for a in inst.agents()):
         raise ValueError("linek works on additive and binary agents only")
     k = inst.k
-    return _line(inst, "linek", PROPc(k - 1), f"PROP-{k - 1}",
-                 lambda v, left, right: propc_holds(v, left, k, k - 1))
+    return _line(inst, "linek", PROPc(k - 1), f"PROP-{k - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -726,10 +730,13 @@ def rwavk(inst: Instance, c: int) -> RunResult:
     the start).  Groups pick cyclically; member weights are the geometric
     family ``w_k(r, 1)``, kept exactly (ties to the lowest good index).
     Group ``i`` (1-based) is guaranteed a happy fraction of
-    ``B_k(c - i + 1, 1)``.
+    ``B_k(c - i + 1, 1)``.  More than :data:`MAX_RWAVK_GROUPS` groups raise
+    :class:`~groupfair.errors.CapExceededError`.
     """
     _require(inst, "rwavk", two=False, binary=True)
     k = inst.k
+    if k > MAX_RWAVK_GROUPS:
+        raise CapExceededError(f"rwavk: {k} groups, above the cap of {MAX_RWAVK_GROUPS}")
     if c < k:
         warnings.warn(
             f"rwavk with c={c} < k={k}: guarantees degenerate to 0 for later groups",

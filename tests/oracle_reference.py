@@ -1,5 +1,5 @@
-"""Per-index reference for the binary oracle sweep, and the loop form of
-the EF-c drop table.
+"""Per-index reference for the binary oracle sweep, the digit decode of
+an allocation index, and the loop form of the EF-c drop table.
 
 The first is the binary scoring rule :func:`groupfair.oracles.max_h` and
 :func:`groupfair.oracles.exists_h` used before the row-block matrix
@@ -9,7 +9,8 @@ its multiplicity wherever the popcount of the group's own bundle reaches
 its threshold.  The property tests in ``test_oracles.py`` require the
 sweeps to agree with it on the value, the witness and the number of
 allocations examined, and :func:`groupfair.oracles._drop_table` to agree
-with :func:`reference_drop_table` entry by entry.
+with :func:`reference_drop_table` entry by entry.  Witnesses are decoded
+here digit by digit, while the oracle reads them from the masks it scores.
 """
 
 from __future__ import annotations
@@ -21,7 +22,17 @@ from fractions import Fraction
 import numpy as np
 
 from groupfair.fairness import _binary_threshold, per_group_criteria
-from groupfair.oracles import _decode, _digit_masks
+from groupfair.oracles import _digit_masks
+
+
+def decode(idx: int, k: int, m: int) -> tuple:
+    """The assignment at allocation index ``idx``: its ``m`` base-``k``
+    digits, good 0 the most significant."""
+    digits = []
+    for _ in range(m):
+        idx, digit = divmod(idx, k)
+        digits.append(digit)
+    return tuple(reversed(digits))
 
 
 def binary_rule(inst, crits):
@@ -78,7 +89,7 @@ def reference_max_h(inst, criterion):
     best = int(scores.argmax())
     return (
         Fraction(int(scores[best]), N),
-        _decode(best, inst.k, inst.m).assignment,
+        decode(best, inst.k, inst.m),
         inst.k**inst.m,
     )
 
@@ -93,7 +104,7 @@ def reference_exists_h(inst, criterion, h):
     if not len(hits):
         return False, None, inst.k**inst.m
     idx = int(hits[0])
-    return True, _decode(idx, inst.k, inst.m).assignment, idx + 1
+    return True, decode(idx, inst.k, inst.m), idx + 1
 
 
 def reference_drop_table(values, m: int, c: int):

@@ -371,6 +371,17 @@ def test_rwav2_enhanced_c_cap_exits_3(b1_path, capsys):
         assert run(c) == (3, "", message)
 
 
+def test_rwavk_group_cap_exits_3(tmp_path, capsys):
+    # 65 one-member groups wanting nothing: best-k falls back to rwavk
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({"goods": ["a"], "groups": [
+        [{"type": "binary", "desired": []}]] * (protocols.MAX_RWAVK_GROUPS + 1)}))
+    message = "error: rwavk: 65 groups, above the cap of 64\n"
+    for argv in (["rwavk", "--criterion", "1-of-best-1"], ["best-k"]):
+        assert run_cli(capsys, "run", "--protocol", *argv,
+                       "--instance", str(path)) == (3, "", message)
+
+
 @pytest.mark.parametrize("protocol", ["rwav2", "cwav2"])
 def test_wanted_goods_cap_exits_3(protocol, tmp_path, capsys):
     goods = [f"g{i}" for i in range(MAX_WANTED_GOODS + 1)]

@@ -61,6 +61,7 @@ from groupfair.oracles import (
 
 from conftest import addval, binval, random_binary_instance
 from oracle_reference import (
+    decode,
     reference_drop_table,
     reference_exists_h,
     reference_max_h,
@@ -382,10 +383,46 @@ def test_binary_rule_blocks_narrower_than_one_row():
     # 2^10 allocations in rows of 2^5 columns: _CHUNK = 7 cuts every row
     # into pieces of 7, 7, 7, 7 and 4 columns
     with mock.patch.object(oracles, "_CHUNK", 7):
-        bounds = oracles._blocks(1 << 10, 32)
+        blocks = oracles._blocks(1 << 10, 32)
+    assert all(rows.stop == rows.start + 1 for _, rows, _ in blocks)
+    assert [rows.start for _, rows, _ in blocks[:6]] == [0] * 5 + [1]
+    bounds = [(lo, lo + cols.stop - cols.start) for lo, _, cols in blocks]
     assert bounds[:6] == [(0, 7), (7, 14), (14, 21), (21, 28), (28, 32), (32, 39)]
     assert [lo for lo, _ in bounds[1:]] == [hi for _, hi in bounds[:-1]]
     assert bounds[-1][1] == 1 << 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_index_split_gives_the_allocation_and_counts_it_scores(data):
+    # at(idx) reads the allocation from the row and column masks the sweep
+    # scores; the reference decodes it digit by digit, and the report
+    # counts each group's happy members on it again
+    k = data.draw(st.integers(2, 3))
+    m = data.draw(st.integers(1, 10 if k == 2 else 6))  # k^m <= 2^10
+    # binary members under threshold criteria take the binary rule, and
+    # an additive member the table rule
+    binary = data.draw(st.booleans())
+    kinds = ("binary",) if binary else ("additive", "binary")
+    values = st.lists(st.integers(0, 4), min_size=m, max_size=m)
+    groups = [
+        [BinaryValuation(Bundle(data.draw(st.integers(0, (1 << m) - 1)), m))
+         if data.draw(st.sampled_from(kinds)) == "binary"
+         else addval(data.draw(values))
+         for _ in range(data.draw(st.integers(1, 3)))]
+        for _ in range(k)
+    ]
+    if not binary:
+        groups[0][0] = addval(data.draw(values))
+    inst = Instance.from_valuations(tuple(f"g{i}" for i in range(m)), groups)
+    criterion = data.draw(st.sampled_from(_threshold_criteria(k) if binary else [
+        EFc(0), EFc(1), PROPc(1), MMS(), OneOfBestC(2), PositiveMMS(),
+    ]))
+    _, _, at = oracles._chunk_counter(inst, criterion, oracles.DEFAULT_CAP)
+    for idx in range(k**m):
+        alloc, happy = at(idx)
+        assert alloc.assignment == decode(idx, k, m)
+        assert happy == list(democratic_report(inst, alloc, criterion).happy)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from groupfair import protocols
 from groupfair.budgets import C, KGroupWeights
+from groupfair.errors import CapExceededError
 from groupfair.fairness import (
     MMS,
     EFc,
@@ -521,11 +522,12 @@ def test_a_tabular_prop1_verdict_turns_back_to_no():
             for block in blocks] == [True, False, True, True]
 
 
-def test_line_that_no_group_claims_raises(mixed_two_group):
+def test_line_that_no_group_claims_raises(mixed_two_group, monkeypatch):
     # a verdict that never holds leaves the block unclaimed to the last good
+    monkeypatch.setattr(protocols, "_holds", lambda *_: False)
     with pytest.raises(ProtocolInvariantError,
                        match="^line2 exhausted goods without a claim$"):
-        protocols._line(mixed_two_group, "line2", EFc(1), "EF1", lambda *_: False)
+        line2(mixed_two_group)
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +742,27 @@ def test_rwavk_exact_tie_goes_to_lowest_index():
     assert weights[0] == weights[2] == max(weights.values())
     assert turn.pick == 0
     assert _labels(inst, result) == ({"b", "c"}, {"d", "e"}, {"a", "f"})
+
+
+def _wanting_nothing(k):
+    # k one-member groups over one good: no group has a near-unanimous good
+    return Instance.from_valuations(("a",), [[binval("", "a")]] * k)
+
+
+def test_rwavk_refuses_more_groups_than_its_cap():
+    # its exact roots cost about k**5 in the group count k
+    inst = _wanting_nothing(protocols.MAX_RWAVK_GROUPS + 1)
+    for run in (lambda: rwavk(inst, c=1), lambda: best_k_protocol(inst)):
+        with pytest.raises(CapExceededError,
+                           match="^rwavk: 65 groups, above the cap of 64$"):
+            run()
+
+
+def test_rwavk_runs_up_to_its_cap(monkeypatch):
+    monkeypatch.setattr(protocols, "MAX_RWAVK_GROUPS", 3)
+    assert rwavk(_wanting_nothing(3), c=3).report.happy == (1, 1, 1)
+    with pytest.raises(CapExceededError, match="^rwavk: 4 groups, above the cap of 3$"):
+        rwavk(_wanting_nothing(4), c=4)
 
 
 def test_rwavk_guarantees_hold_exactly():
