@@ -41,7 +41,7 @@ from .model import (
     Instance,
     Record,
     Valuation,
-    bundles_of,
+    _fitted_bundles,
     int_table,
     parse_rational,
     rational_doc,
@@ -353,7 +353,8 @@ def mms_share(
 
 def check(agent: Agent, alloc: Allocation, criterion: FairnessCriterion) -> bool:
     """Does this agent consider ``alloc`` fair under ``criterion``?"""
-    return _holds(agent, bundles_of(alloc), criterion)
+    bundles = _fitted_bundles(alloc, agent.valuation.m, agent.group + 1, least=True)
+    return _holds(agent, bundles, criterion)
 
 
 def _holds(agent: Agent, bundles: tuple, criterion: FairnessCriterion) -> bool:
@@ -492,7 +493,7 @@ def democratic_report(inst: Instance, alloc: Allocation, criterion) -> FairnessR
     """Evaluate :func:`check` for every agent; ``criterion`` may be one
     criterion or a per-group sequence of ``k`` criteria."""
     crits = per_group_criteria(criterion, inst.k)
-    bundles = bundles_of(alloc)
+    bundles = _fitted_bundles(alloc, inst.m, inst.k)
     verdicts = tuple(
         tuple(_holds(agent, bundles, crits[gi]) for agent in grp)
         for gi, grp in enumerate(inst.groups)

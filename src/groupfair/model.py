@@ -556,6 +556,18 @@ def bundles_of(allocation: Allocation) -> tuple:
     return tuple(Bundle(mask, allocation.m) for mask in masks)
 
 
+def _fitted_bundles(alloc: Allocation, m: int, k: int, least: bool = False) -> tuple:
+    """:func:`bundles_of` an allocation that gives ``m`` goods to ``k``
+    groups (with ``least``, to at least ``k``); a ValueError naming both
+    shapes for any other."""
+    if alloc.m != m or alloc.k < k or alloc.k > k and not least:
+        raise ValueError(
+            f"allocation of {alloc.m} goods to {alloc.k} groups does not fit"
+            f" {m} goods and {'at least ' * least}{k} groups"
+        )
+    return bundles_of(alloc)
+
+
 # ---------------------------------------------------------------------------
 # rationals in JSON
 
@@ -900,7 +912,8 @@ def parse_allocation(text: str, inst: Instance) -> Allocation:
 
 def allocation_doc(alloc: Allocation, inst: Instance) -> dict:
     """The allocation document ``{"bundles": [[labels...], ...]}``."""
-    return {"bundles": [inst.labels(b) for b in bundles_of(alloc)]}
+    bundles = _fitted_bundles(alloc, inst.m, inst.k)
+    return {"bundles": [inst.labels(b) for b in bundles]}
 
 
 def serialize_allocation(alloc: Allocation, inst: Instance) -> str:

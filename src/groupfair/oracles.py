@@ -119,12 +119,12 @@ class ExistsResult(Record):
 # happiness compilation
 
 
-def _binary_rule(inst: Instance, crits, high, low):
-    """The binary scoring rule: ``counts(rows, cols)`` gives each group's
+def _binary_rule(inst: Instance, crits, high, low, block):
+    """The binary scoring rule: ``counts(rows, cols)`` yields each group's
     happy count over a block of high-digit rows by low-digit columns from
     a per-row slot count and a column table, in one matrix product per
     piece.  None unless every member is binary and every criterion has an
-    own-count threshold.
+    own-count threshold.  The tallest, widest ``block`` sizes the pieces.
 
     A member desiring ``d`` with threshold ``t`` holds ``H_d[h] + L_d[l]``
     desired goods at allocation ``(h, l)``: ``H_d[h]`` of them among the
@@ -168,8 +168,8 @@ def _binary_rule(inst: Instance, crits, high, low):
     import numpy as np
 
     k, width = inst.k, low.shape[1]
-    most_rows = min(high.shape[1], max(1, _CHUNK // width))  # in one block
-    per_piece = max(1, _PIECE // max(most_rows, min(width, _CHUNK)))
+    _, rows, cols = block
+    per_piece = max(1, _PIECE // max(len(high[0, rows]), len(low[0, cols])))
     low_goods = low[0, 0]  # column 0 gives group 0 every low good
     plans = []
     for g, grp in enumerate(inst.groups):
@@ -261,11 +261,9 @@ def _binary_rule(inst: Instance, crits, high, low):
                 yield held @ column_table(e, v, low[g, cols])
 
     def counts(rows, cols):
-        return [
-            functools.reduce(operator.iadd, products(g, high[g, rows], cols))
-            .astype(np.int64).ravel()
-            for g in range(len(plans))
-        ]
+        for g in range(len(plans)):  # the float32 sum dies before the yield
+            yield functools.reduce(operator.iadd, products(g, high[g, rows], cols)
+                                   ).astype(np.int64).ravel()
 
     return counts
 
@@ -301,7 +299,7 @@ def _prop_benchmark_table(values, m: int, c: int):
 
 
 def _table_rule(inst: Instance, crits, high, low):
-    """The table scoring rule: ``counts(rows, cols)`` gives each group's
+    """The table scoring rule: ``counts(rows, cols)`` yields each group's
     happy count over a block from lookup tables over own-bundle masks, for
     any valuation and criterion.
 
@@ -354,7 +352,7 @@ def _table_rule(inst: Instance, crits, high, low):
 
     def counts(rows, cols):
         masks = (high[:, rows, None] | low[:, None, cols]).reshape(k, -1)
-        return [happy(g, masks) for g in range(k)]
+        return (happy(g, masks) for g in range(k))
 
     return counts
 
@@ -364,10 +362,10 @@ def _table_rule(inst: Instance, crits, high, low):
 
 
 def _space(k: int, m: int, cap: int) -> int:
-    total = k**m
-    if total > cap:
-        raise CapExceededError(f"allocation space {k}^{m} = {total} exceeds cap {cap}")
-    return total
+    # past cap's bits, k**m >= 2**(m * (bits(k) - 1)) > cap: no power is built
+    if m * (k.bit_length() - 1) <= cap.bit_length() and (total := k**m) <= cap:
+        return total
+    raise CapExceededError(f"allocation space {k}^{m} exceeds cap {cap}")
 
 
 def _digit_masks(k: int, first: int, d: int):
@@ -404,7 +402,7 @@ def _chunk_counter(inst: Instance, criterion, cap: int):
     """``(blocks, counts, at)`` for both sweeps: ``counts(rows, cols)``
     counts each group's happy members under ``criterion`` (one, or one per
     group) over a block of :func:`_blocks` with the binary or the table
-    rule, one fresh int64 array per group in index order, and ``at(idx)``
+    rule, yielding one fresh int64 array per group in turn, and ``at(idx)``
     gives the allocation at index ``idx`` and each group's happy count there.
 
     Good 0 is the most significant base-``k`` digit.  Each index is a row
@@ -420,7 +418,8 @@ def _chunk_counter(inst: Instance, criterion, cap: int):
     a = m // 2
     width = k**a
     high, low = _digit_masks(k, 0, m - a), _digit_masks(k, m - a, a)
-    counts = _binary_rule(inst, crits, high, low) or _table_rule(
+    blocks = _blocks(total, width)
+    counts = _binary_rule(inst, crits, high, low, blocks[0]) or _table_rule(
         inst, crits, high, low
     )
 
@@ -430,7 +429,7 @@ def _chunk_counter(inst: Instance, criterion, cap: int):
         bundles = [Bundle(int(b), m) for b in high[:, row] | low[:, col]]
         return Allocation.from_bundles(bundles), [int(j[0]) for j in happy]
 
-    return _blocks(total, width), counts, at
+    return blocks, counts, at
 
 
 def max_h(
@@ -451,12 +450,14 @@ def max_h(
 
     blocks, counts, at = _chunk_counter(inst, criterion, cap)
 
+    def key(happy, n):  # a fresh array: key it in place
+        happy <<= 42
+        happy //= n
+        return happy
+
     def best_in(block):
-        keys = counts(*block[1:])  # fresh arrays: key them in place
-        for happy, n in zip(keys, inst.sizes):
-            happy <<= 42
-            happy //= n
-        keys = functools.reduce(lambda x, y: np.minimum(x, y, out=x), keys)
+        keys = functools.reduce(lambda x, y: np.minimum(x, y, out=x),
+                                map(key, counts(*block[1:]), inst.sizes))
         pos = int(keys.argmax())
         return int(keys[pos]), block[0] + pos
 
@@ -703,12 +704,9 @@ def _family(spec):
 
 def check_space(spec, cap: int) -> None:
     """Raise :class:`CapExceededError` before :func:`generate` builds an
-    instance whose allocation space exceeds ``cap``.  A space of more than
-    4,096 bits is left to :func:`generate`: every such spec has over 64
-    goods or a million members, which its own caps refuse."""
+    instance whose allocation space exceeds ``cap``."""
     family = _family(spec)
-    if family.n_goods * family.k.bit_length() <= 4096:
-        _space(family.k, family.n_goods, cap)
+    _space(family.k, family.n_goods, cap)
 
 
 def generate(spec) -> Instance:

@@ -628,7 +628,23 @@ def test_brute_spec_checks_the_space_before_generating(monkeypatch, capsys):
         "--criterion", "ef-1", "--cap", "8",
     )
     assert code == 3 and out == ""
-    assert "allocation space 99999^3 = 999970000299999 exceeds cap 8" in err
+    assert "allocation space 99999^3 exceeds cap 8" in err
+
+
+def test_brute_space_past_the_digit_limit_exits_3(tmp_path, capsys):
+    # 3^10000 has 4,772 decimal digits, past the 4,300 that int -> str
+    # allows: the cap refuses it without building or printing the power
+    doc = {
+        "goods": [f"g{i}" for i in range(10_000)],
+        "groups": [[{"type": "binary", "desired": ["g0"]}]] * 3,
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "brute", "--instance", str(path), "--criterion", "ef-1",
+    )
+    assert code == 3 and out == ""
+    assert err == "error: allocation space 3^10000 exceeds cap 16777216\n"
 
 
 def test_brute_bad_spec(capsys):

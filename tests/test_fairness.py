@@ -43,6 +43,8 @@ from groupfair.model import (
     Bundle,
     Instance,
     TabularValuation,
+    allocation_doc,
+    serialize_allocation,
 )
 
 from conftest import addval, binval, criteria
@@ -402,3 +404,31 @@ def test_s_threshold_needs_two_groups():
 def test_own_bar_refuses_a_criterion_that_is_not_own_value():
     with pytest.raises(TypeError, match=r"^unknown criterion EFc\(c=1\)$"):
         _own_bar(binval("a", "ab"), EFc(1), 2)
+
+
+@pytest.mark.parametrize("alloc, shape", [
+    (Allocation((0, 0, 0), 1), "3 goods to 1 groups"),
+    (Allocation((0, 1, 2), 3), "3 goods to 3 groups"),
+    (Allocation((0, 1), 2), "2 goods to 2 groups"),
+])
+def test_an_allocation_that_does_not_fit_is_refused(alloc, shape):
+    # 2 groups over 3 goods: each allocation names its own shape and the
+    # instance's, where it raised IndexError or was scored against the
+    # wrong bundles
+    inst = Instance.from_valuations("abc", [[binval("ab", "abc")]] * 2)
+    message = f"^allocation of {shape} does not fit 3 goods and 2 groups$"
+    for call in (democratic_report, lambda i, a, c: allocation_doc(a, i),
+                 lambda i, a, c: serialize_allocation(a, i)):
+        with pytest.raises(ValueError, match=message):
+            call(inst, alloc, EFc(1))
+    # one agent needs a bundle for its group and a valuation over the
+    # allocation's goods; it cannot know the instance's group count
+    for agent in inst.agents():
+        if alloc.k > agent.group and alloc.m == 3:
+            assert check(agent, alloc, EFc(1)) is True
+        else:
+            message = (f"^allocation of {shape} does not fit 3 goods and at"
+                       f" least {agent.group + 1} groups$")
+            with pytest.raises(ValueError, match=message):
+                check(agent, alloc, EFc(1))
+

@@ -346,6 +346,24 @@ def test_agent_entry_that_is_not_an_object_exits_2(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: agent entry must be an object, got 1\n")
 
 
+def test_additive_values_map(tmp_path, capsys):
+    # a map names the goods it values, and every good left out is worth 0
+    doc = {"goods": ["a", "b", "c"],
+           "groups": [[{"type": "additive", "values": {"c": "1/2", "a": 2}}]]}
+    inst = parse_instance(json.dumps(doc))
+    assert inst.groups[0][0].valuation == addval([2, 0, "1/2"])
+    # the writer gives the list form, which parses back equal
+    text = serialize_instance(inst)
+    assert json.loads(text)["groups"][0][0]["values"] == [2, 0, "1/2"]
+    assert parse_instance(text) == inst
+    doc["groups"][0][0]["values"]["z"] = 1
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    argv = ["brute", "--instance", str(path), "--criterion", "ef-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: unknown good label 'z'\n")
+
+
 def test_allocation_without_bundles_exits_2(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(TWO_GROUPS % "")
@@ -490,6 +508,10 @@ def _parse_outcome(parse, text):
 @example(  # a good with no length meets the concatenated-key fallback
     '{"goods": [1, "a"], "groups": [[{"type": "tabular",'
     ' "values": {"xy": 0}}]]}'
+)
+@example(  # an additive map leaves goods out, which are worth 0
+    '{"goods": ["a", "b", "c"], "groups": [[{"type": "additive",'
+    ' "values": {"c": "1/2", "a": 2}}]]}'
 )
 @example(  # an order mixing str and int labels does not sort
     '{"goods": ["a", 1], "groups": [[{"type": "binary", "desired": []}]],'

@@ -47,6 +47,7 @@ from groupfair.oracles import (
     AdditiveThird,
     AllSubsets,
     Circle,
+    DEFAULT_CAP,
     EFcLimit,
     ThreeGoodCycle,
     check_space,
@@ -335,26 +336,33 @@ def test_binary_rule_memory_is_bounded_by_its_constants():
     # slots per group, against pieces of 4 slots and a column-table budget
     # far below the more than 2 x 1,024 x 256 entries of whole tables.  A
     # block's arrays hold _CHUNK entries and a piece's _PIECE, a few of each
-    # per group; nothing else may grow with the members.
+    # at a time; nothing else may grow with the members, nor with the
+    # groups: 128 one-member groups over 2 goods hold one block's counts
+    # for two groups at a time, not for all 128.
     max_h(generate(ThreeGoodCycle()), OneOutOfCMMS(2))  # first-call imports
     m, chunk, piece = 16, 1 << 12, 1 << 10
     masks = [half << 8 | high for half in range(256) for high in (0b11, 0b1010100)]
     goods = tuple(f"g{i}" for i in range(m))
     bound = 8 * (16 * chunk + 64 * piece)
-    results = []
+    cases = []
     for copies in (1, 8):
         members = [BinaryValuation(Bundle(mask, m)) for mask in masks] * copies
-        inst = Instance.from_valuations(goods, [members, members])
+        cases.append((Instance.from_valuations(goods, [members, members]),
+                      OneOutOfCMMS(2)))
+    many = [[BinaryValuation(Bundle(1 + g % 3, 2))] for g in range(128)]
+    cases.append((Instance.from_valuations(("a", "b"), many), PositiveMMS()))
+    results = []
+    for inst, criterion in cases:
         with mock.patch.multiple(
             oracles, _CHUNK=chunk, _PIECE=piece, _TABLE_BUDGET=1 << 12
         ):
             tracemalloc.start()
             try:
-                results.append(max_h(inst, OneOutOfCMMS(2)))
+                results.append(max_h(inst, criterion))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < bound, (copies, peak, bound)
+        assert peak < bound, (inst.k, inst.sizes[0], peak, bound)
     assert results[0] == results[1]
 
 
@@ -560,9 +568,31 @@ def test_check_space_matches_the_generated_instance(text):
     spec = parse_spec(text)
     inst = generate(spec)
     space = inst.k**inst.m
-    with pytest.raises(CapExceededError, match=f"{inst.k}\\^{inst.m} = {space}"):
+    message = f"^allocation space {inst.k}\\^{inst.m} exceeds cap {space - 1}$"
+    with pytest.raises(CapExceededError, match=message):
         check_space(spec, space - 1)
     assert check_space(spec, space) is None
+
+
+def test_check_space_refuses_a_space_past_4096_bits():
+    # 2^4400: the space cap speaks before generate's 64-goods cap
+    message = f"^allocation space 2\\^4400 exceeds cap {DEFAULT_CAP}$"
+    with pytest.raises(CapExceededError, match=message):
+        check_space(parse_spec("efc-limit:c=1,l=1100"), DEFAULT_CAP)
+
+
+def test_space_builds_no_power_past_the_cap_bits():
+    class Base(int):
+        def __pow__(self, m):
+            raise AssertionError("k**m was built")
+
+    # m * (bits(k) - 1) = 100 > bits(8): refused before k**m is built
+    with pytest.raises(CapExceededError, match=r"^allocation space 3\^100 exceeds cap 8$"):
+        oracles._space(Base(3), 100, 8)
+    # at m * (bits(k) - 1) = bits(cap) the power is built and compared
+    assert oracles._space(2, 24, 1 << 24) == 1 << 24
+    with pytest.raises(CapExceededError, match=r"^allocation space 2\^25 exceeds"):
+        oracles._space(2, 25, (1 << 25) - 1)
 
 
 def test_spec_examples_cover_every_family():
