@@ -42,6 +42,7 @@ from .model import (
     Record,
     Valuation,
     _fitted_bundles,
+    _int_of_digits,
     int_table,
     parse_rational,
     rational_doc,
@@ -167,7 +168,7 @@ _CRITERIA = (EFc, PROPc, MMS, OneOutOfCMMS, FractionMMS, OneOfBestC, PositiveMMS
 FairnessCriterion = Union[_CRITERIA]
 
 #: How each ``<field>`` of a shape reads: its pattern and its parser.
-_FIELD_SYNTAX = {"c": (r"\d+", int), "q": (".+", parse_rational)}
+_FIELD_SYNTAX = {"c": (r"\d+", _int_of_digits), "q": (".+", parse_rational)}
 _CRITERION_PATTERNS = [
     (re.compile(_PLACEHOLDER.sub(
         lambda m: f"(?P<{m[1]}>{_FIELD_SYNTAX[m[1]][0]})", re.escape(cls.shape)

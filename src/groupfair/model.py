@@ -45,6 +45,7 @@ import itertools
 import json
 import operator
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
@@ -424,11 +425,28 @@ class Agent(Record):
         return f"{self.group + 1}.{self.index + 1}"
 
 
+def _goods_index(goods: Sequence) -> dict:
+    """``{label: index}`` over ``goods``, which must be at least one
+    distinct label, each a non-empty string with no comma and no
+    surrounding whitespace (a ValueError names the first that is not)."""
+    if not goods:
+        raise ValueError("instance needs at least one good")
+    for g in goods:
+        if not isinstance(g, str) or not g or "," in g or g != g.strip():
+            raise ValueError(f"bad good label {g!r}")
+    index = {g: i for i, g in enumerate(goods)}
+    if len(index) != len(goods):
+        raise ValueError("good labels must be unique")
+    return index
+
+
 class Instance(Record):
     """Immutable problem instance: labelled goods and ``k`` agent groups.
 
     ``order`` is the traversal order of goods (a permutation of indices)
     used by the line protocols; it defaults to instance order.
+    ``good_index`` maps each label to its index (an attribute outside the
+    fields: not compared, hashed or shown).
     """
 
     goods: tuple
@@ -437,13 +455,7 @@ class Instance(Record):
 
     def __init__(self, goods: tuple, groups: tuple, order: tuple = None):
         goods = tuple(goods)
-        if not goods:
-            raise ValueError("instance needs at least one good")
-        for g in goods:
-            if not isinstance(g, str) or not g or "," in g:
-                raise ValueError(f"bad good label {g!r}")
-        if len(set(goods)) != len(goods):
-            raise ValueError("good labels must be unique")
+        index = _goods_index(goods)
         m = len(goods)
         groups = tuple(tuple(grp) for grp in groups)
         if not groups:
@@ -469,6 +481,7 @@ class Instance(Record):
             if sorted(order) != list(range(m)):
                 raise ValueError("order must be a permutation of good indices")
         self._init(goods, groups, order)
+        object.__setattr__(self, "good_index", index)
 
     @classmethod
     def from_valuations(
@@ -499,8 +512,8 @@ class Instance(Record):
 
     def index_of(self, label: str) -> int:
         try:
-            return self.goods.index(label)
-        except ValueError:
+            return self.good_index[label]
+        except (KeyError, TypeError):  # unknown, or unhashable
             raise FormatError(f"unknown good label {label!r}") from None
 
     def bundle(self, labels: Iterable[str]) -> Bundle:
@@ -604,9 +617,25 @@ def parse_rational(x) -> Fraction:
                 f"decimal exponent in {x!r} exceeds {MAX_DECIMAL_EXPONENT}")
         try:
             return Fraction(x)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError) as exc:
+            if "int_max_str_digits" in str(exc):  # CPython's digit limit
+                raise _digit_limit() from None
             raise FormatError(f"not a rational: {x!r}") from None
     raise FormatError(f"not a rational: {x!r}")
+
+
+def _digit_limit() -> FormatError:
+    """The error for a number with more digits than CPython converts to an
+    int (``sys.get_int_max_str_digits()``); it does not echo the digits."""
+    return FormatError(f"number has more than {sys.get_int_max_str_digits()} digits")
+
+
+def _int_of_digits(digits: str) -> int:
+    """``int`` of a run of decimal digits, or :func:`_digit_limit`'s error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise _digit_limit() from None
 
 
 def rational_doc(f: Fraction):
@@ -628,36 +657,11 @@ def _load_json(text: str):
         raise FormatError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise FormatError("invalid JSON: nested too deeply") from None
+    except ValueError:  # the one other: an integer past CPython's digit limit
+        raise _digit_limit() from None
 
 
-def _good_finder(goods: list):
-    """``find(label)``: the first index of ``label`` in ``goods``, or None;
-    and ``bits``, the mask bit ``1 << find(label)`` of every string label.
-
-    String labels go through one dict built here.  Any other label (an int,
-    None, an unhashable list) scans ``goods`` with ``==``, so an unhashable
-    one is reported as an unknown good instead of raising ``TypeError``.
-    """
-    first: dict = {}
-    for i, good in enumerate(goods):
-        if isinstance(good, str):
-            first.setdefault(good, i)
-
-    def find(label):
-        if isinstance(label, str):
-            return first.get(label)
-        return goods.index(label) if label in goods else None
-
-    return find, {label: 1 << i for label, i in first.items()}
-
-
-def _bad_label(labels) -> FormatError:
-    """The error for the first label in ``labels`` that is not a string."""
-    label = next(x for x in labels if not isinstance(x, str))
-    return FormatError(f"bad good label {label!r}")
-
-
-def _parse_subset_key(key: str, inst_goods: Sequence[str], find) -> int:
+def _parse_subset_key(key: str, index: dict) -> int:
     """A tabular key is a comma-joined label list ('' = empty bundle).
 
     For single-character labels plain concatenation ('vw') is accepted too.
@@ -665,33 +669,27 @@ def _parse_subset_key(key: str, inst_goods: Sequence[str], find) -> int:
     if key == "":
         return 0
     parts = key.split(",") if "," in key else [key]
-    if len(parts) == 1 and find(parts[0]) is None:
-        try:
-            one_char = all(len(g) == 1 for g in inst_goods)
-        except TypeError:  # a good with no length, such as a number
-            raise _bad_label(inst_goods) from None
-        if one_char:
-            parts = list(key)
+    if len(parts) == 1 and key not in index and all(len(g) == 1 for g in index):
+        parts = list(key)
     mask = 0
     for part in parts:
         part = part.strip()
-        index = find(part)
-        if index is None:
+        if part not in index:
             raise FormatError(f"unknown good {part!r} in bundle key {key!r}")
-        bit = 1 << index
+        bit = 1 << index[part]
         if mask & bit:
             raise FormatError(f"good {part!r} repeated in bundle key {key!r}")
         mask |= bit
     return mask
 
 
-def _parse_valuation(doc, goods: Sequence[str], find, bits: dict,
-                     binary: dict) -> Valuation:
-    """The valuation of one agent entry.  ``binary`` maps each desired mask
-    read so far in the document to its valuation, which equal entries then
-    share."""
+def _parse_valuation(doc, index: dict, bits: dict, binary: dict) -> Valuation:
+    """The valuation of one agent entry, over the goods of ``index``
+    (label -> index; ``bits``, label -> mask bit).  ``binary`` maps each
+    desired mask read so far in the document to its valuation, which equal
+    entries then share."""
     kind = doc.get("type")
-    m = len(goods)
+    m = len(index)
     if kind == "binary":
         desired = doc.get("desired")
         if not isinstance(desired, list):
@@ -700,13 +698,8 @@ def _parse_valuation(doc, goods: Sequence[str], find, bits: dict,
         try:
             for label in desired:
                 mask |= bits[label]
-        except (KeyError, TypeError):  # unknown or unhashable: report it
-            mask = 0
-            for label in desired:
-                index = find(label)
-                if index is None:
-                    raise FormatError(f"unknown good label {label!r}") from None
-                mask |= 1 << index
+        except (KeyError, TypeError):  # unknown, or unhashable
+            raise FormatError(f"unknown good label {label!r}") from None
         v = binary.get(mask)
         if v is None:
             v = binary[mask] = BinaryValuation(Bundle(mask, m))
@@ -716,10 +709,9 @@ def _parse_valuation(doc, goods: Sequence[str], find, bits: dict,
         if isinstance(values, dict):
             vec = [Fraction(0)] * m
             for label, v in values.items():
-                index = find(label)
-                if index is None:
+                if label not in index:
                     raise FormatError(f"unknown good label {label!r}")
-                vec[index] = parse_rational(v)
+                vec[index[label]] = parse_rational(v)
         elif isinstance(values, list):
             if len(values) != m:
                 raise FormatError(
@@ -742,7 +734,7 @@ def _parse_valuation(doc, goods: Sequence[str], find, bits: dict,
             )
         table = [None] * (1 << m)
         for key, v in values.items():
-            mask = _parse_subset_key(key, goods, find)
+            mask = _parse_subset_key(key, index)
             if table[mask] is not None:
                 raise FormatError(f"bundle key {key!r} listed twice")
             table[mask] = parse_rational(v)
@@ -777,8 +769,11 @@ def parse_instance(text: str) -> Instance:
     groups_doc = doc.get("groups")
     if not isinstance(groups_doc, list) or not groups_doc:
         raise FormatError("instance needs a non-empty 'groups' list")
-    goods = list(goods)
-    find, bits = _good_finder(goods)
+    try:
+        index = _goods_index(goods)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+    bits = {label: 1 << i for label, i in index.items()}
     binary: dict = {}
     groups = []
     total = 0
@@ -797,21 +792,16 @@ def parse_instance(text: str) -> Instance:
                 raise CapExceededError(
                     f"instance has more than {MAX_MEMBERS} members"
                 )
-            valuation = _parse_valuation(entry, goods, find, bits, binary)
+            valuation = _parse_valuation(entry, index, bits, binary)
             members.extend([valuation] * count)
         groups.append(members)
     order = None
     if "order" in doc:
-        order_labels = doc["order"]
-        if not isinstance(order_labels, list):
+        labels = doc["order"]
+        if (not isinstance(labels, list) or not all(isinstance(g, str) for g in labels)
+                or sorted(labels) != sorted(goods)):
             raise FormatError("'order' must be a permutation of the goods")
-        try:
-            permutation = sorted(order_labels) == sorted(goods)
-        except TypeError:  # labels of types that do not compare
-            raise _bad_label(goods + order_labels) from None
-        if not permutation:
-            raise FormatError("'order' must be a permutation of the goods")
-        order = tuple(find(label) for label in order_labels)
+        order = tuple(index[g] for g in labels)
     try:
         return Instance.from_valuations(goods, groups, order)
     except ValueError as exc:

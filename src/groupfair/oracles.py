@@ -55,6 +55,7 @@ from .model import (
     Instance,
     MAX_MEMBERS,
     Record,
+    _int_of_digits,
     int_table,
 )
 
@@ -682,7 +683,7 @@ def parse_spec(text: str):
             )
         if m.group(1) in kwargs:
             raise FormatError(f"parameter {m.group(1)!r} given twice")
-        kwargs[m.group(1)] = int(m.group(2))
+        kwargs[m.group(1)] = _int_of_digits(m.group(2))
     missing = set(cls._fields) - set(cls._defaults) - set(kwargs)
     if missing:
         raise FormatError(f"{name} needs parameters {sorted(missing)}")

@@ -1,11 +1,12 @@
 """Scanning reference for the instance parser.
 
 This is the straightforward parser :func:`groupfair.model.parse_instance`
-replaces: every label lookup scans the goods list twice, once with
-``label in goods`` and once with ``goods.index(label)``, and ``count`` has
-no bound.  The property tests in ``test_model.py`` require the one-index
-parser to build an equal :class:`~groupfair.model.Instance` or raise the
-same error text on every document they generate.
+replaces: it checks the goods by scanning them, every label lookup scans
+the goods list twice, once with ``label in goods`` and once with
+``goods.index(label)``, and ``count`` has no bound.  The property tests in
+``test_model.py`` require the one-index parser to build an equal
+:class:`~groupfair.model.Instance` or raise the same error text on every
+document they generate.
 """
 
 from __future__ import annotations
@@ -119,6 +120,12 @@ def reference_parse_instance(text: str) -> Instance:
     if not isinstance(groups_doc, list) or not groups_doc:
         raise FormatError("instance needs a non-empty 'groups' list")
     goods = list(goods)
+    for g in goods:
+        if not isinstance(g, str) or not g or "," in g or g != g.strip():
+            raise FormatError(f"bad good label {g!r}")
+    for i, g in enumerate(goods):
+        if g in goods[:i]:
+            raise FormatError("good labels must be unique")
     groups = []
     for grp in groups_doc:
         if not isinstance(grp, list) or not grp:
@@ -136,8 +143,10 @@ def reference_parse_instance(text: str) -> Instance:
     order = None
     if "order" in doc:
         order_labels = doc["order"]
-        if not isinstance(order_labels, list) or sorted(order_labels) != sorted(
-            goods
+        if (
+            not isinstance(order_labels, list)
+            or any(not isinstance(label, str) for label in order_labels)
+            or sorted(order_labels) != sorted(goods)
         ):
             raise FormatError("'order' must be a permutation of the goods")
         order = tuple(goods.index(label) for label in order_labels)

@@ -8,6 +8,7 @@ printed three-decimal grid of the reference table.
 """
 
 import functools
+import itertools
 import math
 import sys
 import threading
@@ -285,6 +286,29 @@ def test_maxh_finite_is_hypergeometric_tail():
         for i in range(s, min(r, m) + 1)
     )
     assert maxh_finite(r, s, k, m) == Fraction(good, total)
+
+
+def test_maxh_finite_is_the_best_split_of_the_goods():
+    # maxh_finite gives each group m of the k*m goods.  Counted over every
+    # split of the goods into k group sizes x (zeros allowed), the best
+    # least share of r-subsets holding s or more of one group's goods is
+    # that same value: no unbalanced split does better.
+    cases = 0
+    for k, top in ((2, 6), (3, 3), (4, 3)):
+        for m in range(1, top + 1):
+            n = k * m
+            splits = [(*head, n - sum(head))
+                      for head in itertools.product(range(n + 1), repeat=k - 1)
+                      if sum(head) <= n]
+            for r in range(n + 1):
+                for s in range(r + 2):
+                    tail = [sum(math.comb(x, i) * math.comb(n - x, r - i)
+                                for i in range(s, r + 1)) for x in range(n + 1)]
+                    best = max(min(tail[x] for x in split) for split in splits)
+                    bound = Fraction(best, math.comb(n, r))
+                    assert maxh_finite(r, s, k, m) == bound, (r, s, k, m)
+                    cases += 1
+    assert cases == 591
 
 
 @pytest.mark.parametrize("call, value", [

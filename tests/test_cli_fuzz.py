@@ -195,6 +195,11 @@ def argvs(draw):
 @example((["gen", "--spec", "all-subsets:r=2000000,s=1,k=2,m=2000000"], {}))
 @example((["brute", "--spec", "efc-limit:c=0,l=99999", "--criterion", "ef-1"], {}))
 @example((["table", "--which", "Bk", "--rmax", "300", "--k", str(10**20)], {}))
+@example((["gen", "--spec", "circle:k=" + "9" * 5000], {}))
+@example((["run", "--protocol", "line2", "--instance", "@instance"], {
+    # json.dumps cannot write an integer past the digit limit: splice one in
+    "@instance": json.dumps(INSTANCES[1]).replace("[1, ", "[" + "9" * 5000 + ", "),
+}))
 def test_main_exits_cleanly_on_any_input(case):
     argv, files = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -210,6 +215,7 @@ def test_main_exits_cleanly_on_any_input(case):
         elapsed = time.perf_counter() - start
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert "set_int_max_str_digits" not in err.getvalue(), argv
     assert elapsed < CALL_BOUND_S, (argv, elapsed)
     if code != 0:
         assert err.getvalue(), argv

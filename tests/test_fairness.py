@@ -83,6 +83,8 @@ def test_parse_criterion_errors():
         parse_criterion("fraction-mms:zero")
     with pytest.raises(FormatError):
         parse_criterion("1-out-of-0-mms")
+    with pytest.raises(FormatError, match=r": number has more than \d+ digits$"):
+        parse_criterion("ef-" + "9" * 5000)
 
 
 def test_parse_criteria():

@@ -558,6 +558,9 @@ def test_parse_spec_errors():
         parse_spec("all-subsets:r=1,s=2,k=2,m=3")
     with pytest.raises(FormatError, match="parameter 'k' given twice"):
         parse_spec("circle:k=2,k=3")
+    # past CPython's int conversion limit: the package's message, no digits
+    with pytest.raises(FormatError, match=r"^number has more than \d+ digits$"):
+        parse_spec("circle:k=" + "9" * 5000)
 
 
 @pytest.mark.parametrize("text", dict.fromkeys([
