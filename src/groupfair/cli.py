@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .budgets import B, C, KGroupWeights, maxh, w
-from .errors import CapExceededError
+from .errors import CapExceededError, quoted
 
 __all__ = ["main"]
 
@@ -331,6 +331,15 @@ def _cmd_gen(args) -> int:
 # argument parsing
 
 
+def _int(text: str) -> int:
+    """``int`` for an option, with argparse's message quoting at most a
+    prefix of ``text``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupfair",
@@ -352,10 +361,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fairness criterion; comma-separated list for per-group targets",
     )
     run.add_argument(
-        "--first-group", type=int, choices=(1, 2), default=None,
+        "--first-group", type=_int, choices=(1, 2), default=None,
         help="which group picks first in rwav2 (default 1)",
     )
-    run.add_argument("--seed", type=int, help="coin seed for cwav2")
+    run.add_argument("--seed", type=_int, help="coin seed for cwav2")
     run.add_argument(
         "--trace", action="store_true",
         help="print the step-by-step audit trail instead of JSON",
@@ -385,9 +394,9 @@ def _build_parser() -> argparse.ArgumentParser:
     brute.add_argument(
         "--h", help="decision mode: is some allocation h-democratic fair?"
     )
-    brute.add_argument("--cap", type=int, default=None,
+    brute.add_argument("--cap", type=_int, default=None,
                        help="allocation-space cap (default 2^24)")
-    brute.add_argument("--workers", type=int, default=1,
+    brute.add_argument("--workers", type=_int, default=1,
                        help="threads that score chunks (max-h mode only)")
     brute.add_argument("--out")
     brute.set_defaults(handler=_cmd_brute)
@@ -396,9 +405,9 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument(
         "--which", required=True, choices=["B", "w", "C", "Bk", "maxh"]
     )
-    table.add_argument("--rmax", type=int, default=10)
-    table.add_argument("--smax", type=int, default=6)
-    table.add_argument("--k", type=int, default=2)
+    table.add_argument("--rmax", type=_int, default=10)
+    table.add_argument("--smax", type=_int, default=6)
+    table.add_argument("--k", type=_int, default=2)
     table.add_argument("--out")
     table.set_defaults(handler=_cmd_table)
 

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and how their messages quote an argument."""
 
 
 class FormatError(ValueError):
@@ -14,3 +14,9 @@ class CapExceededError(RuntimeError):
     the cap).  The CLI maps this to exit
     code 3 so callers can tell "too big" apart from "malformed input".
     """
+
+
+def quoted(text: str) -> str:
+    """``repr(text)``, or of its first 40 characters and ``...`` when
+    longer: an error never echoes a whole oversized argument."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."

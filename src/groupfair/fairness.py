@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import ceil
 from typing import Optional, Sequence, Union
 
-from .errors import CapExceededError, FormatError
+from .errors import CapExceededError, FormatError, quoted
 from .model import (
     AdditiveValuation,
     Agent,
@@ -193,7 +193,7 @@ def parse_criterion(text: str) -> FairnessCriterion:
                 return cls(**{field: _FIELD_SYNTAX[field][1](value)
                               for field, value in match.groupdict().items()})
             except ValueError as exc:  # a FormatError too
-                raise FormatError(f"bad criterion {text!r}: {exc}") from None
+                raise FormatError(f"bad criterion {quoted(text)}: {exc}") from None
     import difflib
 
     shapes = [cls.shape for cls in _CRITERIA]
@@ -202,7 +202,7 @@ def parse_criterion(text: str) -> FairnessCriterion:
     )
     suffix = f" (did you mean: {', '.join(hints)}?)" if hints else ""
     raise FormatError(
-        f"unknown criterion {text!r}; expected one of {', '.join(shapes)}{suffix}"
+        f"unknown criterion {quoted(text)}; expected one of {', '.join(shapes)}{suffix}"
     )
 
 

@@ -50,7 +50,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import CapExceededError, FormatError
+from .errors import CapExceededError, FormatError, quoted
 
 __all__ = [
     "Record",
@@ -380,27 +380,22 @@ Valuation = Union[BinaryValuation, AdditiveValuation, TabularValuation]
 
 def int_table(v: Valuation, goods_mask: int) -> list:
     """``v.int_value`` of every subset of ``goods_mask``, relabelled so the
-    goods of ``goods_mask`` become bits ``0 .. r-1`` in index order.
+    goods of ``goods_mask`` become bits ``0 .. r-1`` in index order.  Built
+    by doubling: each good, in index order, appends every subset so far
+    with that good added (a tabular valuation doubles masks, then reads
+    its ints).
 
     >>> int_table(AdditiveValuation((1, "1/2", 2)), 0b101)
     [0, 2, 4, 6]
     >>> int_table(BinaryValuation(Bundle(0b011, 3)), 0b111)
     [0, 1, 1, 2, 0, 1, 1, 2]
     """
-    positions = list(Bundle(goods_mask, v.m))
-    size = 1 << len(positions)
-    if isinstance(v, TabularValuation):
-        outer = [0] * size  # each subset as a mask over all goods
-        for mask in range(1, size):
-            low = mask & -mask
-            outer[mask] = outer[mask ^ low] | 1 << positions[low.bit_length() - 1]
-        return [v.ints[mask] for mask in outer]
-    singles = [v.int_value(1 << i) for i in positions]
-    table = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] + singles[low.bit_length() - 1]
-    return table
+    tabular = isinstance(v, TabularValuation)
+    table = [0]
+    for i in Bundle(goods_mask, v.m):
+        single = 1 << i if tabular else v.int_value(1 << i)
+        table += [x + single for x in table]
+    return [v.ints[mask] for mask in table] if tabular else table
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +514,9 @@ class Instance(Record):
     def bundle(self, labels: Iterable[str]) -> Bundle:
         return Bundle.from_indices((self.index_of(g) for g in labels), self.m)
 
-    def labels(self, bundle: Bundle) -> list:
-        return [self.goods[i] for i in bundle]
+    def labels(self, indices: Iterable[int]) -> list:
+        """The labels of a run of good indices, such as a :class:`Bundle`."""
+        return [self.goods[i] for i in indices]
 
     def is_binary(self) -> bool:
         return all(
@@ -614,13 +610,13 @@ def parse_rational(x) -> Fraction:
         # the bound has 4 digits: a longer run is rejected, never converted
         if len(digits) > 4 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
             raise FormatError(
-                f"decimal exponent in {x!r} exceeds {MAX_DECIMAL_EXPONENT}")
+                f"decimal exponent in {quoted(x)} exceeds {MAX_DECIMAL_EXPONENT}")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             if "int_max_str_digits" in str(exc):  # CPython's digit limit
                 raise _digit_limit() from None
-            raise FormatError(f"not a rational: {x!r}") from None
+            raise FormatError(f"not a rational: {quoted(x)}") from None
     raise FormatError(f"not a rational: {x!r}")
 
 
@@ -866,7 +862,7 @@ def serialize_instance(inst: Instance) -> str:
     fields = [f'"goods": {_dumped(list(inst.goods), 1)}',
               f'"groups": {_joined(groups, 1)}']
     if inst.order != tuple(range(inst.m)):
-        fields.append(f'"order": {_dumped([inst.goods[i] for i in inst.order], 1)}')
+        fields.append(f'"order": {_dumped(inst.labels(inst.order), 1)}')
     return _joined(fields, 0, "{}")
 
 

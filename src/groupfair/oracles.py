@@ -19,9 +19,12 @@ and a column table built once per sweep in one matrix product per piece,
 run in float32 and exact because every partial sum is an integer no
 larger than the group's size (see :func:`_binary_rule`).  Otherwise the
 table rule gathers from per-group count tables over own-bundle masks,
-plus exact rank tables for EF-c members, all compiled from each
-valuation's :func:`groupfair.model.int_table`.  Counts are exact int64
-throughout.  What each criterion means comes from
+compiled from each valuation's :func:`groupfair.model.int_table`.  EF-c
+and PROP-c members read rank tables, both built from the ranks of the
+member's values: an EF-c member's rank against the drop table of every
+other group's bundle, a PROP-c member's benchmark (the least superset of
+``m - c`` goods) against the ranks its own value reaches.  Counts are
+exact int64 throughout.  What each criterion means comes from
 :mod:`groupfair.fairness`, which the sweep functions read through the
 module when they run, so a CLI ``gen`` that only generates never loads it.
 numpy is imported by the sweep functions themselves, and the thread pool
@@ -36,6 +39,7 @@ spec record that states its goods, groups, members and bound.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -46,7 +50,7 @@ from fractions import Fraction
 
 from . import fairness
 from .budgets import maxh_finite
-from .errors import CapExceededError, FormatError
+from .errors import CapExceededError, FormatError, quoted
 from .model import (
     AdditiveValuation,
     Allocation,
@@ -286,16 +290,17 @@ def _drop_table(rank, m: int, c: int):
     return cur
 
 
-def _prop_benchmark_table(values, m: int, c: int):
-    """``out[own]`` = min value of the whole set after deleting up to ``c``
-    goods the agent does not own (monotone valuations: delete exactly ``c``,
-    i.e. the cheapest superset of ``own`` of size ``m - c``)."""
-    keep = m - c
-    out = list(values)
-    # larger masks first, so each smaller one reads finished supersets
-    for mask in sorted(range(1 << m), key=lambda mask: -mask.bit_count()):
-        if mask.bit_count() < keep:
-            out[mask] = min(out[mask | 1 << i] for i in range(m) if not mask >> i & 1)
+def _prop_benchmark_table(rank, m: int, c: int):
+    """``out[own]`` = min of ``rank`` over the supersets of ``own`` with at
+    least ``m - c`` goods (the whole set less up to ``c`` goods the agent
+    does not own): the superset twin of :func:`_drop_table`, where masks of
+    fewer goods start above every rank."""
+    import numpy as np
+
+    out = np.where(np.bitwise_count(np.arange(1 << m)) < m - c, 1 << m, rank)
+    for i in range(m):
+        view = out.reshape(-1, 2, 1 << i)  # [:, 0] lacks good i, [:, 1] holds it
+        np.minimum(view[:, 0], view[:, 1], out=view[:, 0])
     return out
 
 
@@ -306,9 +311,14 @@ def _table_rule(inst: Instance, crits, high, low):
 
     Each group has one count table: for every mask, how many members whose
     verdict depends on their own bundle alone are happy holding it.  Each
-    EF-c member (one entry per distinct valuation, with its multiplicity)
-    has the ranks of its values and their :func:`_drop_table`, so envy is
-    an exact int comparison against every other group's bundle.
+    distinct EF-c or PROP-c valuation has its values ranked once, and both
+    of its tables are rank tables.  An EF-c member (one entry per distinct
+    valuation, with its multiplicity) keeps the ranks and their
+    :func:`_drop_table`, so envy is an exact int comparison against every
+    other group's bundle.  A PROP-c valuation's
+    :func:`_prop_benchmark_table` goes into the count table: an own bundle
+    is happy where its benchmark's rank is below the number of distinct
+    values at most ``k`` times its own.
     """
     import numpy as np
 
@@ -324,19 +334,19 @@ def _table_rule(inst: Instance, crits, high, low):
         pairs = []
         for v, count in Counter(a.valuation for a in grp).items():
             values = int_table(v, (1 << m) - 1)
-            if isinstance(crit, fairness.EFc):
-                # each dropped value is the value of some mask: ranks suffice
-                order = {x: i for i, x in enumerate(sorted(set(values)))}
-                rank = np.array([order[x] for x in values], dtype=np.int64)
-                pairs.append((count, rank, _drop_table(rank, m, crit.c)))
-                continue
-            if isinstance(crit, fairness.PROPc):
-                bench = _prop_benchmark_table(values, m, crit.c)
-                ok = [k * x >= b for x, b in zip(values, bench)]
-            else:
+            if not isinstance(crit, (fairness.EFc, fairness.PROPc)):
                 bar = fairness._own_bar(v, crit, k)
-                ok = [x >= bar for x in values]
-            tally += count * np.array(ok, dtype=np.int64)
+                tally += count * np.array([x >= bar for x in values], dtype=np.int64)
+                continue
+            # each drop and each benchmark is some mask's value: ranks suffice
+            distinct = sorted(set(values))
+            order = {x: i for i, x in enumerate(distinct)}
+            rank = np.array([order[x] for x in values], dtype=np.int64)
+            if isinstance(crit, fairness.EFc):
+                pairs.append((count, rank, _drop_table(rank, m, crit.c)))
+            else:  # k * value >= benchmark: the benchmark's rank is below cut
+                cut = np.array([bisect.bisect_right(distinct, k * x) for x in distinct])
+                tally += count * (_prop_benchmark_table(rank, m, crit.c) < cut[rank])
         own.append(tally)
         envy.append(pairs)
 
@@ -671,14 +681,14 @@ def parse_spec(text: str):
 
         hint = difflib.get_close_matches(name, _SPECS, n=1)
         extra = f"; did you mean {hint[0]!r}?" if hint else ""
-        raise FormatError(f"unknown generator {name!r}{extra}")
+        raise FormatError(f"unknown generator {quoted(name)}{extra}")
     cls = _SPECS[name]
     kwargs = {}
     for part in filter(None, (p.strip() for p in args.split(","))):
         m = re.fullmatch(r"([a-z]+)\s*=\s*(\d+)", part)
         if not m or m.group(1) not in cls._fields:
             raise FormatError(
-                f"bad parameter {part!r} for {name} (expected"
+                f"bad parameter {quoted(part)} for {name} (expected"
                 f" {sorted(cls._fields) or 'none'})"
             )
         if m.group(1) in kwargs:

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 import warnings
@@ -335,13 +336,20 @@ _ENTRY = operator.attrgetter("entry")
 
 
 def _root_floor(n: int, d: int) -> int:
-    """``floor(n ** (1/d))`` for ``n >= 1``, by Newton's method on ints."""
-    x = 1 << -(-n.bit_length() // d)  # not below the root
-    while True:
-        y = ((d - 1) * x + n // x ** (d - 1)) // d
-        if y >= x:
-            return x
+    """``floor(n ** (1/d))`` for ``n >= 1``, by Newton's method on ints from
+    a float estimate read off the top 64 bits of ``n``."""
+
+    def step(x):
+        return ((d - 1) * x + n // x ** (d - 1)) // d
+
+    shift = max(n.bit_length() - 64, 0)
+    e, f = divmod((math.log2(n >> shift) + shift) / d, 1)  # the root is ~2**(e+f)
+    # one step from any x >= 1 lands at or above the root: its numerator is
+    # an integer above d * root - 1
+    x = step(int(2 ** (f + 52)) << int(e) >> 52)
+    while (y := step(x)) < x:
         x = y
+    return x
 
 
 def _table_price(budget, weight, pay):
@@ -799,7 +807,7 @@ def best_k_protocol(inst: Instance) -> RunResult:
         sub = binary  # what the rebuild gives while no good has been taken
         if steps or binary.order != tuple(range(inst.m)):
             sub = Instance.from_valuations(
-                [inst.goods[i] for i in goods_left],
+                inst.labels(goods_left),
                 [
                     [
                         BinaryValuation(Bundle.from_indices(
@@ -876,10 +884,9 @@ def _render_turns(trace, inst: Instance, out: list):
         return ",".join(inst.labels(Bundle(live, inst.m)))
 
     for rec in trace.turns:
-        remaining = [inst.goods[i] for i in rec.remaining]
         out.append(
             f"Turn #{rec.turn}: Group {rec.group + 1}'s turn to pick a good"
-            f" from {remaining}:"
+            f" from {inst.labels(rec.remaining)}:"
         )
         out.append("Calculating member weights:")
         out.append(
@@ -920,9 +927,8 @@ def _render_final(result, inst: Instance, out: list, order=None):
 
 def _render_line(trace, inst: Instance, out: list):
     for rec in trace.records:
-        left = [inst.goods[i] for i in rec.left]
-        right = [inst.goods[i] for i in rec.right]
-        out.append(f"Current partition:  {left} | {right}:")
+        out.append(f"Current partition:  {inst.labels(rec.left)} |"
+                   f" {inst.labels(rec.right)}:")
         for g, yes, size in rec.counts:
             out.append(
                 f"   Group {g + 1}: {yes}/{size} members think the left"
@@ -974,10 +980,9 @@ def _render_trace(result, inst: Instance) -> str:
             )
         if trace.base is not None:
             groups = ", ".join(str(g + 1) for g in trace.base_groups)
-            goods = [inst.goods[i] for i in trace.base_goods]
             out.append(
                 f"Remaining groups {groups} split the remaining goods"
-                f" {goods} with {trace.base.protocol}"
+                f" {inst.labels(trace.base_goods)} with {trace.base.protocol}"
             )
             renum = ", ".join(
                 f"sub-group {i + 1} = group {g + 1}"

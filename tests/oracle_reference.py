@@ -1,12 +1,15 @@
-"""Per-index reference for the binary oracle sweep, the digit decode of
-an allocation index, and the loop form of the EF-c drop table.
+"""Per-index reference for the binary oracle sweep and for PROP-c, the
+digit decode of an allocation index, and the loop form of the EF-c drop
+table.
 
 The first is the binary scoring rule :func:`groupfair.oracles.max_h` and
 :func:`groupfair.oracles.exists_h` used before the row-block matrix
 product: every allocation index is decoded on its own (``divmod`` into
 its high and low base-``k`` digits) and each distinct desired set adds
 its multiplicity wherever the popcount of the group's own bundle reaches
-its threshold.  The property tests in ``test_oracles.py`` require the
+its threshold.  Members of any kind under PROP-c are scored instead from
+:func:`value_reference.propc_holds` on every own bundle, with no rank
+table.  The property tests in ``test_oracles.py`` require the
 sweeps to agree with it on the value, the witness and the number of
 allocations examined, and :func:`groupfair.oracles._drop_table` to agree
 with :func:`reference_drop_table` entry by entry.  Witnesses are decoded
@@ -21,8 +24,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from groupfair.fairness import _binary_threshold, per_group_criteria
+from groupfair.fairness import PROPc, _binary_threshold, per_group_criteria
+from groupfair.model import Bundle
 from groupfair.oracles import _digit_masks
+from value_reference import propc_holds
 
 
 def decode(idx: int, k: int, m: int) -> tuple:
@@ -61,6 +66,27 @@ def binary_rule(inst, crits):
     return happy
 
 
+def propc_rule(inst, crits):
+    """``happy(g, masks)`` counts the members of group ``g`` that are PROP-c
+    holding their own bundle, from a verdict per member and own mask.  None
+    unless every criterion is PROP-c."""
+    if not all(isinstance(crit, PROPc) for crit in crits):
+        return None
+    m, k = inst.m, inst.k
+    tables = [
+        np.array([
+            sum(propc_holds(a.valuation, Bundle(mask, m), k, crits[g].c) for a in grp)
+            for mask in range(1 << m)
+        ])
+        for g, grp in enumerate(inst.groups)
+    ]
+
+    def happy(g, masks):
+        return tables[g][masks[g]]
+
+    return happy
+
+
 def group_masks(lo: int, hi: int, k: int, m: int):
     """Own-bundle masks of allocation indices [lo, hi): row ``g`` holds
     group ``g``'s.  Good 0 is the most significant base-``k`` digit."""
@@ -72,8 +98,8 @@ def group_masks(lo: int, hi: int, k: int, m: int):
 def _scores(inst, criterion):
     """Integer scores min_g(happy_g * N / n_g) of every allocation index."""
     crits = per_group_criteria(criterion, inst.k)
-    happy = binary_rule(inst, crits)
-    assert happy is not None, "the reference scores binary thresholds only"
+    happy = binary_rule(inst, crits) or propc_rule(inst, crits)
+    assert happy is not None, "the reference scores binary thresholds and PROP-c only"
     N = math.lcm(*inst.sizes)
     masks = group_masks(0, inst.k**inst.m, inst.k, inst.m)
     scores = np.min(

@@ -318,6 +318,27 @@ def test_run_bad_inputs(b1_path, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, option", [
+    ("run", "--first-group"), ("run", "--seed"), ("brute", "--cap"),
+    ("brute", "--workers"), ("table", "--rmax"), ("table", "--smax"),
+    ("table", "--k"),
+])
+def test_int_options_quote_a_prefix_of_an_oversized_value(command, option, capsys):
+    # every int option: an ordinary bad value is quoted whole, as argparse
+    # words it, and one past CPython's digit limit only by a prefix
+    required = {"run": ["--protocol", "cwav2", "--instance", "i.json"],
+                "brute": ["--criterion", "ef-1", "--spec", "circle:k=3"],
+                "table": ["--which", "B"]}[command]
+    code, _, err = run_cli(capsys, command, *required, option, "1x")
+    assert code == 2
+    assert err.endswith(f"error: argument {option}: invalid int value: '1x'\n")
+    code, _, err = run_cli(capsys, command, *required, option, "1" * 5000)
+    assert code == 2
+    assert err.endswith(
+        f"error: argument {option}: invalid int value: '{'1' * 40}'...\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # check
 

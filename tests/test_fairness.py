@@ -87,6 +87,21 @@ def test_parse_criterion_errors():
         parse_criterion("ef-" + "9" * 5000)
 
 
+def test_parse_criterion_quotes_a_prefix_of_an_oversized_name():
+    with pytest.raises(FormatError, match=r"^unknown criterion 'ef1'; expected"):
+        parse_criterion("ef1")
+    with pytest.raises(FormatError) as exc:
+        parse_criterion("ef-" + "9" * 5000)
+    assert str(exc.value).startswith(f"bad criterion 'ef-{'9' * 37}'...: number")
+    with pytest.raises(FormatError) as exc:
+        parse_criterion("ef" + "9" * 5000)
+    assert str(exc.value).startswith(f"unknown criterion 'ef{'9' * 38}'...; expected")
+    # a field's own parser quotes its text the same way
+    with pytest.raises(FormatError, match=r"^bad criterion 'fraction-mms:x{27}'\.\.\.: "
+                                          r"not a rational: 'x{40}'\.\.\.$"):
+        parse_criterion("fraction-mms:" + "x" * 5000)
+
+
 def test_parse_criteria():
     assert parse_criteria("ef-1", 3) == (EFc(1),) * 3
     assert parse_criteria("ef-1,mms,prop-2", 3) == (EFc(1), MMS(), PROPc(2))

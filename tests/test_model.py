@@ -134,6 +134,7 @@ def test_instance_accessors():
     with pytest.raises(FormatError):
         inst.index_of("q")
     assert inst.labels(inst.bundle(["x", "v"])) == ["v", "x"]
+    assert inst.labels((2, 0, 1)) == ["x", "v", "w"]  # any run of indices, in its order
     assert inst.order == (0, 1, 2)
 
 

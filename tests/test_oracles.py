@@ -313,22 +313,64 @@ def _binary_sweep_cases(draw):
     return inst, criteria, constants, draw(st.sampled_from([1, 2])), targets
 
 
+def _assert_sweeps_match_reference(inst, criteria, workers, targets):
+    best_h, witness, examined = reference_max_h(inst, criteria)
+    result = max_h(inst, criteria, workers=workers)
+    assert (result.best_h, result.witness.assignment,
+            result.allocations_examined) == (best_h, witness, examined)
+    above = min(best_h + Fraction(1, 60), Fraction(1))
+    for h in (*targets, best_h, above):
+        hit = exists_h(inst, criteria, h)
+        found, witness, examined = reference_exists_h(inst, criteria, h)
+        assert (hit.found, hit.witness and hit.witness.assignment,
+                hit.allocations_examined) == (found, witness, examined), h
+
+
 @settings(max_examples=200, deadline=None)
 @given(_binary_sweep_cases())
 def test_binary_rule_matches_per_index_reference(case):
     inst, criteria, constants, workers, targets = case
     table_rule = mock.Mock(side_effect=AssertionError("the table rule ran"))
     with mock.patch.multiple(oracles, **constants, _table_rule=table_rule):
-        best_h, witness, examined = reference_max_h(inst, criteria)
-        result = max_h(inst, criteria, workers=workers)
-        assert (result.best_h, result.witness.assignment,
-                result.allocations_examined) == (best_h, witness, examined)
-        above = min(best_h + Fraction(1, 60), Fraction(1))
-        for h in (*targets, best_h, above):
-            hit = exists_h(inst, criteria, h)
-            found, witness, examined = reference_exists_h(inst, criteria, h)
-            assert (hit.found, hit.witness and hit.witness.assignment,
-                    hit.allocations_examined) == (found, witness, examined), h
+        _assert_sweeps_match_reference(inst, criteria, workers, targets)
+
+
+@st.composite
+def _propc_sweep_cases(draw):
+    """An instance with k = 2 or 3 over up to 8 goods whose members are
+    additive, with fractional values, or tabular, random monotone tables
+    drawn as steps over the best one-good-smaller subset; one PROP-c
+    criterion per group."""
+    k = draw(st.integers(2, 3))
+    m = draw(st.integers(1, 8))
+    values = st.fractions(0, 3, max_denominator=4)
+    groups = []
+    for _ in range(k):
+        members = []
+        for kind in draw(st.lists(st.sampled_from(("additive", "tabular")),
+                                  min_size=1, max_size=3)):
+            if kind == "additive":
+                members.append(addval(draw(st.lists(values, min_size=m, max_size=m))))
+                continue
+            rng = draw(st.randoms(use_true_random=False))
+            table = [Fraction(0)] * (1 << m)
+            for mask in range(1, 1 << m):
+                below = max(table[mask & ~(1 << i)] for i in range(m) if mask >> i & 1)
+                table[mask] = below + Fraction(rng.randint(0, 3), rng.choice((1, 2, 3)))
+            members.append(TabularValuation(tuple(table), m))
+        groups.append(members)
+    inst = Instance.from_valuations(tuple(f"g{i}" for i in range(m)), groups)
+    criteria = tuple(draw(st.sampled_from([PROPc(0), PROPc(1), PROPc(2)]))
+                     for _ in range(k))
+    targets = draw(st.lists(st.fractions(0, 1, max_denominator=12), max_size=3))
+    return inst, criteria, draw(st.sampled_from([1, 2])), targets
+
+
+@settings(max_examples=50, deadline=None)
+@given(_propc_sweep_cases())
+def test_table_rule_propc_matches_per_index_reference(case):
+    inst, criteria, workers, targets = case
+    _assert_sweeps_match_reference(inst, criteria, workers, targets)
 
 
 def test_binary_rule_memory_is_bounded_by_its_constants():
@@ -561,6 +603,13 @@ def test_parse_spec_errors():
     # past CPython's int conversion limit: the package's message, no digits
     with pytest.raises(FormatError, match=r"^number has more than \d+ digits$"):
         parse_spec("circle:k=" + "9" * 5000)
+    # an oversized name or parameter is quoted by a prefix
+    with pytest.raises(FormatError, match=r"^unknown generator 'c{40}'\.\.\.$"):
+        parse_spec("c" * 5000)
+    with pytest.raises(FormatError, match=r"^bad parameter 'k={39}'\.\.\. for circle "):
+        parse_spec("circle:k" + "=" * 5000)
+    with pytest.raises(FormatError, match=r"^bad parameter 'q=3' for circle \(expected"):
+        parse_spec("circle:q=3")
 
 
 @pytest.mark.parametrize("text", dict.fromkeys([

@@ -43,13 +43,40 @@ from groupfair.protocols import (
     rwavk,
 )
 
-from picking_reference import reference_cwav2, reference_rwav2, reference_rwavk
+from picking_reference import (
+    _floor_root,
+    reference_cwav2,
+    reference_rwav2,
+    reference_rwavk,
+)
 
 CRITERIA = (
     EFc(0), EFc(1), EFc(2), PROPc(1), MMS(), OneOutOfCMMS(2),
     OneOutOfCMMS(3), OneOfBestC(1), OneOfBestC(2), OneOfBestC(3),
     PositiveMMS(),
 )
+
+
+@st.composite
+def _roots(draw):
+    """``(n, d)`` with ``d <= 63`` and ``n`` of up to about 10^4 bits: any
+    int, a power of two as the ledger's roots read, or next to a ``d``-th
+    power."""
+    d = draw(st.integers(1, 63))
+    shape = draw(st.sampled_from(("any", "two", "power")))
+    if shape == "any":
+        return draw(st.integers(1, 1 << 10_000)), d
+    if shape == "two":
+        return 1 << draw(st.integers(0, 10_000)), d
+    x = draw(st.integers(1, 1 << 10_000 // d))
+    return max(x**d + draw(st.integers(-1, 1)), 1), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(_roots())
+def test_root_floor_matches_bisection(case):
+    n, d = case
+    assert protocols._root_floor(n, d) == _floor_root(n, d)
 
 
 @st.composite

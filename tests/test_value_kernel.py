@@ -49,8 +49,14 @@ def _valuations(draw, m: int):
     if kind == "additive":
         return AdditiveValuation(tuple(draw(st.lists(_VALUES, min_size=m, max_size=m))))
     # each bundle is worth its best one-good-smaller subset plus a nonnegative
-    # step, which draws every monotone table
-    steps = draw(st.lists(_VALUES, min_size=(1 << m) - 1, max_size=(1 << m) - 1))
+    # step, which draws every monotone table; past 6 goods the steps come
+    # from one seeded stream, as so many draws overrun an example
+    if m <= 6:
+        steps = draw(st.lists(_VALUES, min_size=(1 << m) - 1, max_size=(1 << m) - 1))
+    else:
+        rng = draw(st.randoms(use_true_random=False))
+        steps = [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 4, 6)))
+                 for _ in range((1 << m) - 1)]
     table = [Fraction(0)] * (1 << m)
     for mask in range(1, 1 << m):
         below = max(table[mask & ~(1 << i)] for i in range(m) if mask >> i & 1)
@@ -83,6 +89,22 @@ def _criteria(k: int) -> list:
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda m: st.tuples(
+    _valuations(m), st.integers(0, (1 << m) - 1))))
+def test_int_table_matches_local_reference(case):
+    # binary, additive and tabular valuations over up to 12 goods, on the
+    # whole set and on a random subset of it
+    v, mask = case
+    assert [Fraction(x, v.scale) for x in int_table(v, (1 << v.m) - 1)] == (
+        ref.value_table(v, v.m)
+    )
+    local, scale = ref.local_value_table(v, Bundle(mask, v.m))
+    assert [Fraction(x, v.scale) for x in int_table(v, mask)] == [
+        Fraction(x, scale) for x in local
+    ]
+
+
+@settings(max_examples=100, deadline=None)
 @given(_cases())
 def test_value_kernel_matches_fraction_reference(case):
     inst, alloc, goods = case
@@ -90,14 +112,6 @@ def test_value_kernel_matches_fraction_reference(case):
     bundles = bundles_of(alloc)
     for agent in inst.agents():
         v = agent.valuation
-        assert [Fraction(x, v.scale) for x in int_table(v, (1 << m) - 1)] == (
-            ref.value_table(v, m)
-        )
-        if not isinstance(v, BinaryValuation) and goods:
-            local, scale = ref.local_value_table(v, goods)
-            assert [Fraction(x, v.scale) for x in int_table(v, goods.mask)] == [
-                Fraction(x, scale) for x in local
-            ]
         for c in range(1, k + 2):
             for subset in (None, goods):
                 share = mms_share(v, c, subset)

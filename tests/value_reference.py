@@ -54,25 +54,14 @@ def local_value_table(v, goods: Bundle):
     scaled to integers by the lcm of the denominators involved.  Returns
     (table, scale)."""
     positions = list(goods)
-    r = len(positions)
-    if isinstance(v, AdditiveValuation):
-        vals = [v.values[i] for i in positions]
-        scale = lcm(*(x.denominator for x in vals)) if vals else 1
-        ints = [int(x * scale) for x in vals]
-        table = [0] * (1 << r)
-        for mask in range(1, 1 << r):
-            low = mask & -mask
-            table[mask] = table[mask ^ low] + ints[low.bit_length() - 1]
-        return table, scale
-    scale = lcm(*(x.denominator for x in v.table))
-    table = [0] * (1 << r)
-    for mask in range(1 << r):
-        gmask = 0
-        for bit, pos in enumerate(positions):
-            if mask >> bit & 1:
-                gmask |= 1 << pos
-        table[mask] = int(v.table[gmask] * scale)
-    return table, scale
+    vals = [
+        Fraction(value(v, Bundle.from_indices(
+            (pos for bit, pos in enumerate(positions) if mask >> bit & 1), goods.m
+        )))
+        for mask in range(1 << len(positions))
+    ]
+    scale = lcm(*(x.denominator for x in vals))
+    return [int(x * scale) for x in vals], scale
 
 
 def _top_values(values, c: int):
