@@ -184,6 +184,10 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _emit_doc(doc: dict, out_path):
+    _emit(json.dumps(doc, indent=2) + "\n", out_path)
+
+
 def _cmd_run(args) -> int:
     inst = model.parse_instance(_read(args.instance))
     name = args.protocol
@@ -244,9 +248,8 @@ def _cmd_run(args) -> int:
         doc["expected_guarantees"] = [
             _guarantee_doc(x) for x in result.expected_guarantees
         ]
-    machine = json.dumps(doc, indent=2) + "\n"
     if args.out or not args.trace:  # with --trace, the document needs --out
-        _emit(machine, args.out)
+        _emit_doc(doc, args.out)
     if args.trace:
         sys.stdout.write(protocols._render_trace(result, inst))
     return 0
@@ -257,12 +260,9 @@ def _cmd_check(args) -> int:
     alloc = model.parse_allocation(_read(args.allocation), inst)
     crits = fairness.parse_criteria(args.criterion, inst.k)
     report = fairness.democratic_report(inst, alloc, crits)
-    doc = {
-        "criteria": [c.name for c in crits],
-        "allocation": model.allocation_doc(alloc, inst),
-    }
-    doc.update(report.to_doc())
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit_doc({"criteria": [c.name for c in crits],
+               "allocation": model.allocation_doc(alloc, inst), **report.to_doc()},
+              args.out)
     return 0
 
 
@@ -283,8 +283,7 @@ def _cmd_brute(args) -> int:
         inst = model.parse_instance(_read(args.instance))
         source = {"instance": args.instance}
     crits = fairness.parse_criteria(args.criterion, inst.k)
-    doc = dict(source)
-    doc["criteria"] = [c.name for c in crits]
+    doc = {**source, "criteria": [c.name for c in crits]}
     if args.h is not None:
         target = model.parse_rational(args.h)
         res = oracles.exists_h(inst, crits, target, cap=cap)
@@ -297,7 +296,7 @@ def _cmd_brute(args) -> int:
         model.allocation_doc(res.witness, inst) if res.witness is not None else None
     )
     doc["allocations_examined"] = res.allocations_examined
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit_doc(doc, args.out)
     return 0
 
 

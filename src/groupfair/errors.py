@@ -16,7 +16,10 @@ class CapExceededError(RuntimeError):
     """
 
 
-def quoted(text: str) -> str:
-    """``repr(text)``, or of its first 40 characters and ``...`` when
-    longer: an error never echoes a whole oversized argument."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+def quoted(value) -> str:
+    """``repr(value)``, cut to 40 characters and ``...`` (a string before it
+    is quoted): an error never echoes a whole oversized argument."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 40 else f"{value[:40]!r}..."
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}..."

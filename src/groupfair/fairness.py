@@ -43,6 +43,7 @@ from .model import (
     Valuation,
     _fitted_bundles,
     _int_of_digits,
+    _set_bits,
     int_table,
     parse_rational,
     rational_doc,
@@ -238,7 +239,7 @@ def _min_after_removal(v: Valuation, mask: int, pool: int, c: int) -> int:
     Values are monotone, so removing as many goods as allowed is best."""
     if isinstance(v, BinaryValuation):
         return v.int_value(mask) - min(c, v.int_value(mask & pool))
-    removable = list(Bundle(mask & pool, v.m))
+    removable = _set_bits(mask & pool)
     take = min(c, len(removable))
     if isinstance(v, AdditiveValuation):
         top = sorted((v.ints[i] for i in removable), reverse=True)[:take]

@@ -161,6 +161,21 @@ class Record:
 # bundles
 
 
+#: Each byte value's set bits, lowest first.
+_BYTE_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
+
+
+def _set_bits(mask: int) -> list:
+    """The set bits of ``mask``, lowest first, read a byte at a time: a
+    mask costs its bytes plus its set bits.
+
+    >>> _set_bits(0b1000000101)
+    [0, 2, 9]
+    """
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    return [at << 3 | i for at, byte in enumerate(data) if byte for i in _BYTE_BITS[byte]]
+
+
 class Bundle(Record):
     """An immutable set of goods, stored as a bitmask over ``m`` goods.
 
@@ -203,11 +218,7 @@ class Bundle(Record):
         return 0 <= good < self.m and bool(self.mask >> good & 1)
 
     def __iter__(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return iter(_set_bits(self.mask))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -306,12 +317,8 @@ class AdditiveValuation(Record):
         return len(self.values)
 
     def int_value(self, mask: int) -> int:
-        ints, total = self.ints, 0
-        while mask:
-            low = mask & -mask
-            total += ints[low.bit_length() - 1]
-            mask ^= low
-        return total
+        ints = self.ints
+        return sum([ints[i] for i in _set_bits(mask)])
 
     def value(self, bundle: Bundle) -> Fraction:
         return Fraction(self.int_value(bundle.mask), self.scale)
@@ -392,7 +399,7 @@ def int_table(v: Valuation, goods_mask: int) -> list:
     """
     tabular = isinstance(v, TabularValuation)
     table = [0]
-    for i in Bundle(goods_mask, v.m):
+    for i in _set_bits(goods_mask):
         single = 1 << i if tabular else v.int_value(1 << i)
         table += [x + single for x in table]
     return [v.ints[mask] for mask in table] if tabular else table
@@ -428,7 +435,7 @@ def _goods_index(goods: Sequence) -> dict:
         raise ValueError("instance needs at least one good")
     for g in goods:
         if not isinstance(g, str) or not g or "," in g or g != g.strip():
-            raise ValueError(f"bad good label {g!r}")
+            raise ValueError(f"bad good label {quoted(g)}")
     index = {g: i for i, g in enumerate(goods)}
     if len(index) != len(goods):
         raise ValueError("good labels must be unique")
@@ -509,7 +516,7 @@ class Instance(Record):
         try:
             return self.good_index[label]
         except (KeyError, TypeError):  # unknown, or unhashable
-            raise FormatError(f"unknown good label {label!r}") from None
+            raise FormatError(f"unknown good label {quoted(label)}") from None
 
     def bundle(self, labels: Iterable[str]) -> Bundle:
         return Bundle.from_indices((self.index_of(g) for g in labels), self.m)
@@ -595,9 +602,7 @@ def parse_rational(x) -> Fraction:
     >>> parse_rational("3/4"), parse_rational(0.51), parse_rational(2)
     (Fraction(3, 4), Fraction(51, 100), Fraction(2, 1))
     """
-    if isinstance(x, bool):
-        raise FormatError(f"not a rational: {x!r}")
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, float):
         try:
@@ -617,7 +622,7 @@ def parse_rational(x) -> Fraction:
             if "int_max_str_digits" in str(exc):  # CPython's digit limit
                 raise _digit_limit() from None
             raise FormatError(f"not a rational: {quoted(x)}") from None
-    raise FormatError(f"not a rational: {x!r}")
+    raise FormatError(f"not a rational: {quoted(x)}")
 
 
 def _digit_limit() -> FormatError:
@@ -671,10 +676,10 @@ def _parse_subset_key(key: str, index: dict) -> int:
     for part in parts:
         part = part.strip()
         if part not in index:
-            raise FormatError(f"unknown good {part!r} in bundle key {key!r}")
+            raise FormatError(f"unknown good {quoted(part)} in bundle key {quoted(key)}")
         bit = 1 << index[part]
         if mask & bit:
-            raise FormatError(f"good {part!r} repeated in bundle key {key!r}")
+            raise FormatError(f"good {quoted(part)} repeated in bundle key {quoted(key)}")
         mask |= bit
     return mask
 
@@ -695,7 +700,7 @@ def _parse_valuation(doc, index: dict, bits: dict, binary: dict) -> Valuation:
             for label in desired:
                 mask |= bits[label]
         except (KeyError, TypeError):  # unknown, or unhashable
-            raise FormatError(f"unknown good label {label!r}") from None
+            raise FormatError(f"unknown good label {quoted(label)}") from None
         v = binary.get(mask)
         if v is None:
             v = binary[mask] = BinaryValuation(Bundle(mask, m))
@@ -706,7 +711,7 @@ def _parse_valuation(doc, index: dict, bits: dict, binary: dict) -> Valuation:
             vec = [Fraction(0)] * m
             for label, v in values.items():
                 if label not in index:
-                    raise FormatError(f"unknown good label {label!r}")
+                    raise FormatError(f"unknown good label {quoted(label)}")
                 vec[index[label]] = parse_rational(v)
         elif isinstance(values, list):
             if len(values) != m:
@@ -732,7 +737,7 @@ def _parse_valuation(doc, index: dict, bits: dict, binary: dict) -> Valuation:
         for key, v in values.items():
             mask = _parse_subset_key(key, index)
             if table[mask] is not None:
-                raise FormatError(f"bundle key {key!r} listed twice")
+                raise FormatError(f"bundle key {quoted(key)} listed twice")
             table[mask] = parse_rational(v)
         missing = [i for i, v in enumerate(table) if v is None]
         if missing:
@@ -744,7 +749,7 @@ def _parse_valuation(doc, index: dict, bits: dict, binary: dict) -> Valuation:
             return TabularValuation(tuple(table), m)
         except ValueError as exc:
             raise FormatError(str(exc)) from None
-    raise FormatError(f"unknown agent type {kind!r}")
+    raise FormatError(f"unknown agent type {quoted(kind)}")
 
 
 def parse_instance(text: str) -> Instance:
@@ -779,10 +784,10 @@ def parse_instance(text: str) -> Instance:
         members = []
         for entry in grp:
             if not isinstance(entry, dict):
-                raise FormatError(f"agent entry must be an object, got {entry!r}")
+                raise FormatError(f"agent entry must be an object, got {quoted(entry)}")
             count = entry.get("count", 1)
             if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-                raise FormatError(f"bad agent count {count!r}")
+                raise FormatError(f"bad agent count {quoted(count)}")
             total += count
             if total > MAX_MEMBERS:
                 raise CapExceededError(
@@ -812,7 +817,7 @@ def _valuation_doc(v: Valuation, inst: Instance) -> dict:
     if isinstance(v, TabularValuation):
         values = {}
         for mask in range(1 << v.m):
-            key = ",".join(inst.labels(Bundle(mask, v.m)))
+            key = ",".join(inst.labels(_set_bits(mask)))
             values[key] = rational_doc(v.table[mask])
         return {"type": "tabular", "values": values}
     raise TypeError(f"unknown valuation {v!r}")
@@ -888,11 +893,11 @@ def parse_allocation(text: str, inst: Instance) -> Allocation:
         for label in labels:
             idx = inst.index_of(label)
             if assignment[idx] != -1:
-                raise FormatError(f"good {label!r} assigned twice")
+                raise FormatError(f"good {quoted(label)} assigned twice")
             assignment[idx] = gi
     if -1 in assignment:
         label = inst.goods[assignment.index(-1)]
-        raise FormatError(f"good {label!r} left unassigned")
+        raise FormatError(f"good {quoted(label)} left unassigned")
     return Allocation(tuple(assignment), inst.k)
 
 
@@ -928,11 +933,10 @@ def binarize_instance(inst: Instance, c: int) -> Instance:
         for agent in grp:
             v = agent.valuation
             if isinstance(v, BinaryValuation):
-                rest = v.desired.mask
-                for _ in range(min(c, rest.bit_count())):
-                    rest &= rest - 1  # drop the lowest desired good
-                if rest:
-                    v = BinaryValuation(Bundle(v.desired.mask ^ rest, inst.m))
+                desired = _set_bits(v.desired.mask)
+                if len(desired) > c:  # keep the goods below the (c+1)-th
+                    lowest = v.desired.mask & (1 << desired[c]) - 1
+                    v = BinaryValuation(Bundle(lowest, inst.m))
                     changed = True
                 members.append(v)
                 continue

@@ -73,6 +73,7 @@ from .model import (
     Instance,
     Record,
     TabularValuation,
+    _set_bits,
     binarize_instance,
     bundles_of,
 )
@@ -304,11 +305,8 @@ def _near_unanimous(masks, candidates: int, share: Fraction):
     want it; or None.  One pass over the candidates' set bits."""
     counts = [0] * candidates.bit_length()
     for mask in masks:
-        mask &= candidates
-        while mask:
-            low = mask & -mask
-            counts[low.bit_length() - 1] += 1
-            mask ^= low
+        for good in _set_bits(mask & candidates):
+            counts[good] += 1
     p, q, n = share.numerator, share.denominator, len(masks)
     return next(((good, desiring) for good, desiring in enumerate(counts)
                  if desiring and desiring * q >= p * n), None)
@@ -397,7 +395,7 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
     k = inst.k
     sfuncs = [functools.cache(SFunction(c, k)) for c in crits]
     # each member's desired goods still on the table
-    goods_of = [[list(agent.valuation.desired) for agent in grp] for grp in inst.groups]
+    goods_of = [list(map(_set_bits, grp)) for grp in _desired_masks(inst)]
     start = [[(len(goods), sfunc(len(goods))) for goods in grp]
              for sfunc, grp in zip(sfuncs, goods_of)]
     R = max((rj for grp in start for rj, _ in grp), default=0)
@@ -801,24 +799,19 @@ def best_k_protocol(inst: Instance) -> RunResult:
         active.remove(step.group)
         steps.append(step)
 
-    goods_left = [i for i in range(inst.m) if remaining_mask >> i & 1]
+    goods_left = _set_bits(remaining_mask)
     sub = None
     if goods_left:
         sub = binary  # what the rebuild gives while no good has been taken
         if steps or binary.order != tuple(range(inst.m)):
+            bit = {i: 1 << j for j, i in enumerate(goods_left)}
+
+            def left(mask):  # a member over the goods left, renumbered in order
+                goods = _set_bits(mask & remaining_mask)
+                return BinaryValuation(Bundle(sum(map(bit.__getitem__, goods)), len(bit)))
+
             sub = Instance.from_valuations(
-                inst.labels(goods_left),
-                [
-                    [
-                        BinaryValuation(Bundle.from_indices(
-                            (j for j, i in enumerate(goods_left) if mask >> i & 1),
-                            len(goods_left),
-                        ))
-                        for mask in masks[g]
-                    ]
-                    for g in active
-                ],
-            )
+                inst.labels(goods_left), [list(map(left, masks[g])) for g in active])
         if len(active) == 2:
             base = rwav2_enhanced(sub, c=2)
         else:
@@ -881,7 +874,7 @@ def _render_turns(trace, inst: Instance, out: list):
 
     @functools.cache
     def labels_of(live: int) -> str:
-        return ",".join(inst.labels(Bundle(live, inst.m)))
+        return ",".join(inst.labels(_set_bits(live)))
 
     for rec in trace.turns:
         out.append(

@@ -459,6 +459,47 @@ def test_non_string_goods_exit_2(doc, tmp_path, capsys):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+_ONES = [1] * 5000  # its repr is 15,000 characters
+_LONG = "x" * 6000  # a valid label, and a bundle key naming it
+_BIN = {"type": "binary", "desired": ["a"]}
+
+
+def _doc(*entries, goods=("a", "b")):
+    return {"goods": list(goods), "groups": [list(entries), [_BIN]]}
+
+
+@pytest.mark.parametrize("instance, allocation", [
+    (_doc({"type": "additive", "values": [_ONES, 1]}), None),
+    (_doc({"type": "additive", "values": {_LONG: 1}}), None),
+    (_doc(_ONES), None),
+    (_doc({**_BIN, "count": _ONES}), None),
+    (_doc({"type": "binary", "desired": [_ONES]}), None),
+    (_doc({"type": "binary", "desired": [_LONG]}), None),
+    (_doc({"type": _ONES}), None),
+    (_doc(_BIN, goods=("a", _LONG + ",")), None),
+    (_doc({"type": "tabular", "values": {_LONG: 0}}), None),
+    (_doc({"type": "tabular", "values": {f"{_LONG},{_LONG}": 0}}, goods=("a", _LONG)),
+     None),
+    (_doc({"type": "tabular", "values": {f"a,{_LONG}": 1, f"{_LONG},a": 1}},
+          goods=("a", _LONG)), None),
+    (_doc(_BIN), {"bundles": [["a"], [_ONES]]}),
+    (_doc(_BIN, goods=("a", _LONG)), {"bundles": [[_LONG], [_LONG]]}),
+    (_doc(_BIN, goods=("a", _LONG)), {"bundles": [["a"], []]}),
+], ids=["rational", "additive-label", "entry", "count", "desired", "desired-label",
+        "type", "good", "key", "key-repeat", "key-twice", "allocation-label",
+        "assigned-twice", "unassigned"])
+def test_document_values_are_quoted_by_a_prefix(instance, allocation, tmp_path, capsys):
+    # an oversized document value is quoted by a prefix, as a CLI argument is
+    inst, alloc = tmp_path / "inst.json", tmp_path / "alloc.json"
+    inst.write_text(json.dumps(instance))
+    alloc.write_text(json.dumps(allocation or {"bundles": [["a"], ["b"]]}))
+    code, out, err = run_cli(capsys, "check", "--instance", str(inst),
+                             "--allocation", str(alloc), "--criterion", "ef-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+
+
 def test_deeply_nested_json_exits_2(b1_path, tmp_path, capsys):
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 100_000 + "]" * 100_000)
