@@ -24,8 +24,10 @@ that makes the agent happy.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil
@@ -242,8 +244,9 @@ def _min_after_removal(v: Valuation, mask: int, pool: int, c: int) -> int:
     removable = _set_bits(mask & pool)
     take = min(c, len(removable))
     if isinstance(v, AdditiveValuation):
-        top = sorted((v.ints[i] for i in removable), reverse=True)[:take]
-        return v.int_value(mask) - sum(top)
+        values = [v.ints[i] for i in removable]
+        held = sum(values) + v.int_value(mask & ~pool)
+        return held - sum(heapq.nlargest(take, values))
     return min(
         v.ints[mask & ~sum(1 << i for i in combo)]
         for combo in itertools.combinations(removable, take)
@@ -402,13 +405,18 @@ def _own_bar(v: Valuation, criterion: FairnessCriterion, k: int) -> int:
 @lru_cache(maxsize=4096)
 def _binary_threshold(criterion: FairnessCriterion, r: int, k: int):
     """Own-count threshold t: a binary agent desiring ``r`` goods is happy
-    under ``criterion`` iff it receives at least ``t`` of them.  ``None``
-    when happiness is not a pure own-count property (EF-c with 3+ groups)."""
-    if isinstance(criterion, EFc):
-        return max(0, (r - criterion.c + 1) // 2) if k == 2 else None
-    if isinstance(criterion, PROPc):
-        return max(0, -((criterion.c - r) // k))
-    return _own_bar(BinaryValuation(Bundle.full(r)), criterion, k)
+    under ``criterion`` iff it receives at least ``t`` of them.  ``t`` is the
+    least count :func:`check`'s rule accepts, another group holding the rest
+    (the verdict grows with it); ``None`` for EF-c with 3+ groups."""
+    if isinstance(criterion, EFc) and k != 2:
+        return None
+    agent = Agent(0, 0, BinaryValuation(Bundle.full(r)))
+
+    def happy(t: int) -> bool:
+        masks = ((1 << t) - 1, (1 << r) - (1 << t)) + (0,) * (k - 2)
+        return _holds(agent, tuple(Bundle(x, r) for x in masks), criterion)
+
+    return bisect_left(range(r + 1), True, key=happy)
 
 
 def s_threshold(criterion: FairnessCriterion, r: int, k: int = 2) -> int:

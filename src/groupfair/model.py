@@ -803,10 +803,7 @@ def parse_instance(text: str) -> Instance:
                 or sorted(labels) != sorted(goods)):
             raise FormatError("'order' must be a permutation of the goods")
         order = tuple(index[g] for g in labels)
-    try:
-        return Instance.from_valuations(goods, groups, order)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return Instance.from_valuations(goods, groups, order)
 
 
 def _valuation_doc(v: Valuation, inst: Instance) -> dict:

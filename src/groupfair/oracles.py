@@ -89,6 +89,7 @@ _CHUNK = 1 << 16
 #: and ``efc-limit:c=1,l=5`` (20 goods, 3,695,120 entries) takes seconds.
 MAX_SUBSET_GOODS = 64
 MAX_SUBSET_ENTRIES = 1 << 22
+_GROUP_BITS = 20  # every group the oracle scores has fewer than 2**_GROUP_BITS members
 #: most entries in one piece of a binary-rule array (1 MiB of int64)
 _PIECE = 1 << 17
 #: most column-table entries the binary rule keeps across blocks, over all
@@ -165,8 +166,8 @@ def _binary_rule(inst: Instance, crits, high, low, block):
     The product runs in float32 and is cast to int64 exactly: ``A``
     holds member counts and ``T`` zeros and ones, and each member adds to
     at most one slot of a row, so every partial sum is an integer no
-    larger than the group's size, below 2**20 (see :func:`_chunk_counter`),
-    and float32 holds every such integer exactly.
+    larger than the group's size, below ``2**_GROUP_BITS`` (see
+    :func:`_chunk_counter`), and float32 holds every such integer exactly.
     """
     if not inst.is_binary():
         return None
@@ -422,8 +423,8 @@ def _chunk_counter(inst: Instance, criterion, cap: int):
     """
     crits = fairness.per_group_criteria(criterion, inst.k)
     total = _space(inst.k, inst.m, cap)
-    if max(inst.sizes) >= 1 << 20:  # for max_h's keys
-        raise CapExceededError(f"the oracle needs groups of fewer than 2^20"
+    if max(inst.sizes) >= 1 << _GROUP_BITS:  # for max_h's keys
+        raise CapExceededError(f"the oracle needs groups of fewer than 2^{_GROUP_BITS}"
                                f" members, got {max(inst.sizes)}")
     k, m = inst.k, inst.m
     a = m // 2
@@ -453,16 +454,16 @@ def max_h(
     independent of ``workers``, the number of threads that score chunks.
     Raises :class:`CapExceededError` when the space exceeds ``cap``.
 
-    An allocation's key is min_g floor(happy_g * 2**42 / n_g): two
-    fractions ``j / n`` with ``n < 2**20`` that differ do so by more than
-    ``2**-40``, so these floors order them exactly and keep ties as ties.
+    An allocation's key is min_g floor(happy_g * 2**(2b+2) / n_g), ``b =
+    _GROUP_BITS``: fractions ``j / n`` with ``n < 2**b`` differ by more than
+    ``2**-2b`` or not at all, so these floors order them and keep ties.
     """
     import numpy as np
 
     blocks, counts, at = _chunk_counter(inst, criterion, cap)
 
     def key(happy, n):  # a fresh array: key it in place
-        happy <<= 42
+        happy <<= 2 * _GROUP_BITS + 2
         happy //= n
         return happy
 

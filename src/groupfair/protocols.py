@@ -350,11 +350,15 @@ def _root_floor(n: int, d: int) -> int:
     return x
 
 
-def _table_price(budget, weight, pay):
+def _table_price(kind: str, budget, weight, pay):
     """A two-group table's values as ledger ints: ``n / 2**e`` is
-    ``n * lpow(e)``, since ``L = 2``."""
+    ``n * lpow(e)``, since ``L = 2``.  A state wanting more than
+    :data:`MAX_WANTED_GOODS` goods and needing some is refused before any sum."""
 
     def price(r: int, s: int, lpow):
+        if r > MAX_WANTED_GOODS and 0 < s <= r:
+            raise CapExceededError(f"{kind}: a member wants {r} goods,"
+                                   f" above the cap of {MAX_WANTED_GOODS}")
         return tuple(
             v.numerator * lpow(v.denominator.bit_length() - 1)
             for v in (budget(r, s), weight(r, s), pay(r, s))
@@ -373,8 +377,7 @@ def _kgroup_price(r: int, s: int, lpow):
 
 
 def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
-                       budget_name: str, d: int = 1, number=Fraction,
-                       max_wanted=None):
+                       budget_name: str, d: int = 1, number=Fraction):
     """The weighted-approval picking loop behind :func:`rwav2`,
     :func:`cwav2` and :func:`rwavk`.
 
@@ -385,12 +388,8 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
     group takes a good it wants and is refunded its weight when another
     group does.  ``number(n, unit)`` turns a ledger int ``n`` into the
     trace's number ``n / unit``, where ``unit`` is the ledger int of 1.
-    If ``max_wanted`` is given, a member wanting more goods than that
-    raises :class:`~groupfair.errors.CapExceededError` before the first
-    turn, unless it needs none of them or more than it wants: those
-    members' prices are base cases, with no binomial sum.
-    Returns the allocation, the trace and each group's starting ``(r, s)``
-    pairs.
+    A ``price`` that refuses a starting state refuses the run before turn 1.
+    Returns the allocation, the trace and each group's starting ``(r, s)`` pairs.
     """
     k = inst.k
     sfuncs = [functools.cache(SFunction(c, k)) for c in crits]
@@ -399,13 +398,6 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
     start = [[(len(goods), sfunc(len(goods))) for goods in grp]
              for sfunc, grp in zip(sfuncs, goods_of)]
     R = max((rj for grp in start for rj, _ in grp), default=0)
-    if max_wanted is not None:
-        summed = max((rj for grp in start for rj, sj in grp if 0 < sj <= rj),
-                     default=0)
-        if summed > max_wanted:
-            raise CapExceededError(
-                f"{kind}: a member wants {summed} goods, above the cap of {max_wanted}"
-            )
     P = -(-R // d)
     # every k-group weight has |2**P * w|_1 <= 2**(P+1) and a good weight
     # sums at most n of them, so H bounds |z|_1 for two goods' difference
@@ -533,23 +525,24 @@ def rwav2(inst: Instance, criterion, first_group: int = 0) -> RunResult:
     :data:`MAX_WANTED_GOODS` goods and needing some of them raises
     :class:`~groupfair.errors.CapExceededError` before the first turn.
     """
-    _require(inst, "rwav2", two=True, binary=True)
+    kind = "rwav2"
+    _require(inst, kind, two=True, binary=True)
     if first_group not in (0, 1):
         raise ValueError("first_group must be 0 or 1")
     crits = per_group_criteria(criterion, 2)
     tbl = budgets.DEFAULT_TABLE
     order = itertools.cycle((first_group, 1 - first_group))
     alloc, trace, start = _weighted_approval(
-        inst, crits, "rwav2", order.__next__,
-        _table_price(tbl.B, tbl.w, lambda r, s: max(tbl.w(r, s), tbl.w(r - 1, s - 1))),
-        "B", max_wanted=MAX_WANTED_GOODS,
+        inst, crits, kind, order.__next__,
+        _table_price(kind, tbl.B, tbl.w,
+                     lambda r, s: max(tbl.w(r, s), tbl.w(r - 1, s - 1))), "B",
     )
     guarantees = tuple(
         min(tbl.B(r if g == first_group else r - 1, s)
             for r, s in dict.fromkeys(start[g]))
         for g in range(2)
     )
-    return _result("rwav2", inst, alloc, crits, guarantees, trace)
+    return _result(kind, inst, alloc, crits, guarantees, trace)
 
 
 def rwav2_enhanced(inst: Instance, c: int = 2) -> RunResult:
@@ -839,17 +832,18 @@ def cwav2(inst: Instance, criterion, seed: int) -> RunResult:
     happy fraction is at least ``min_j C(r_j, s(r_j))``, reported via
     ``expected_guarantees``.  Members are capped as in :func:`rwav2`.
     """
-    _require(inst, "cwav2", two=True, binary=True)
+    kind = "cwav2"
+    _require(inst, kind, two=True, binary=True)
     crits = per_group_criteria(criterion, 2)
     tbl = budgets.DEFAULT_TABLE
     rng = random.Random(seed)
     alloc, trace, start = _weighted_approval(
-        inst, crits, "cwav2", lambda: rng.randrange(2),
-        _table_price(tbl.C, tbl.w_C, tbl.w_C), "C", max_wanted=MAX_WANTED_GOODS,
+        inst, crits, kind, lambda: rng.randrange(2),
+        _table_price(kind, tbl.C, tbl.w_C, tbl.w_C), "C",
     )
     expected = tuple(min(tbl.C(r, s) for r, s in dict.fromkeys(start[g]))
                      for g in range(2))
-    return _result("cwav2", inst, alloc, crits, (Fraction(0),) * 2, trace, expected)
+    return _result(kind, inst, alloc, crits, (Fraction(0),) * 2, trace, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ The first is the binary scoring rule :func:`groupfair.oracles.max_h` and
 product: every allocation index is decoded on its own (``divmod`` into
 its high and low base-``k`` digits) and each distinct desired set adds
 its multiplicity wherever the popcount of the group's own bundle reaches
-its threshold.  Members of any kind under PROP-c are scored instead from
+its threshold, read from the closed forms of ``threshold_reference.py``.
+Members of any kind under PROP-c are scored instead from
 :func:`value_reference.propc_holds` on every own bundle, with no rank
 table.  The property tests in ``test_oracles.py`` require the
 sweeps to agree with it on the value, the witness and the number of
@@ -24,9 +25,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from groupfair.fairness import PROPc, _binary_threshold, per_group_criteria
+from groupfair.fairness import PROPc, per_group_criteria
 from groupfair.model import Bundle
 from groupfair.oracles import _digit_masks
+from threshold_reference import binary_threshold
 from value_reference import propc_holds
 
 
@@ -51,7 +53,7 @@ def binary_rule(inst, crits):
     for g, grp in enumerate(inst.groups):
         row = []
         for mask, count in Counter(a.valuation.desired.mask for a in grp).items():
-            t = _binary_threshold(crits[g], mask.bit_count(), inst.k)
+            t = binary_threshold(crits[g], mask.bit_count(), inst.k)
             if t is None:
                 return None
             row.append((np.uint64(mask), t, count))

@@ -211,7 +211,7 @@ def test_values_are_dyadic_and_price_exactly(R, extra):
     def rwav2_pay(r, s):
         return max(w(r, s), w(r - 1, s - 1))
 
-    families = ((B, w, rwav2_pay), (C, w_C, w_C))
+    families = (("rwav2", B, w, rwav2_pay), ("cwav2", C, w_C, w_C))
     for r in range(R + 1):
         for s in range(r + 1):
             for name in ("B", "w", "C", "w_C"):
@@ -221,7 +221,7 @@ def test_values_are_dyadic_and_price_exactly(R, extra):
                 assert den & (den - 1) == 0 and (1 << r) % den == 0, (name, r, s)
             for family in families:
                 ints = _table_price(*family)(r, s, lambda j: 1 << (P - j))
-                assert list(ints) == [f(r, s) * 2**P for f in family], (r, s)
+                assert list(ints) == [f(r, s) * 2**P for f in family[1:]], (r, s)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from groupfair import cli, protocols
+from groupfair import budgets, cli, protocols
 from groupfair.budgets import B_closed, C, KGroupWeights
 from groupfair.cli import MAX_TABLE_CELLS, MAX_TABLE_RMAX, main
 from groupfair.fairness import PROPc, democratic_report, per_group_criteria
@@ -441,6 +441,36 @@ def test_wanted_goods_cap_exits_3(protocol, tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "--protocol", "rwavk", "--instance",
                            over, "--criterion", "1-of-best-600")
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("protocol", ["rwav2", "cwav2"])
+def test_wanted_goods_cap_refuses_before_any_sum(protocol, tmp_path, monkeypatch,
+                                                 capsys):
+    # group 1 has a member under the cap, then one wanting 520 goods;
+    # group 2 one wanting 600.  The run is refused while its starting
+    # states are priced, before any turn, and it names the first member
+    # priced over the cap
+    cap, top = MAX_WANTED_GOODS, 600
+    goods = [f"g{i}" for i in range(top)]
+    path = tmp_path / "two-over.json"
+    path.write_text(json.dumps({"goods": goods, "groups": [
+        [{"type": "binary", "desired": goods[:2]},
+         {"type": "binary", "desired": goods[:cap + 8]}],
+        [{"type": "binary", "desired": goods}],
+    ]}))
+    below = budgets._below
+
+    def small_sums_only(r, s, k):
+        assert r <= cap, f"a binomial sum over {r} goods started"
+        return below(r, s, k)
+
+    monkeypatch.setattr(budgets, "_below", small_sums_only)
+    seed = ["--seed", "1"] if protocol == "cwav2" else []
+    assert run_cli(
+        capsys, "run", "--protocol", protocol, "--criterion", "1-out-of-2-mms",
+        "--instance", str(path), *seed,
+    ) == (3, "", f"error: {protocol}: a member wants {cap + 8} goods,"
+                 f" above the cap of {cap}\n")
 
 
 @pytest.mark.parametrize("doc", [

@@ -1,7 +1,8 @@
 """Fairness-criterion tests.
 
 The binary-agent thresholds are validated against :func:`check` on
-explicitly constructed splits, and the maximin-share computation against a
+explicitly constructed splits and against the closed forms of
+``threshold_reference.py``, and the maximin-share computation against a
 brute-force partition enumeration.
 """
 
@@ -48,6 +49,7 @@ from groupfair.model import (
 )
 
 from conftest import addval, binval, criteria
+from threshold_reference import binary_threshold
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +363,18 @@ def test_s_threshold_is_the_binary_threshold(criterion, r, k):
     if threshold is None:
         threshold = f"{criterion.name} has a threshold only for k=2"
     assert _outcome(s_threshold, criterion, r, k) == threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.builds(EFc, st.integers(0, 8)), st.builds(PROPc, st.integers(0, 8)),
+                 criteria()),
+       st.integers(0, 64), st.integers(2, 5))
+def test_binary_threshold_is_its_closed_form(criterion, r, k):
+    # the package reads each threshold off check's rule; the closed forms
+    # that rule solves to are written only in the reference, and
+    # s_threshold is held to _binary_threshold above
+    assert _outcome(_binary_threshold, criterion, r, k) == (
+        _outcome(binary_threshold, criterion, r, k))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from groupfair.fairness import (
     check,
     democratic_report,
     efc_holds,
+    _min_after_removal,
     mms_share,
     propc_holds,
 )
@@ -134,3 +135,19 @@ def test_value_kernel_matches_fraction_reference(case):
     assert democratic_report(inst, alloc, per_group) == (
         ref.democratic_report(inst, alloc, per_group)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 80).flatmap(lambda m: st.tuples(
+    st.lists(st.integers(0, 50), min_size=m, max_size=m),
+    st.integers(0, (1 << m) - 1), st.integers(0, (1 << m) - 1),
+    st.booleans(), st.integers(0, m + 1))))
+def test_additive_removal_matches_sorting(case):
+    # the additive removal takes the c largest removable values in one walk,
+    # and reads the held value off them when every held good is removable
+    # (each EF-c call): the same as sorting every removable value
+    values, mask, pool, whole, c = case
+    v = AdditiveValuation(tuple(values))
+    pool = mask if whole else pool
+    removable = sorted((v.ints[i] for i in Bundle(mask & pool, v.m)), reverse=True)
+    assert _min_after_removal(v, mask, pool, c) == v.int_value(mask) - sum(removable[:c])
