@@ -918,31 +918,32 @@ def binarize_instance(inst: Instance, c: int) -> Instance:
     Each agent keeps its ``c`` highest-valued goods (ties broken towards the
     lowest good index); binary agents wanting fewer than ``c`` goods keep
     what they have.  Used by the protocols whose guarantees only depend on
-    each agent getting one of its best ``c`` goods.  Returns ``inst``
-    itself when no valuation changes.
+    each agent getting one of its best ``c`` goods.  Changed members left
+    with the same goods share one valuation; ``inst`` itself is returned
+    when no valuation changes.
     """
     if c < 1:
         raise ValueError("binarize needs c >= 1")
     groups = []
-    changed = False
+    made = {}  # each new desired mask -> the one valuation its members share
     for grp in inst.groups:
         members = []
         for agent in grp:
             v = agent.valuation
             if isinstance(v, BinaryValuation):
                 desired = _set_bits(v.desired.mask)
-                if len(desired) > c:  # keep the goods below the (c+1)-th
-                    lowest = v.desired.mask & (1 << desired[c]) - 1
-                    v = BinaryValuation(Bundle(lowest, inst.m))
-                    changed = True
-                members.append(v)
-                continue
-            vals = [v.int_value(1 << i) for i in range(inst.m)]
-            ranked = sorted(range(inst.m), key=lambda i: (-vals[i], i))
-            top = [i for i in ranked[:c] if vals[i] > 0]
-            members.append(BinaryValuation(Bundle.from_indices(top, inst.m)))
-            changed = True
+                if len(desired) <= c:
+                    members.append(v)
+                    continue
+                mask = v.desired.mask & (1 << desired[c]) - 1  # below the (c+1)-th
+            else:
+                vals = [v.int_value(1 << i) for i in range(inst.m)]
+                ranked = sorted(range(inst.m), key=lambda i: (-vals[i], i))
+                mask = sum(1 << i for i in ranked[:c] if vals[i] > 0)
+            if mask not in made:
+                made[mask] = BinaryValuation(Bundle(mask, inst.m))
+            members.append(made[mask])
         groups.append(members)
-    if not changed:
+    if not made:
         return inst
     return Instance.from_valuations(inst.goods, groups, inst.order)

@@ -7,12 +7,13 @@ and (where meaningful) a trace detailed enough to replay the run by hand.
 The picking protocols (:func:`rwav2`, :func:`rwavk`, :func:`cwav2`) maintain
 the proof's fictitious payment ledger at runtime: each member starts by
 paying its budget ``B(r, s)`` into the group account, pays again when its
-group takes a good it wants, and is refunded when the opponent does.  The
-ledger invariants (member balance always exactly ``-B(r, s)``; final group
-account equal to the number of happy members) are re-checked on every turn
-and raised as errors if violated.  Every protocol then checks that each
-group's happy fraction reaches the guarantee it claims, so a successful
-run certifies itself.
+group takes a good it wants, and is refunded when the opponent does.  A
+failed ledger invariant raises an error: a member's balance, its priced
+state, is always exactly ``-B(r, s)`` (each move between states is checked
+when a member first makes it, which covers every member on every turn),
+and a group's final account is its number of happy members.  Every
+protocol then checks that each group's happy fraction reaches the
+guarantee it claims, so a successful run certifies itself.
 
 The three share one loop, :func:`_weighted_approval`, whose ledger is plain
 ints.  Let ``L = 2**(1/d)``, ``d = 1`` for the two-group tables and ``k - 1``
@@ -33,9 +34,8 @@ by ``2**R``, integers by :func:`~groupfair.budgets.B_closed`, with
 Each ``(r, s)`` is priced once per run, when a member first reaches it, and
 keeps its two transitions (successor, balance change, weight change) for
 when the member's own group takes a good it wants and when another does.
-A turn applies them to the members wanting the pick, checks each balance,
-and sums each group's change once.  The loop keeps per-turn snapshots of
-the ledger, and :class:`ProtocolTrace` builds its ``turns`` from them on
+A turn applies them to the members wanting the pick and sums each group's
+change once.  :class:`ProtocolTrace` replays the logged picks along them on
 first read: a run whose trace is never read makes no :class:`TurnRecord`.
 
 :func:`_render_trace` prints a run's trace records as the stable plain text
@@ -419,17 +419,24 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
     traced = functools.cache(lambda value: number(value, 1 << shift))
     state_price = functools.cache(lambda r, s: _State(r, s, *price(r, s, lpow), traced))
 
-    def advance(old: _State, side: int):
-        """Price ``old``'s successor on ``side`` and keep the transition."""
+    def advance(old: _State, side: int, agent, turn: int):
+        """Price, check and keep the move ``agent`` first makes from ``old``."""
         new = state_price(old.r - 1, old.s if side else max(0, old.s - 1))
-        old.step[side] = step = (new, old.weight if side else -old.pay,
-                                 new.weight - old.weight)
+        move = old.weight if side else -old.pay
+        if (balance := old.neg_budget + move) != new.neg_budget:
+            raise ProtocolInvariantError(
+                f"agent {agent.label} balance {traced(balance)} != "
+                f"-{budget_name}({new.r}, {new.s}) after turn {turn}",
+                agent=agent.label, turn=turn,
+                expected=Fraction(new.neg_budget, 1 << shift),
+                actual=Fraction(balance, 1 << shift),
+            )
+        old.step[side] = step = (new, move, new.weight - old.weight)
         return step
 
     m = inst.m
     state = [[state_price(rj, sj) for rj, sj in grp] for grp in start]
-    bal = [[p.neg_budget for p in grp] for grp in state]
-    group_bal = [-sum(bal[g]) for g in range(k)]
+    group_bal = [-sum(p.neg_budget for p in grp) for grp in state]
     # per good and group, the members wanting it; per group, each good's
     # total member weight
     wanted_by = [[[] for _ in range(k)] for _ in range(m)]
@@ -442,32 +449,21 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
 
     remaining = list(range(m))
     assignment = [None] * m
-    opening = tuple(map(tuple, state))  # the ledger before turn 1
-    log = []  # per turn: group, pick, good weights before, balances and ledger after
+    opening = tuple(map(tuple, state))  # each member's state before turn 1
+    log = []  # per turn: group, pick, good weights before, group balances after
     for turn in range(1, m + 1):
         g = next_group()
         weights = good_weight[g]
         before = tuple(weights)
         pick = max(remaining, key=weights.__getitem__)
-        for gg, members in enumerate(wanted_by[pick]):
+        for gg, (members, agents) in enumerate(zip(wanted_by[pick], inst.groups)):
             side = gg != g
-            st, b, gw, goods_of_g = state[gg], bal[gg], good_weight[gg], goods_of[gg]
+            st, gw, goods_of_g = state[gg], good_weight[gg], goods_of[gg]
             change = 0
             for j in members:
                 old = st[j]
-                new, move, delta = old.step[side] or advance(old, side)
-                st[j] = new
-                b[j] = balance = b[j] + move
+                st[j], move, delta = old.step[side] or advance(old, side, agents[j], turn)
                 change += move
-                if balance != new.neg_budget:
-                    agent = inst.groups[gg][j].label
-                    raise ProtocolInvariantError(
-                        f"agent {agent} balance {traced(balance)} != "
-                        f"-{budget_name}({new.r}, {new.s}) after turn {turn}",
-                        agent=agent, turn=turn,
-                        expected=Fraction(new.neg_budget, 1 << shift),
-                        actual=Fraction(balance, 1 << shift),
-                    )
                 goods = goods_of_g[j]
                 goods.remove(pick)
                 if delta:
@@ -475,7 +471,7 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
                         gw[i] += delta
             group_bal[gg] -= change
         assignment[pick] = g
-        log.append((g, pick, before, tuple(group_bal), tuple(map(tuple, state))))
+        log.append((g, pick, before, tuple(group_bal)))
         remaining.remove(pick)
 
     for g in range(k):
@@ -486,17 +482,20 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
                 expected=Fraction(happy), actual=Fraction(group_bal[g], 1 << shift),
             )
 
-    def turns() -> tuple:
-        left, records, states = list(range(m)), [], opening
-        for turn, (g, pick, weights, gbal, after) in enumerate(log, 1):
+    def turns() -> tuple:  # replays the picks along the kept transitions
+        left, records, states = list(range(m)), [], list(map(list, opening))
+        for turn, (g, pick, weights, gbal) in enumerate(log, 1):
+            entries = tuple(map(_ENTRY, states[g]))
+            for gg, members in enumerate(wanted_by[pick]):
+                for j in members:
+                    states[gg][j] = states[gg][j].step[gg != g][0]
             records.append(TurnRecord(
-                turn, g, tuple(left), tuple(map(_ENTRY, states[g])),
+                turn, g, tuple(left), entries,
                 tuple((i, traced(weights[i])) for i in left), pick,
                 tuple(map(traced, gbal)),
-                tuple(tuple(map(_BALANCE, grp)) for grp in after),
+                tuple(tuple(map(_BALANCE, grp)) for grp in states),
             ))
             left.remove(pick)
-            states = after
         return tuple(records)
 
     trace = ProtocolTrace.__new__(ProtocolTrace)
@@ -736,13 +735,13 @@ def rwavk(inst: Instance, c: int) -> RunResult:
     k = inst.k
     if k > MAX_RWAVK_GROUPS:
         raise CapExceededError(f"rwavk: {k} groups, above the cap of {MAX_RWAVK_GROUPS}")
+    criterion = OneOfBestC(c)  # refuses c < 1 before the warning below
     if c < k:
         warnings.warn(
             f"rwavk with c={c} < k={k}: guarantees degenerate to 0 for later groups",
             stacklevel=2,
         )
     kw = KGroupWeights(k)
-    criterion = OneOfBestC(c)
     alloc, trace, _ = _weighted_approval(
         binarize_instance(inst, c), (criterion,) * k, "rwavk",
         itertools.cycle(range(k)).__next__, _kgroup_price, "B_k", d=k - 1,

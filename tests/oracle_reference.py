@@ -12,9 +12,11 @@ Members of any kind under PROP-c are scored instead from
 :func:`value_reference.propc_holds` on every own bundle, with no rank
 table.  The property tests in ``test_oracles.py`` require the
 sweeps to agree with it on the value, the witness and the number of
-allocations examined, and :func:`groupfair.oracles._drop_table` to agree
-with :func:`reference_drop_table` entry by entry.  Witnesses are decoded
-here digit by digit, while the oracle reads them from the masks it scores.
+allocations examined, :func:`groupfair.oracles._drop_table` to agree
+with :func:`reference_drop_table` entry by entry, and
+:func:`groupfair.oracles._prop_benchmark_table` with
+:func:`reference_prop_benchmark_table`.  Witnesses are decoded here digit
+by digit, while the oracle reads them from the masks it scores.
 """
 
 from __future__ import annotations
@@ -150,3 +152,14 @@ def reference_drop_table(values, m: int, c: int):
                     nxt[mask] = cur[mask ^ low]
         cur = nxt
     return cur
+
+
+def reference_prop_benchmark_table(rank, m: int, c: int):
+    """``out[own]`` = least ``rank`` over the supersets of ``own`` with at
+    least ``m - c`` goods, or ``1 << m`` where there are none, one own mask
+    and one superset at a time."""
+    return [
+        min((rank[mask] for mask in range(1 << m)
+             if mask & own == own and mask.bit_count() >= m - c), default=1 << m)
+        for own in range(1 << m)
+    ]

@@ -111,8 +111,8 @@ def test_run_trace_of_each_kind_matches_golden(golden, protocol, instance, extra
 
 
 def test_run_builds_turn_records_only_for_trace(b1_path, capsys, monkeypatch):
-    # the picking loop keeps ledger snapshots and makes TurnRecords only
-    # when the trace is read, which run does for --trace alone
+    # the picking loop logs its picks and makes TurnRecords only when the
+    # trace is read, which run does for --trace alone
     made = []
     init = protocols.TurnRecord.__init__
     monkeypatch.setattr(protocols.TurnRecord, "__init__",

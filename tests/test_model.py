@@ -737,6 +737,22 @@ def test_binarize_keeps_small_binary_sets():
         binarize_instance(inst, 0)
 
 
+def test_binarize_shares_one_valuation_per_new_mask():
+    # three binary members truncate to {v, w} and two additive members rank
+    # {w, x} first; a member already wanting {v, w} keeps its own valuation
+    keep = binval("vw", "vwxy")
+    inst = Instance.from_valuations(("v", "w", "x", "y"), (
+        (binval("vwx", "vwxy"), binval("vwy", "vwxy"), keep),
+        (addval([1, 5, 4, 0]), binval("vwxy", "vwxy"), addval([0, 3, 3, 1])),
+    ))
+    out = [[agent.valuation for agent in grp]
+           for grp in binarize_instance(inst, 2).groups]
+    assert out[0][0] is out[0][1] is out[1][1] == keep
+    assert out[0][2] is keep
+    assert out[1][0] is out[1][2] == binval("wx", "vwxy")
+    assert len({id(v) for grp in out for v in grp}) == 3
+
+
 def test_binarize_tabular_uses_singletons():
     inst = parse_instance(
         '{"goods": ["v", "w"], "groups": [[{"type": "tabular",'

@@ -66,6 +66,7 @@ from oracle_reference import (
     reference_drop_table,
     reference_exists_h,
     reference_max_h,
+    reference_prop_benchmark_table,
 )
 
 
@@ -418,6 +419,18 @@ def test_drop_table_matches_loop_reference(case):
     m, values, c = case
     fast = oracles._drop_table(np.array(values, dtype=np.int64), m, c)
     assert fast.tolist() == reference_drop_table(values, m, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.integers(0, (1 << m) - 1), min_size=1 << m, max_size=1 << m),
+    st.integers(0, m + 1),
+)))
+def test_prop_benchmark_table_matches_loop_reference(case):
+    m, rank, c = case
+    fast = oracles._prop_benchmark_table(np.array(rank, dtype=np.int64), m, c)
+    assert fast.tolist() == reference_prop_benchmark_table(rank, m, c)
 
 
 def test_drop_table_stops_after_m_rounds():

@@ -251,6 +251,72 @@ def test_cwav2_ledger_check_catches_a_wrong_weight(mixed_two_group, monkeypatch)
     assert new == outcome(reference_cwav2, mixed_two_group, OneOfBestC(2), 3)
 
 
+class MovedValue(BudgetTable):
+    """The default table with one value, ``name`` at ``state``, moved by
+    ``by``."""
+
+    def __init__(self, name, state, by):
+        self.name, self.state, self.by = name, state, by
+
+    def moved(self, name, r, s, value):
+        return value + self.by if (name, (r, s)) == (self.name, self.state) else value
+
+    def B(self, r, s):
+        return self.moved("B", r, s, super().B(r, s))
+
+    def w(self, r, s):
+        return self.moved("w", r, s, super().w(r, s))
+
+    def C(self, r, s):
+        return self.moved("C", r, s, super().C(r, s))
+
+    def w_C(self, r, s):
+        return self.moved("w_C", r, s, super().w_C(r, s))
+
+
+BALANCE_ERROR = re.compile(
+    r"^agent (?P<agent>\S+) balance (?P<balance>\S+) != "
+    r"-(?P<name>\w+)\((?P<r>\d+), (?P<s>\d+)\) after turn (?P<turn>\d+)$")
+
+
+@pytest.mark.parametrize(
+    "run, reference, names, arg",
+    [(rwav2, reference_rwav2, ("B", "w"), st.sampled_from((0, 1))),
+     (cwav2, reference_cwav2, ("C", "w_C"), st.integers(0, 2**32))],
+    ids=["rwav2", "cwav2"],
+)
+@settings(max_examples=150, deadline=None)
+@given(inst=binary_instances(), criterion=criteria, data=st.data())
+def test_a_moved_table_value_fails_where_the_reference_does(run, reference, names,
+                                                            arg, inst, criterion, data):
+    # The engine checks each member move once, when a member first makes
+    # it; the reference checks every member's balance on every turn.  One
+    # budget or weight moved by whole ledger units must stop both at the
+    # same member and turn, or neither.
+    R = max(mask.bit_count() for grp in protocols._desired_masks(inst) for mask in grp)
+    table = MovedValue(
+        data.draw(st.sampled_from(names)),
+        (data.draw(st.integers(0, R)), data.draw(st.integers(0, R + 1))),
+        Fraction(data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3))), 2**R),
+    )
+    arg = data.draw(arg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(budgets, "DEFAULT_TABLE", table)
+        try:
+            new = run(inst, criterion, arg)
+        except ProtocolInvariantError as exc:
+            new = exc
+        ref = outcome(reference, inst, criterion, arg)
+        if isinstance(ref, tuple):
+            assert (type(new), str(new)) == ref
+            if found := BALANCE_ERROR.match(ref[1]):
+                budget = getattr(table, found["name"])(int(found["r"]), int(found["s"]))
+                assert (new.agent, new.turn, new.expected, str(new.actual)) == (
+                    found["agent"], int(found["turn"]), -budget, found["balance"])
+        else:
+            assert_same_run(new, ref)
+
+
 class RaisedBudget(BudgetTable):
     """``B`` and ``C`` raised by ``shift``.  A member's starting balance and
     every budget it is checked against move together, so each per-member

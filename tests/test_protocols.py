@@ -696,6 +696,7 @@ def test_rwavk_truncates_to_lowest_indices():
     assert result.report.happy == (1, 1)
 
 
+@pytest.mark.filterwarnings("error")
 def test_rwavk_warns_when_c_below_k():
     inst = Instance.from_valuations(
         ("a", "b"),
@@ -704,6 +705,9 @@ def test_rwavk_warns_when_c_below_k():
     with pytest.warns(UserWarning, match="c=2 < k=3"):
         result = rwavk(inst, c=2)
     assert result.guarantees[2] == 0
+    # a c below 1 is refused before any warning
+    with pytest.raises(ValueError, match="^1-of-best-c needs c >= 1$"):
+        rwavk(inst, c=0)
 
 
 def test_rwavk_respects_guarantees_random():
