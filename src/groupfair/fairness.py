@@ -358,17 +358,18 @@ def mms_share(
 
 def check(agent: Agent, alloc: Allocation, criterion: FairnessCriterion) -> bool:
     """Does this agent consider ``alloc`` fair under ``criterion``?"""
-    bundles = _fitted_bundles(alloc, agent.valuation.m, agent.group + 1, least=True)
-    return _holds(agent, bundles, criterion)
-
-
-def _holds(agent: Agent, bundles: tuple, criterion: FairnessCriterion) -> bool:
-    """:func:`check` against the allocation's per-group ``bundles``."""
     v = agent.valuation
+    bundles = _fitted_bundles(alloc, v.m, agent.group + 1, least=True)
+    return _holds(v, agent.group, bundles, criterion)
+
+
+def _holds(v: Valuation, group: int, bundles: tuple,
+           criterion: FairnessCriterion) -> bool:
+    """:func:`check` for a member of ``group`` with valuation ``v``."""
     k = len(bundles)
-    own = bundles[agent.group]
+    own = bundles[group]
     if isinstance(criterion, EFc):
-        others = [b for gi, b in enumerate(bundles) if gi != agent.group]
+        others = [b for gi, b in enumerate(bundles) if gi != group]
         return efc_holds(v, own, others, criterion.c)
     if isinstance(criterion, PROPc):
         return propc_holds(v, own, k, criterion.c)
@@ -410,11 +411,11 @@ def _binary_threshold(criterion: FairnessCriterion, r: int, k: int):
     (the verdict grows with it); ``None`` for EF-c with 3+ groups."""
     if isinstance(criterion, EFc) and k != 2:
         return None
-    agent = Agent(0, 0, BinaryValuation(Bundle.full(r)))
+    v = BinaryValuation(Bundle.full(r))
 
     def happy(t: int) -> bool:
         masks = ((1 << t) - 1, (1 << r) - (1 << t)) + (0,) * (k - 2)
-        return _holds(agent, tuple(Bundle(x, r) for x in masks), criterion)
+        return _holds(v, 0, tuple(Bundle(x, r) for x in masks), criterion)
 
     return bisect_left(range(r + 1), True, key=happy)
 
@@ -500,12 +501,11 @@ class FairnessReport(Record):
 
 
 def democratic_report(inst: Instance, alloc: Allocation, criterion) -> FairnessReport:
-    """Evaluate :func:`check` for every agent; ``criterion`` may be one
-    criterion or a per-group sequence of ``k`` criteria."""
+    """Evaluate :func:`check` for every agent, once per run of members;
+    ``criterion`` may be one criterion or a per-group sequence of ``k``."""
     crits = per_group_criteria(criterion, inst.k)
     bundles = _fitted_bundles(alloc, inst.m, inst.k)
-    verdicts = tuple(
-        tuple(_holds(agent, bundles, crits[gi]) for agent in grp)
-        for gi, grp in enumerate(inst.groups)
+    return FairnessReport(
+        [ok for v, n in runs for ok in [_holds(v, g, bundles, crits[g])] * n]
+        for g, runs in enumerate(inst.runs)
     )
-    return FairnessReport(verdicts)

@@ -447,8 +447,11 @@ class Instance(Record):
 
     ``order`` is the traversal order of goods (a permutation of indices)
     used by the line protocols; it defaults to instance order.
-    ``good_index`` maps each label to its index (an attribute outside the
-    fields: not compared, hashed or shown).
+    ``good_index`` maps each label to its index; ``runs`` holds per group
+    its maximal runs of consecutive members sharing one valuation object,
+    as ``(valuation, count)`` pairs, which the report, the line polls, the
+    trace text, binarization, the oracle tallies and the writer read
+    (attributes outside the fields: not compared, hashed or shown).
     """
 
     goods: tuple
@@ -462,20 +465,30 @@ class Instance(Record):
         groups = tuple(tuple(grp) for grp in groups)
         if not groups:
             raise ValueError("instance needs at least one group")
+        runs = []
         for gi, grp in enumerate(groups):
             if not grp:
                 raise ValueError(f"group {gi + 1} is empty")
+            fold, last, start = [], None, 0  # a pair per run ended so far
             for ai, agent in enumerate(grp):
                 if agent.group != gi or agent.index != ai:
                     raise ValueError(
                         f"agent at position {gi}.{ai} mislabelled as "
                         f"{agent.group}.{agent.index}"
                     )
-                if agent.valuation.m != m:
+                v = agent.valuation
+                if ai and v is last:
+                    continue
+                if v.m != m:
                     raise ValueError(
                         f"agent {agent.label} valuation covers "
-                        f"{agent.valuation.m} goods, instance has {m}"
+                        f"{v.m} goods, instance has {m}"
                     )
+                if ai:
+                    fold.append((last, ai - start))
+                last, start = v, ai
+            fold.append((last, len(grp) - start))
+            runs.append(tuple(fold))
         if order is None:
             order = tuple(range(m))
         else:
@@ -484,6 +497,7 @@ class Instance(Record):
                 raise ValueError("order must be a permutation of good indices")
         self._init(goods, groups, order)
         object.__setattr__(self, "good_index", index)
+        object.__setattr__(self, "runs", tuple(runs))
 
     @classmethod
     def from_valuations(
@@ -526,9 +540,7 @@ class Instance(Record):
         return [self.goods[i] for i in indices]
 
     def is_binary(self) -> bool:
-        return all(
-            isinstance(a.valuation, BinaryValuation) for a in self.agents()
-        )
+        return all(isinstance(v, BinaryValuation) for runs in self.runs for v, _ in runs)
 
 
 class Allocation(Record):
@@ -820,9 +832,6 @@ def _valuation_doc(v: Valuation, inst: Instance) -> dict:
     raise TypeError(f"unknown valuation {v!r}")
 
 
-_valuation_of = operator.attrgetter("valuation")
-
-
 def _dumped(value, depth: int) -> str:
     """``json.dumps(value, indent=2)`` as it reads nested ``depth`` levels
     deep (a JSON string holds no raw newline)."""
@@ -840,22 +849,24 @@ def _joined(items: list, depth: int, brackets: str = "[]") -> str:
 def serialize_instance(inst: Instance) -> str:
     """Serialize an instance to JSON; parse_instance round-trips it.
 
-    Consecutive identical agents compress into one entry with a count.
-    The text is what ``json.dumps(..., indent=2)`` makes of the document,
-    put together from each distinct group encoded once (the generators, and
+    Each entry is one of the group's :attr:`Instance.runs`, with a count
+    when it holds more than one member; adjacent runs of equal valuations
+    (distinct objects) merge into one entry.  The text is what
+    ``json.dumps(..., indent=2)`` makes of the document, put together from
+    each distinct group encoded once (the generators, and
     :func:`parse_instance` for binary entries, give equal groups the same
     valuation objects).
     """
-    distinct = {}  # ids of a group's valuations, in order -> its text
+    distinct = {}  # a group's runs, as (id, count) pairs -> its text
     groups = []
-    for grp in inst.groups:
-        key = tuple(map(id, map(_valuation_of, grp)))
+    for runs in inst.runs:
+        key = tuple((id(v), n) for v, n in runs)
         text = distinct.get(key)
         if text is None:
             entries = []
-            for v, run in itertools.groupby(map(_valuation_of, grp)):
+            for v, equal in itertools.groupby(runs, key=operator.itemgetter(0)):
                 entry = _valuation_doc(v, inst)
-                count = sum(1 for _ in run)
+                count = sum(n for _, n in equal)
                 if count > 1:
                     entry["count"] = count
                 entries.append(entry)
@@ -926,14 +937,13 @@ def binarize_instance(inst: Instance, c: int) -> Instance:
         raise ValueError("binarize needs c >= 1")
     groups = []
     made = {}  # each new desired mask -> the one valuation its members share
-    for grp in inst.groups:
+    for runs in inst.runs:
         members = []
-        for agent in grp:
-            v = agent.valuation
+        for v, count in runs:
             if isinstance(v, BinaryValuation):
                 desired = _set_bits(v.desired.mask)
                 if len(desired) <= c:
-                    members.append(v)
+                    members += [v] * count
                     continue
                 mask = v.desired.mask & (1 << desired[c]) - 1  # below the (c+1)-th
             else:
@@ -942,7 +952,7 @@ def binarize_instance(inst: Instance, c: int) -> Instance:
                 mask = sum(1 << i for i in ranked[:c] if vals[i] > 0)
             if mask not in made:
                 made[mask] = BinaryValuation(Bundle(mask, inst.m))
-            members.append(made[mask])
+            members += [made[mask]] * count
         groups.append(members)
     if not made:
         return inst

@@ -178,8 +178,10 @@ def _binary_rule(inst: Instance, crits, high, low, block):
     per_piece = max(1, _PIECE // max(len(high[0, rows]), len(low[0, cols])))
     low_goods = low[0, 0]  # column 0 gives group 0 every low good
     plans = []
-    for g, grp in enumerate(inst.groups):
-        tally = Counter(agent.valuation.desired.mask for agent in grp)
+    for g, runs in enumerate(inst.runs):
+        tally = Counter()  # each distinct desired set, with its members
+        for v, n in runs:
+            tally[v.desired.mask] += n
         desired = np.array(list(tally), dtype=np.uint64)
         sizes = np.bitwise_count(desired).astype(np.int64)
         bars = {r: fairness._binary_threshold(crits[g], r, k)
@@ -329,11 +331,14 @@ def _table_rule(inst: Instance, crits, high, low):
             f"generic oracle path supports at most 16 goods, got {m}"
         )
     own, envy = [], []
-    for g, grp in enumerate(inst.groups):
+    for g, runs in enumerate(inst.runs):
         crit = crits[g]
         tally = np.zeros(1 << m, dtype=np.int64)
         pairs = []
-        for v, count in Counter(a.valuation for a in grp).items():
+        members = Counter()  # each distinct valuation, with its members
+        for v, n in runs:
+            members[v] += n
+        for v, count in members.items():
             values = int_table(v, (1 << m) - 1)
             if not isinstance(crit, (fairness.EFc, fairness.PROPc)):
                 bar = fairness._own_bar(v, crit, k)

@@ -299,15 +299,15 @@ def _desired_masks(inst: Instance):
     return [[agent.valuation.desired.mask for agent in grp] for grp in inst.groups]
 
 
-def _near_unanimous(masks, candidates: int, share: Fraction):
-    """``(good, desiring)``: the lowest-index good of the mask
-    ``candidates`` that at least ``share`` of ``masks`` want, and how many
-    want it; or None.  One pass over the candidates' set bits."""
+def _near_unanimous(runs, candidates: int, share: Fraction):
+    """``(good, desiring)``: the lowest-index good of the mask ``candidates``
+    that at least ``share`` of the members of ``runs``, ``(mask, count)``
+    pairs, want, and how many want it; or None."""
     counts = [0] * candidates.bit_length()
-    for mask in masks:
+    for mask, count in runs:
         for good in _set_bits(mask & candidates):
-            counts[good] += 1
-    p, q, n = share.numerator, share.denominator, len(masks)
+            counts[good] += count
+    p, q, n = share.numerator, share.denominator, sum(count for _, count in runs)
     return next(((good, desiring) for good, desiring in enumerate(counts)
                  if desiring and desiring * q >= p * n), None)
 
@@ -564,8 +564,8 @@ def rwav2_enhanced(inst: Instance, c: int = 2) -> RunResult:
         )
     threshold = Fraction(2**c - 1, 2**c + 1)
     criterion = OneOfBestC(c)
-    for g, grp in enumerate(_desired_masks(inst)):
-        counted = [mask for mask in grp if mask.bit_count() >= c]
+    for g, runs in enumerate(inst.runs):
+        counted = [(v.desired.mask, n) for v, n in runs if len(v.desired) >= c]
         found = _near_unanimous(counted, (1 << inst.m) - 1, threshold)
         if found:
             good, desiring = found
@@ -573,7 +573,7 @@ def rwav2_enhanced(inst: Instance, c: int = 2) -> RunResult:
             assignment[good] = g
             return _result("rwav2-enhanced", inst, Allocation(tuple(assignment), 2),
                            (criterion, criterion), (threshold, threshold),
-                           EnhancedSplit(g, good, desiring, len(counted)))
+                           EnhancedSplit(g, good, desiring, sum(n for _, n in counted)))
     inner = rwav2(inst, criterion, first_group=0)
     # the inner run's report is this run's: the same allocation and criteria
     return _checked(RunResult("rwav2-enhanced", inner.allocation, inner.report,
@@ -657,11 +657,11 @@ def _line(inst: Instance, kind: str, criterion, label: str) -> RunResult:
         counts = []
         claimed = None
         for g in active:
-            grp = inst.groups[g]
+            size = len(inst.groups[g])
             split = [left if h == g else right for h in range(k)]
-            yes = sum(1 for agent in grp if _holds(agent, split, criterion))
-            counts.append((g, yes, len(grp)))
-            if k * yes >= len(grp):
+            yes = sum(n for v, n in inst.runs[g] if _holds(v, g, split, criterion))
+            counts.append((g, yes, size))
+            if k * yes >= size:
                 claimed = g
                 break
         records.append(PrefixRecord(tuple(remaining[:cut]), tuple(remaining[cut:]),
@@ -710,7 +710,7 @@ def linek(inst: Instance) -> RunResult:
     which a tabular valuation need not do.
     """
     _require(inst, "linek", two=False, binary=False)
-    if any(isinstance(a.valuation, TabularValuation) for a in inst.agents()):
+    if any(isinstance(v, TabularValuation) for runs in inst.runs for v, _ in runs):
         raise ValueError("linek works on additive and binary agents only")
     k = inst.k
     return _line(inst, "linek", PROPc(k - 1), f"PROP-{k - 1}")
@@ -771,7 +771,7 @@ def best_k_protocol(inst: Instance) -> RunResult:
     _require(inst, "best_k_protocol", two=False, binary=False)
     k = inst.k
     binary = binarize_instance(inst, k)
-    masks = _desired_masks(binary)
+    masks = [[(v.desired.mask, n) for v, n in runs] for runs in binary.runs]
     criterion, third = OneOfBestC(k), Fraction(1, 3)
 
     active = list(range(k))
@@ -781,7 +781,7 @@ def best_k_protocol(inst: Instance) -> RunResult:
     base = None
     while len(active) >= 3:
         # the first group, then good, that a third of the group wants
-        step = next((UnanimousStep(g, *hit, len(masks[g])) for g in active
+        step = next((UnanimousStep(g, *hit, len(inst.groups[g])) for g in active
                      if (hit := _near_unanimous(masks[g], remaining_mask, third))),
                     None)
         if step is None:
@@ -798,12 +798,12 @@ def best_k_protocol(inst: Instance) -> RunResult:
         if steps or binary.order != tuple(range(inst.m)):
             bit = {i: 1 << j for j, i in enumerate(goods_left)}
 
-            def left(mask):  # a member over the goods left, renumbered in order
+            def left(mask):  # a run's members over the goods left, renumbered in order
                 goods = _set_bits(mask & remaining_mask)
                 return BinaryValuation(Bundle(sum(map(bit.__getitem__, goods)), len(bit)))
 
-            sub = Instance.from_valuations(
-                inst.labels(goods_left), [list(map(left, masks[g])) for g in active])
+            sub = Instance.from_valuations(inst.labels(goods_left), [
+                [v for mask, n in masks[g] for v in [left(mask)] * n] for g in active])
         if len(active) == 2:
             base = rwav2_enhanced(sub, c=2)
         else:
@@ -862,13 +862,7 @@ def _bundle_text(inst: Instance, bundle) -> str:
 
 
 def _render_turns(trace, inst: Instance, out: list):
-    # each live mask's labels and each weight's text, made once per render
-    weight_of = functools.cache(_fmt_weight)
-
-    @functools.cache
-    def labels_of(live: int) -> str:
-        return ",".join(inst.labels(_set_bits(live)))
-
+    labels_of = functools.cache(lambda live: ",".join(inst.labels(_set_bits(live))))
     for rec in trace.turns:
         out.append(
             f"Turn #{rec.turn}: Group {rec.group + 1}'s turn to pick a good"
@@ -879,13 +873,14 @@ def _render_turns(trace, inst: Instance, out: list):
             "".ljust(12) + "Desired set".ljust(12) + "r".ljust(3)
             + "s".ljust(3) + "weight".ljust(9)
         )
-        remaining_mask = Bundle.from_indices(rec.remaining, inst.m).mask
-        rows = [
-            (labels_of(agent.valuation.desired.mask & remaining_mask), r, s, weight_of(w))
-            for agent, (r, s, w) in zip(inst.groups[rec.group], rec.member_states)
-        ]
-        for (labels, r, s, w), run in itertools.groupby(rows):
-            count = sum(1 for _ in run)
+        live = Bundle.from_indices(rec.remaining, inst.m).mask
+        rows, first = [], 0  # a run's members share every state: read its first
+        for v, n in inst.runs[rec.group]:
+            r, s, w = rec.member_states[first]
+            first += n
+            rows.append(((labels_of(v.desired.mask & live), r, s, _fmt_weight(w)), n))
+        for (labels, r, s, w), equal in itertools.groupby(rows, operator.itemgetter(0)):
+            count = sum(n for _, n in equal)
             label = f"{count} member" + ("s" if count != 1 else "")
             out.append(
                 label.ljust(12) + labels.ljust(12) + str(r).ljust(3)
@@ -894,7 +889,7 @@ def _render_turns(trace, inst: Instance, out: list):
         out.append("Calculating remaining good weights:")
         out.append("".ljust(6) + "Weight".ljust(9))
         for good, w in rec.good_weights:
-            out.append(inst.goods[good].ljust(6) + weight_of(w).ljust(9))
+            out.append(inst.goods[good].ljust(6) + _fmt_weight(w).ljust(9))
         out.append(f"Group {rec.group + 1} picks {inst.goods[rec.pick]}")
         out.append("")
 

@@ -689,6 +689,27 @@ def test_serialize_instance_matches_json_dumps(inst):
     assert parse_instance(text) == inst
 
 
+@given(_repetitive_instances())
+def test_runs_fold_the_members_that_share_a_valuation(inst):
+    for grp, runs in zip(inst.groups, inst.runs):
+        expanded = [v for v, count in runs for _ in range(count)]
+        assert list(map(id, expanded)) == [id(a.valuation) for a in grp]
+        assert all(count >= 1 for _, count in runs)
+        assert all(a is not b for (a, _), (b, _) in zip(runs, runs[1:]))
+    # an entry read with a count is one valuation object: it lies in one run
+    text = serialize_instance(inst)
+    parsed = parse_instance(text)
+    for entries, runs in zip(json.loads(text)["groups"], parsed.runs):
+        ends = list(itertools.accumulate(count for _, count in runs))
+        start = 0
+        for entry in entries:
+            end = start + entry.get("count", 1)
+            first = next(i for i, e in enumerate(ends) if e > start)
+            assert ends[first] >= end, (entry, runs)
+            start = end
+    assert "runs" not in repr(inst)  # an attribute, not a field
+
+
 # ---------------------------------------------------------------------------
 # allocation JSON
 

@@ -67,14 +67,17 @@ def test_binarize_keeps_the_c_lowest_desired_goods(width_masks, c):
 
 
 @given((st.integers(1, 16) | st.integers(1, 300)).flatmap(lambda m: st.tuples(
-           _masks(m), st.lists(_masks(m), min_size=1, max_size=8))),
+           _masks(m), st.lists(st.tuples(_masks(m), st.integers(1, 5)),
+                               min_size=1, max_size=8))),
        st.fractions(0, 1, max_denominator=6))
-def test_near_unanimous_matches_a_per_good_count(candidates_masks, share):
-    candidates, masks = candidates_masks
+def test_near_unanimous_matches_a_per_good_count(candidates_runs, share):
+    # runs of (mask, count) against the members they expand to
+    candidates, runs = candidates_runs
+    masks = [mask for mask, count in runs for _ in range(count)]
     expected = None
     for good in per_bit(candidates):
         desiring = sum(x >> good & 1 for x in masks)
         if desiring and desiring * share.denominator >= share.numerator * len(masks):
             expected = (good, desiring)
             break
-    assert _near_unanimous(masks, candidates, share) == expected
+    assert _near_unanimous(runs, candidates, share) == expected
