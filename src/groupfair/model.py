@@ -923,6 +923,14 @@ def serialize_allocation(alloc: Allocation, inst: Instance) -> str:
 # binarization
 
 
+def _desired_tally(runs) -> dict:
+    """Each desired mask of a binary group's ``runs``, with its members."""
+    tally = {}
+    for v, n in runs:
+        tally[v.desired.mask] = tally.get(v.desired.mask, 0) + n
+    return tally
+
+
 def binarize_instance(inst: Instance, c: int) -> Instance:
     """Replace every valuation with a binary one over its ``c`` best goods.
 

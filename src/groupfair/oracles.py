@@ -59,6 +59,7 @@ from .model import (
     Instance,
     MAX_MEMBERS,
     Record,
+    _desired_tally,
     _int_of_digits,
     int_table,
 )
@@ -179,9 +180,7 @@ def _binary_rule(inst: Instance, crits, high, low, block):
     low_goods = low[0, 0]  # column 0 gives group 0 every low good
     plans = []
     for g, runs in enumerate(inst.runs):
-        tally = Counter()  # each distinct desired set, with its members
-        for v, n in runs:
-            tally[v.desired.mask] += n
+        tally = _desired_tally(runs)
         desired = np.array(list(tally), dtype=np.uint64)
         sizes = np.bitwise_count(desired).astype(np.int64)
         bars = {r: fairness._binary_threshold(crits[g], r, k)

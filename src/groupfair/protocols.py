@@ -73,6 +73,7 @@ from .model import (
     Instance,
     Record,
     TabularValuation,
+    _desired_tally,
     _set_bits,
     binarize_instance,
     bundles_of,
@@ -596,19 +597,18 @@ def identical_local_search(inst: Instance) -> RunResult:
     stops within ``(n_1 + n_2) / 2`` moves.
     """
     _require(inst, "identical_local_search", two=True, binary=True)
-    full_masks = _desired_masks(inst)
-    if sorted(full_masks[0]) != sorted(full_masks[1]):
+    if _desired_tally(inst.runs[0]) != _desired_tally(inst.runs[1]):
         raise ValueError("groups are not identical (desired-set multisets differ)")
-    # each member's two goods, 0 for the exempt
-    pairs = [[mask if mask.bit_count() == 2 else 0 for mask in grp]
-             for grp in _desired_masks(binarize_instance(inst, 2))]
+    # each two-good set, with its members; the exempt want fewer goods
+    pairs = [[(pair, n) for pair, n in _desired_tally(runs).items()
+              if pair.bit_count() == 2] for runs in binarize_instance(inst, 2).runs]
     own = [0, (1 << inst.m) - 1]  # current bundle masks
 
     def wanting_with_util(g: int, good: int, u: int) -> int:
-        return sum(1 for pair in pairs[g]
+        return sum(n for pair, n in pairs[g]
                    if pair >> good & 1 and (pair & own[g]).bit_count() == u)
 
-    max_moves = sum(1 for grp in pairs for pair in grp if pair) // 2
+    max_moves = sum(n for grp in pairs for _, n in grp) // 2
     moves = []
     while True:
         for good in range(inst.m):

@@ -8,9 +8,11 @@ entry in ``pyproject.toml``, puts it first on ``PATH`` with this checkout's
 ``src`` first on ``PYTHONPATH``, and runs it by name.
 """
 
+import gc
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -924,22 +926,44 @@ def test_gen_writes_parsable_instance(tmp_path, capsys):
     assert sum(e.get("count", 1) for e in doc["groups"][0]) == 6
 
 
-@pytest.mark.parametrize("command", [
+#: one command of each kind that writes a document or text
+WRITING_COMMANDS = [
     ["gen", "--spec", "circle:k=2"],
     ["table", "--which", "B", "--rmax", "3", "--smax", "2"],
     ["check", "--instance", "{inst}", "--allocation", "{alloc}",
      "--criterion", "ef-1"],
     ["brute", "--spec", "three-good-cycle", "--criterion", "ef-1"],
     ["run", "--protocol", "rwav2", "--instance", "{inst}", *B1_ARGS, "--trace"],
-], ids=lambda command: command[0])
-def test_unwritable_out_exits_2(command, b1_path, tmp_path, capsys):
+]
+
+
+def _writing_argv(command, b1_path, tmp_path):
     alloc = tmp_path / "alloc.json"
     alloc.write_text('{"bundles": [["w", "x", "y"], ["v", "z"]]}')
+    return [arg.format(inst=b1_path, alloc=alloc) for arg in command]
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS, ids=lambda command: command[0])
+def test_unwritable_out_exits_2(command, b1_path, tmp_path, capsys):
     out_path = tmp_path / "missing" / "out.json"
-    argv = [arg.format(inst=b1_path, alloc=alloc) for arg in command]
+    argv = _writing_argv(command, b1_path, tmp_path)
     code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {out_path}: ")
+
+
+class _FullStdout:
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS, ids=lambda command: command[0])
+def test_unwritable_stdout_exits_2(command, b1_path, tmp_path, capsys, monkeypatch):
+    argv = _writing_argv(command, b1_path, tmp_path)
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
 def test_gen_member_cap(capsys):
@@ -1230,3 +1254,104 @@ def test_package_generates_no_code():
     for path in sorted((ROOT / "src" / "groupfair").glob("*.py")):
         for number, line in enumerate(path.read_text().splitlines(), 1):
             assert not call.search(line), f"{path.name}:{number}: {line.strip()}"
+
+
+# ---------------------------------------------------------------------------
+# the process entry
+
+
+def _spawn(argv, stdout):
+    """The CLI as a process, with its stdout block-buffered, as it is by
+    default when not a terminal."""
+    env = {var: value for var, value in os.environ.items()
+           if var != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "groupfair.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(env, PYTHONPATH=str(ROOT / "src")),
+    )
+
+
+# gen's 320 kB overflow stdout's buffer, so main()'s own write fails; the
+# table's few bytes wait in it for the flush after main() returns
+@pytest.mark.parametrize("argv", [
+    ["gen", "--spec", "three-good-cycle:k=999"],
+    ["table", "--which", "B", "--rmax", "1", "--smax", "1"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
+def test_a_failed_stdout_write_exits_2_without_a_traceback(argv, sink):
+    if sink == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "w") as full:
+            result = _spawn(argv, full)
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = _spawn(argv, write)
+        finally:
+            os.close(write)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: cannot write stdout: ")
+    assert result.stderr.count("\n") == 1, result.stderr
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_callers_collector_alone(enabled, b1_path, capsys):
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, _, _ = run_cli(capsys, "run", "--protocol", "rwav2",
+                             "--instance", b1_path, *B1_ARGS)
+        assert code == 0
+        assert gc.isenabled() == enabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+#: commands that read or build instances, run with n members a group
+CYCLE_JOBS = {
+    "run": ["run", "--protocol", "rwav2", "--instance", "{inst}",
+            "--criterion", "ef-1"],
+    "run-trace": ["run", "--protocol", "rwav2", "--instance", "{inst}",
+                  "--criterion", "ef-1", "--trace"],
+    "check": ["check", "--instance", "{inst}", "--allocation", "{alloc}",
+              "--criterion", "ef-1"],
+    "brute": ["brute", "--instance", "{inst}", "--criterion", "ef-1"],
+    "gen": ["gen", "--spec", "three-good-cycle:k={n}"],
+}
+
+
+@pytest.mark.parametrize("job", CYCLE_JOBS)
+def test_a_command_leaves_as_many_cycles_on_a_ten_times_larger_input(
+        job, tmp_path, capsys):
+    # the process entry runs every command with the collector off: a cycle
+    # made per member or per allocation would grow the process, not be freed
+    goods = [f"g{i}" for i in range(6)]
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps({"bundles": [goods[:3], goods[3:]]}))
+
+    def cycles_left(n: int) -> int:
+        rng = random.Random(n)
+        inst = tmp_path / f"inst_{n}.json"
+        inst.write_text(json.dumps({"goods": goods, "groups": [
+            [{"type": "binary", "desired": rng.sample(goods, rng.randint(1, 3))}
+             for _ in range(n)] for _ in range(2)]}))
+        argv = [arg.format(inst=inst, alloc=alloc, n=n) for arg in CYCLE_JOBS[job]]
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            return gc.collect()
+        finally:
+            if was:
+                gc.enable()
+            capsys.readouterr()
+
+    cycles_left(20), cycles_left(200)  # load the modules and fill the caches
+    assert cycles_left(20) == cycles_left(200)

@@ -36,6 +36,8 @@ from groupfair.model import (
     Instance,
     TabularValuation,
     bundles_of,
+    parse_instance,
+    serialize_instance,
 )
 from groupfair.protocols import (
     BestKTrace,
@@ -63,6 +65,7 @@ from conftest import (
     GOODS5, addval, binval, criteria, meets_bk, random_binary_instance,
 )
 from line_reference import reference_line2, reference_linek
+from local_search_reference import reference_local_search
 
 MIXED_CRITERIA = (OneOutOfCMMS(2), OneOfBestC(2))
 
@@ -298,6 +301,41 @@ def test_local_search_guarantee_random():
         n = sum(result.report.sizes)
         assert len(result.trace.moves) <= n // 2
         assert result.report.h >= Fraction(2, 3)
+
+
+@st.composite
+def _local_search_instances(draw):
+    """Two binary groups over a pool of valuations, one group a shuffle of
+    the other, so runs repeat and equal masks sit in distinct objects;
+    sometimes a member changes, and the groups differ.  Half the instances
+    are read back from their JSON, whose entries carry counts."""
+    m = draw(st.integers(1, 6))
+    goods = tuple(f"g{i}" for i in range(m))
+    masks = st.integers(0, (1 << m) - 1)
+    pool = [BinaryValuation(Bundle(mask, m))
+            for mask in draw(st.lists(masks, min_size=1, max_size=5))]
+    first = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    second = [v if draw(st.booleans()) else BinaryValuation(v.desired)
+              for v in draw(st.permutations(first))]
+    if draw(st.booleans()):
+        second[draw(st.integers(0, len(second) - 1))] = BinaryValuation(
+            Bundle(draw(masks), m))
+    inst = Instance.from_valuations(goods, (first, second))
+    return parse_instance(serialize_instance(inst)) if draw(st.booleans()) else inst
+
+
+@settings(max_examples=300)
+@given(_local_search_instances())
+def test_local_search_counting_by_run_matches_the_per_member_search(inst):
+    try:
+        own, moves = reference_local_search(inst)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            identical_local_search(inst)
+        return
+    result = identical_local_search(inst)
+    assert tuple(b.mask for b in bundles_of(result.allocation)) == own
+    assert result.trace.moves == moves
 
 
 # ---------------------------------------------------------------------------
