@@ -181,6 +181,8 @@ def maxh(r: int, s: int, k: int = 2) -> Fraction:
         raise ValueError("maxh needs r >= 0")
     if k < 2:
         raise ValueError("maxh needs k >= 2")
+    if s <= 0:
+        return _ONE
     if r <= k * s - 1:
         return _ZERO
     return Fraction(k**r - _below(r, s, k), k**r)
@@ -237,7 +239,7 @@ class KGroupWeights:
         if k < 2:
             raise ValueError("KGroupWeights needs k >= 2")
         self.k = k
-        self.L = 2.0 ** (1.0 / (k - 1))
+        self.L = 2.0 ** (1 / (k - 1))
 
     def B(self, r: int, s: int) -> float:
         if s == 0:

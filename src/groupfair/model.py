@@ -450,8 +450,8 @@ class Instance(Record):
     ``good_index`` maps each label to its index; ``runs`` holds per group
     its maximal runs of consecutive members sharing one valuation object,
     as ``(valuation, count)`` pairs, which the report, the line polls, the
-    trace text, binarization, the oracle tallies and the writer read
-    (attributes outside the fields: not compared, hashed or shown).
+    picking loop and trace text, binarization, the oracle tallies and the
+    writer read (attributes outside the fields: not compared, hashed or shown).
     """
 
     goods: tuple

@@ -10,8 +10,8 @@ paying its budget ``B(r, s)`` into the group account, pays again when its
 group takes a good it wants, and is refunded when the opponent does.  A
 failed ledger invariant raises an error: a member's balance, its priced
 state, is always exactly ``-B(r, s)`` (each move between states is checked
-when a member first makes it, which covers every member on every turn),
-and a group's final account is its number of happy members.  Every
+when a run of members first makes it, which covers every member on every
+turn), and a group's final account is its number of happy members.  Every
 protocol then checks that each group's happy fraction reaches the
 guarantee it claims, so a successful run certifies itself.
 
@@ -31,12 +31,14 @@ between two floats.  For ``d = 1``, ``Q = 0``: the two-group budgets scaled
 by ``2**R``, integers by :func:`~groupfair.budgets.B_closed`, with
 ``Fraction`` trace values.
 
-Each ``(r, s)`` is priced once per run, when a member first reaches it, and
-keeps its two transitions (successor, balance change, weight change) for
-when the member's own group takes a good it wants and when another does.
-A turn applies them to the members wanting the pick and sums each group's
-change once.  :class:`ProtocolTrace` replays the logged picks along them on
-first read: a run whose trace is never read makes no :class:`TurnRecord`.
+The loop walks each group's :attr:`~groupfair.model.Instance.runs`, whose
+members share every state.  Each ``(r, s)`` is priced once, scaled by each
+run's count, and keeps its two transitions (successor, balance change,
+weight change) for when the run's own group takes a good it wants and when
+another does.  A turn applies them to the runs wanting the pick and sums
+each group's change once.  :class:`ProtocolTrace` replays the picks along
+them on first read: a picking run whose trace is never read makes no
+:class:`TurnRecord`.
 
 :func:`_render_trace` prints a run's trace records as the stable plain text
 of ``run --trace``, one layout per trace kind; an ``rwavk`` run shows each
@@ -296,10 +298,6 @@ def _reaches_bk(frac: Fraction, r: int, d: int) -> bool:
     return r <= 0 or q**d >= (q - p) ** d << r
 
 
-def _desired_masks(inst: Instance):
-    return [[agent.valuation.desired.mask for agent in grp] for grp in inst.groups]
-
-
 def _near_unanimous(runs, candidates: int, share: Fraction):
     """``(good, desiring)``: the lowest-index good of the mask ``candidates``
     that at least ``share`` of the members of ``runs``, ``(mask, count)``
@@ -318,16 +316,18 @@ def _near_unanimous(runs, candidates: int, share: Fraction):
 
 
 class _State:
-    """A member state ``(r, s)`` priced for one run: the balance the ledger
-    must show (``neg_budget``), ``weight`` and ``pay`` as ledger ints, the
-    trace's ``balance`` and ``entry`` ``(r, s, weight)``, and ``step``: per
-    side (0 when its own group takes a wanted good, 1 when another group
-    does) ``(successor, balance change, weight change)``, once known."""
+    """A run's state ``(r, s)`` priced for one picking run: the balance the
+    ledger must show (``neg_budget``), ``weight`` and ``pay`` as ledger ints
+    for its ``count`` members, one member's trace ``balance`` and ``entry``
+    ``(r, s, weight)``, and ``step``: per side (0 when its own group takes a
+    wanted good, 1 when another does) ``(successor, balance change, weight
+    change)``, once known."""
 
-    def __init__(self, r, s, budget, weight, pay, traced):
-        self.r, self.s, self.weight, self.pay = r, s, weight, pay
-        self.neg_budget, self.balance = -budget, traced(-budget)
-        self.entry, self.step = (r, s, traced(weight)), [None, None]
+    def __init__(self, r, s, count, budget, weight, pay, traced):
+        self.r, self.s, self.count = r, s, count
+        self.weight, self.pay, self.neg_budget = weight * count, pay * count, -budget * count
+        self.balance, self.entry = traced(-budget), (r, s, traced(weight))
+        self.step = [None, None]
 
 
 _BALANCE = operator.attrgetter("balance")
@@ -387,22 +387,24 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
     ``(r, s)`` as ledger ints, where ``lpow(j)`` is the ledger int of
     ``L**-j`` and ``L = 2**(1/d)``.  A member pays its pay when its own
     group takes a good it wants and is refunded its weight when another
-    group does.  ``number(n, unit)`` turns a ledger int ``n`` into the
-    trace's number ``n / unit``, where ``unit`` is the ledger int of 1.
-    A ``price`` that refuses a starting state refuses the run before turn 1.
-    Returns the allocation, the trace and each group's starting ``(r, s)`` pairs.
+    group does; a run of members moves as one, at ``count`` times these.
+    ``number(n, unit)`` turns a ledger int ``n`` into the trace's number
+    ``n / unit``, where ``unit`` is the ledger int of 1.  A ``price`` that
+    refuses a starting state refuses the run before turn 1.  Returns the
+    allocation, the trace and each group's starting ``(r, s)`` per run.
     """
     k = inst.k
     sfuncs = [functools.cache(SFunction(c, k)) for c in crits]
-    # each member's desired goods still on the table
-    goods_of = [list(map(_set_bits, grp)) for grp in _desired_masks(inst)]
+    # each run's member count and desired goods still on the table
+    counts = [[n for _, n in runs] for runs in inst.runs]
+    goods_of = [[_set_bits(v.desired.mask) for v, _ in runs] for runs in inst.runs]
     start = [[(len(goods), sfunc(len(goods))) for goods in grp]
              for sfunc, grp in zip(sfuncs, goods_of)]
     R = max((rj for grp in start for rj, _ in grp), default=0)
     P = -(-R // d)
     # every k-group weight has |2**P * w|_1 <= 2**(P+1) and a good weight
     # sums at most n of them, so H bounds |z|_1 for two goods' difference
-    H = sum(map(len, goods_of)) << (P + 2)
+    H = sum(r * n for grp, ns in zip(start, counts) for (r, _), n in zip(grp, ns)) << (P + 2)
     Q = d * (H.bit_length() + 1) + 64 if d > 1 else 0
     shift = P + Q
     roots = [_root_floor(1 << (t + d * Q), d) for t in range(d)]
@@ -415,30 +417,34 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
         q, t = divmod(d * P - j, d)
         return roots[t] << q
 
-    # each (r, s) is priced once per run, and each ledger int turned into
-    # the trace's number once
+    # each (r, s) is priced once, then scaled by each member count that
+    # reaches it, and each ledger int turned into the trace's number once
     traced = functools.cache(lambda value: number(value, 1 << shift))
-    state_price = functools.cache(lambda r, s: _State(r, s, *price(r, s, lpow), traced))
+    priced = functools.cache(lambda r, s: price(r, s, lpow))
+    state_price = functools.cache(lambda r, s, n: _State(r, s, n, *priced(r, s), traced))
 
-    def advance(old: _State, side: int, agent, turn: int):
-        """Price, check and keep the move ``agent`` first makes from ``old``."""
-        new = state_price(old.r - 1, old.s if side else max(0, old.s - 1))
+    def advance(old: _State, side: int, g: int, run: int, turn: int):
+        """Price, check and keep the move ``g``'s run ``run`` first makes."""
+        n = old.count
+        new = state_price(old.r - 1, old.s if side else max(0, old.s - 1), n)
         move = old.weight if side else -old.pay
         if (balance := old.neg_budget + move) != new.neg_budget:
+            agent = inst.groups[g][sum(counts[g][:run])].label  # the first to move
             raise ProtocolInvariantError(
-                f"agent {agent.label} balance {traced(balance)} != "
+                f"agent {agent} balance {traced(balance // n)} != "
                 f"-{budget_name}({new.r}, {new.s}) after turn {turn}",
-                agent=agent.label, turn=turn,
-                expected=Fraction(new.neg_budget, 1 << shift),
-                actual=Fraction(balance, 1 << shift),
+                agent=agent, turn=turn,
+                expected=Fraction(new.neg_budget // n, 1 << shift),
+                actual=Fraction(balance // n, 1 << shift),
             )
         old.step[side] = step = (new, move, new.weight - old.weight)
         return step
 
     m = inst.m
-    state = [[state_price(rj, sj) for rj, sj in grp] for grp in start]
+    state = [[state_price(rj, sj, n) for (rj, sj), n in zip(grp, ns)]
+             for grp, ns in zip(start, counts)]
     group_bal = [-sum(p.neg_budget for p in grp) for grp in state]
-    # per good and group, the members wanting it; per group, each good's
+    # per good and group, the runs wanting it; per group, each good's
     # total member weight
     wanted_by = [[[] for _ in range(k)] for _ in range(m)]
     good_weight = [[0] * m for _ in range(k)]
@@ -450,20 +456,20 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
 
     remaining = list(range(m))
     assignment = [None] * m
-    opening = tuple(map(tuple, state))  # each member's state before turn 1
+    opening = tuple(map(tuple, state))  # each run's state before turn 1
     log = []  # per turn: group, pick, good weights before, group balances after
     for turn in range(1, m + 1):
         g = next_group()
         weights = good_weight[g]
         before = tuple(weights)
         pick = max(remaining, key=weights.__getitem__)
-        for gg, (members, agents) in enumerate(zip(wanted_by[pick], inst.groups)):
+        for gg, runs in enumerate(wanted_by[pick]):
             side = gg != g
             st, gw, goods_of_g = state[gg], good_weight[gg], goods_of[gg]
             change = 0
-            for j in members:
+            for j in runs:
                 old = st[j]
-                st[j], move, delta = old.step[side] or advance(old, side, agents[j], turn)
+                st[j], move, delta = old.step[side] or advance(old, side, gg, j, turn)
                 change += move
                 goods = goods_of_g[j]
                 goods.remove(pick)
@@ -476,7 +482,7 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
         remaining.remove(pick)
 
     for g in range(k):
-        happy = sum(1 for p in state[g] if p.s == 0)
+        happy = sum(p.count for p in state[g] if p.s == 0)
         if group_bal[g] != happy << shift:
             raise ProtocolInvariantError(
                 f"group {g + 1} final balance {traced(group_bal[g])} != happy {happy}",
@@ -485,16 +491,21 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
 
     def turns() -> tuple:  # replays the picks along the kept transitions
         left, records, states = list(range(m)), [], list(map(list, opening))
+
+        def members(g, field):  # a run's field once per member
+            return tuple(itertools.chain.from_iterable(
+                map(itertools.repeat, map(field, states[g]), counts[g])))
+
         for turn, (g, pick, weights, gbal) in enumerate(log, 1):
-            entries = tuple(map(_ENTRY, states[g]))
-            for gg, members in enumerate(wanted_by[pick]):
-                for j in members:
+            entries = members(g, _ENTRY)
+            for gg, runs in enumerate(wanted_by[pick]):
+                for j in runs:
                     states[gg][j] = states[gg][j].step[gg != g][0]
             records.append(TurnRecord(
                 turn, g, tuple(left), entries,
                 tuple((i, traced(weights[i])) for i in left), pick,
                 tuple(map(traced, gbal)),
-                tuple(tuple(map(_BALANCE, grp)) for grp in states),
+                tuple(members(gg, _BALANCE) for gg in range(k)),
             ))
             left.remove(pick)
         return tuple(records)

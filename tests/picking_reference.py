@@ -31,8 +31,12 @@ from groupfair.protocols import (
     ProtocolTrace,
     RunResult,
     TurnRecord,
-    _desired_masks,
 )
+
+
+def _desired_masks(inst: Instance):
+    """Each member's desired mask, group by group, one entry per member."""
+    return [[agent.valuation.desired.mask for agent in grp] for grp in inst.groups]
 
 
 def _require_binary(inst: Instance, protocol: str):

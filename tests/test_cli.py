@@ -824,6 +824,29 @@ def test_table_maxh(capsys):
     assert lines[7] == "4    1      0.938  0.688"
 
 
+def test_table_maxh_needing_nothing_builds_no_power():
+    # maxh(r, 0, k) is 1 without k**r: with this k, building the powers
+    # took more than half a minute
+    result = subprocess.run(
+        [sys.executable, "-m", "groupfair.cli", "table", "--which", "maxh",
+         "--k", "9" * 2001, "--rmax", "300", "--smax", "0"],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[3:] == [f"{r:<5}1" for r in range(301)]
+
+
+def test_table_kgroup_takes_a_k_past_the_float_range(capsys):
+    # 1 / (k - 1) underflows to 0.0 where 1.0 / (k - 1) overflowed
+    code, out, err = run_cli(
+        capsys, "table", "--which", "Bk", "--k", str(10**400), "--rmax", "3"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[3:] == ["0    0        0"] + [
+        f"{r}    0.000    0.000" for r in range(1, 4)]
+
+
 def test_table_validation(capsys):
     code, _, _ = run_cli(capsys, "table", "--which", "Q")
     assert code == 2

@@ -6,10 +6,8 @@ that share one valuation object into ``(valuation, count)`` pairs, and every
 reader of a group's valuations reads those.  Each module is parsed with
 :mod:`ast`: a ``for`` statement or a comprehension that reads an attribute
 named ``valuation`` anywhere inside it fails, and so does
-``attrgetter("valuation")``, the same walk spelled with ``map``.  Two
-functions may walk the members: ``Instance.__init__``, which makes the
-fold, and ``protocols._desired_masks``, which feeds the picking loop its
-per-member desired sets.
+``attrgetter("valuation")``, the same walk spelled with ``map``.  Only
+``Instance.__init__``, which makes the fold, may walk the members.
 """
 
 import ast
@@ -19,7 +17,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "groupfair"
 MODULES = sorted(SRC.glob("*.py"))
-ALLOWED = {("model.py", "Instance.__init__"), ("protocols.py", "_desired_masks")}
+ALLOWED = {("model.py", "Instance.__init__")}
 LOOPS = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)
 

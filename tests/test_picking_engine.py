@@ -44,6 +44,7 @@ from groupfair.protocols import (
 )
 
 from picking_reference import (
+    _desired_masks,
     _floor_root,
     reference_cwav2,
     reference_rwav2,
@@ -81,14 +82,14 @@ def test_root_floor_matches_bisection(case):
 
 @st.composite
 def binary_instances(draw, k=2, m_max=7, n_max=5):
+    """``k`` groups over at most ``m_max`` goods, each of at most ``n_max``
+    entries ``(mask, count)``: ``count`` members sharing one valuation
+    object, one run of :attr:`Instance.runs`."""
     m = draw(st.integers(1, m_max))
+    entries = st.tuples(st.integers(0, (1 << m) - 1), st.integers(1, 3))
     groups = [
-        [
-            BinaryValuation(Bundle(mask, m))
-            for mask in draw(
-                st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=n_max)
-            )
-        ]
+        [v for mask, count in draw(st.lists(entries, min_size=1, max_size=n_max))
+         for v in [BinaryValuation(Bundle(mask, m))] * count]
         for _ in range(k)
     ]
     return Instance.from_valuations(tuple(f"g{i}" for i in range(m)), groups)
@@ -293,7 +294,7 @@ def test_a_moved_table_value_fails_where_the_reference_does(run, reference, name
     # it; the reference checks every member's balance on every turn.  One
     # budget or weight moved by whole ledger units must stop both at the
     # same member and turn, or neither.
-    R = max(mask.bit_count() for grp in protocols._desired_masks(inst) for mask in grp)
+    R = max(mask.bit_count() for grp in _desired_masks(inst) for mask in grp)
     table = MovedValue(
         data.draw(st.sampled_from(names)),
         (data.draw(st.integers(0, R)), data.draw(st.integers(0, R + 1))),
@@ -431,7 +432,7 @@ def test_rwavk_ledger_check_fires_at_the_first_wrong_payment(run):
     # group that still needs a good and wants the pick.
     inst, c = run
     ref = reference_rwavk(inst, c)
-    masks = protocols._desired_masks(binarize_instance(inst, c))
+    masks = _desired_masks(binarize_instance(inst, c))
     first = next(
         (
             (t.turn, t.group, j, r)
