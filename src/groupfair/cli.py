@@ -446,7 +446,14 @@ def _console() -> int:
     """:func:`main` as a process, without the cyclic collector: the package
     makes no cycles.  ``gc.freeze()`` spares the exit sweep over all live
     objects, made even under ``gc.disable()``: ``python -c "import numpy"``
-    takes 106.8 ms, and 86.1 ms with a freeze (2 CPUs, medians of 21 runs)."""
+    takes 106.8 ms, and 86.1 ms with a freeze (2 CPUs, medians of 21 runs).
+
+    OpenBLAS gets one thread unless the caller chose a count; it reads the
+    count when numpy loads.  Its threads stack on ``brute --workers``
+    (``circle:k=6 --workers 2``: 16.9-26.6 s, 8.7-9.6 s on one; 2 CPUs)."""
+    if not any(var in os.environ for var in
+               ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     gc.disable()
     code = main()
     try:

@@ -949,11 +949,11 @@ def binarize_instance(inst: Instance, c: int) -> Instance:
         members = []
         for v, count in runs:
             if isinstance(v, BinaryValuation):
-                desired = _set_bits(v.desired.mask)
-                if len(desired) <= c:
+                mask = v.desired.mask
+                if mask.bit_count() <= c:
                     members += [v] * count
                     continue
-                mask = v.desired.mask & (1 << desired[c]) - 1  # below the (c+1)-th
+                mask &= (1 << _set_bits(mask)[c]) - 1  # below the (c+1)-th
             else:
                 vals = [v.int_value(1 << i) for i in range(inst.m)]
                 ranked = sorted(range(inst.m), key=lambda i: (-vals[i], i))

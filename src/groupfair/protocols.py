@@ -33,12 +33,14 @@ by ``2**R``, integers by :func:`~groupfair.budgets.B_closed`, with
 
 The loop walks each group's :attr:`~groupfair.model.Instance.runs`, whose
 members share every state.  Each ``(r, s)`` is priced once, scaled by each
-run's count, and keeps its two transitions (successor, balance change,
-weight change) for when the run's own group takes a good it wants and when
-another does.  A turn applies them to the runs wanting the pick and sums
-each group's change once.  :class:`ProtocolTrace` replays the picks along
-them on first read: a picking run whose trace is never read makes no
-:class:`TurnRecord`.
+run's count, and keeps its two transitions (successor, weight change) for
+when the run's own group takes a good it wants and when another does.  The
+run states are the loop's only ledger: a turn sums each remaining good's
+weight over the acting group's runs that want it, and a group's account is
+its runs' balances summed, read off the final states and, in the trace,
+off the replayed ones.  :class:`ProtocolTrace` replays the picks along the
+kept transitions on first read: a picking run whose trace is never read
+makes no :class:`TurnRecord`.
 
 :func:`_render_trace` prints a run's trace records as the stable plain text
 of ``run --trace``, one layout per trace kind; an ``rwavk`` run shows each
@@ -320,8 +322,8 @@ class _State:
     ledger must show (``neg_budget``), ``weight`` and ``pay`` as ledger ints
     for its ``count`` members, one member's trace ``balance`` and ``entry``
     ``(r, s, weight)``, and ``step``: per side (0 when its own group takes a
-    wanted good, 1 when another does) ``(successor, balance change, weight
-    change)``, once known."""
+    wanted good, 1 when another does) ``(successor, weight change)``, once
+    known and checked."""
 
     def __init__(self, r, s, count, budget, weight, pay, traced):
         self.r, self.s, self.count = r, s, count
@@ -388,6 +390,8 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
     ``L**-j`` and ``L = 2**(1/d)``.  A member pays its pay when its own
     group takes a good it wants and is refunded its weight when another
     group does; a run of members moves as one, at ``count`` times these.
+    The run states are the only ledger: a good's weight is summed when a
+    group picks, and a group's account is its runs' balances summed.
     ``number(n, unit)`` turns a ledger int ``n`` into the trace's number
     ``n / unit``, where ``unit`` is the ledger int of 1.  A ``price`` that
     refuses a starting state refuses the run before turn 1.  Returns the
@@ -395,11 +399,9 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
     """
     k = inst.k
     sfuncs = [functools.cache(SFunction(c, k)) for c in crits]
-    # each run's member count and desired goods still on the table
     counts = [[n for _, n in runs] for runs in inst.runs]
-    goods_of = [[_set_bits(v.desired.mask) for v, _ in runs] for runs in inst.runs]
-    start = [[(len(goods), sfunc(len(goods))) for goods in grp]
-             for sfunc, grp in zip(sfuncs, goods_of)]
+    start = [[(r, sfunc(r)) for r in (v.desired.mask.bit_count() for v, _ in runs)]
+             for sfunc, runs in zip(sfuncs, inst.runs)]
     R = max((rj for grp in start for rj, _ in grp), default=0)
     P = -(-R // d)
     # every k-group weight has |2**P * w|_1 <= 2**(P+1) and a good weight
@@ -437,56 +439,47 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
                 expected=Fraction(new.neg_budget // n, 1 << shift),
                 actual=Fraction(balance // n, 1 << shift),
             )
-        old.step[side] = step = (new, move, new.weight - old.weight)
+        old.step[side] = step = (new, new.weight - old.weight)
         return step
 
     m = inst.m
     state = [[state_price(rj, sj, n) for (rj, sj), n in zip(grp, ns)]
              for grp, ns in zip(start, counts)]
-    group_bal = [-sum(p.neg_budget for p in grp) for grp in state]
-    # per good and group, the runs wanting it; per group, each good's
-    # total member weight
-    wanted_by = [[[] for _ in range(k)] for _ in range(m)]
-    good_weight = [[0] * m for _ in range(k)]
-    for g in range(k):
-        for j, goods in enumerate(goods_of[g]):
-            for i in goods:
+    run_weight = [[p.weight for p in grp] for grp in state]
+    wanted_by = [[[] for _ in range(k)] for _ in range(m)]  # per good and group
+    for g, runs in enumerate(inst.runs):
+        for j, (v, _) in enumerate(runs):
+            for i in _set_bits(v.desired.mask):
                 wanted_by[i][g].append(j)
-                good_weight[g][i] += state[g][j].weight
+
+    def account(grp) -> int:  # a group's account: its members' balances
+        return -sum(p.neg_budget for p in grp)
 
     remaining = list(range(m))
     assignment = [None] * m
     opening = tuple(map(tuple, state))  # each run's state before turn 1
-    log = []  # per turn: group, pick, good weights before, group balances after
+    log = []  # per turn: group, pick, each remaining good's weight
     for turn in range(1, m + 1):
         g = next_group()
-        weights = good_weight[g]
-        before = tuple(weights)
-        pick = max(remaining, key=weights.__getitem__)
+        weight = run_weight[g].__getitem__
+        weights = [sum(map(weight, wanted_by[i][g])) for i in remaining]
+        pick = remaining.pop(weights.index(max(weights)))  # ties to the lowest
         for gg, runs in enumerate(wanted_by[pick]):
             side = gg != g
-            st, gw, goods_of_g = state[gg], good_weight[gg], goods_of[gg]
-            change = 0
+            st, rw = state[gg], run_weight[gg]
             for j in runs:
                 old = st[j]
-                st[j], move, delta = old.step[side] or advance(old, side, gg, j, turn)
-                change += move
-                goods = goods_of_g[j]
-                goods.remove(pick)
-                if delta:
-                    for i in goods:
-                        gw[i] += delta
-            group_bal[gg] -= change
+                st[j], delta = old.step[side] or advance(old, side, gg, j, turn)
+                rw[j] += delta
         assignment[pick] = g
-        log.append((g, pick, before, tuple(group_bal)))
-        remaining.remove(pick)
+        log.append((g, pick, weights))
 
-    for g in range(k):
-        happy = sum(p.count for p in state[g] if p.s == 0)
-        if group_bal[g] != happy << shift:
+    for g, grp in enumerate(state):
+        happy, balance = sum(p.count for p in grp if p.s == 0), account(grp)
+        if balance != happy << shift:
             raise ProtocolInvariantError(
-                f"group {g + 1} final balance {traced(group_bal[g])} != happy {happy}",
-                expected=Fraction(happy), actual=Fraction(group_bal[g], 1 << shift),
+                f"group {g + 1} final balance {traced(balance)} != happy {happy}",
+                expected=Fraction(happy), actual=Fraction(balance, 1 << shift),
             )
 
     def turns() -> tuple:  # replays the picks along the kept transitions
@@ -496,15 +489,14 @@ def _weighted_approval(inst: Instance, crits, kind: str, next_group, price,
             return tuple(itertools.chain.from_iterable(
                 map(itertools.repeat, map(field, states[g]), counts[g])))
 
-        for turn, (g, pick, weights, gbal) in enumerate(log, 1):
+        for turn, (g, pick, weights) in enumerate(log, 1):
             entries = members(g, _ENTRY)
             for gg, runs in enumerate(wanted_by[pick]):
                 for j in runs:
                     states[gg][j] = states[gg][j].step[gg != g][0]
             records.append(TurnRecord(
-                turn, g, tuple(left), entries,
-                tuple((i, traced(weights[i])) for i in left), pick,
-                tuple(map(traced, gbal)),
+                turn, g, tuple(left), entries, tuple(zip(left, map(traced, weights))),
+                pick, tuple(traced(account(grp)) for grp in states),
                 tuple(members(gg, _BALANCE) for gg in range(k)),
             ))
             left.remove(pick)

@@ -1322,6 +1322,36 @@ def test_a_failed_stdout_write_exits_2_without_a_traceback(argv, sink):
     assert result.stderr.count("\n") == 1, result.stderr
 
 
+# prints OPENBLAS_NUM_THREADS as it reads when numpy's import starts
+BLAS_PROBE = """
+import os, sys
+from groupfair.cli import _console
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
+sys.meta_path.insert(0, Probe())
+sys.argv[1:] = ["brute", "--spec", "three-good-cycle", "--criterion", "positive-mms"]
+sys.exit(_console())
+"""
+
+
+@pytest.mark.parametrize("chosen, seen", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"GOTO_NUM_THREADS": "2"}, "None"),
+    ({"OMP_NUM_THREADS": "2"}, "None"),
+], ids=["unset", "openblas", "goto", "omp"])
+def test_the_process_entry_runs_one_blas_thread_unless_told(chosen, seen):
+    env = {var: value for var, value in os.environ.items() if var not in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    result = subprocess.run(
+        [sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True,
+        env=dict(env, **chosen, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert (result.returncode, result.stderr) == (0, seen + "\n")
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_main_leaves_the_callers_collector_alone(enabled, b1_path, capsys):
     was, frozen = gc.isenabled(), gc.get_freeze_count()
